@@ -107,6 +107,9 @@ class BandedSpec:
         period = doc["period"]
         if not isinstance(period, int):
             raise SpecFormatError(f"period must be an integer, got {period!r}")
+        for key in ("bands", "exceptional"):
+            if not isinstance(doc.get(key, []), list):
+                raise SpecFormatError(f'"{key}" must be a list, got {doc[key]!r}')
         bands = {}
         for rec in doc["bands"]:
             if not isinstance(rec, dict) or {"offset", "values"} - set(rec):
@@ -116,6 +119,8 @@ class BandedSpec:
                 raise SpecFormatError(f"band offset must be an integer: {offset!r}")
             if offset in bands:
                 raise SpecFormatError(f"duplicate band offset {offset}")
+            if not isinstance(rec["values"], list):
+                raise SpecFormatError(f"band values must be a list: {rec!r}")
             bands[offset] = [field.parse(v) for v in rec["values"]]
         exceptional = []
         for rec in doc.get("exceptional", []):

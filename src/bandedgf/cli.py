@@ -76,6 +76,21 @@ def _load_spec(args) -> BandedSpec:
     return spec
 
 
+# Least accepted value of each integer flag, for the commands that have it.
+_FLAG_MINIMA = {
+    "order": 0, "extra": 0, "guard": 0, "degx": 1, "degz": 0,
+    "length": 0, "enum_length": 0,
+}
+
+
+def _check_flag_ranges(args) -> None:
+    for name, least in _FLAG_MINIMA.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            flag = "--" + name.replace("_", "-")
+            raise SpecFormatError(f"{flag} must be at least {least}, got {value}")
+
+
 def _emit(doc, out_path) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out_path:
@@ -108,7 +123,8 @@ def cmd_series(args) -> int:
 def cmd_annihilate(args) -> int:
     spec = _load_spec(args)
     weights = block_reduce(spec, args.block_size)
-    gv = fixed_point_route(weights, args.order).gv
+    deeper = fixed_point_route(weights, args.order + args.extra).gv
+    gv = deeper.truncate(args.order)
     poly = reconstruct(gv, args.degx, args.degz, guard=args.guard)
     if poly is None:
         _emit(
@@ -123,7 +139,6 @@ def cmd_annihilate(args) -> int:
             args.out,
         )
         return EXIT_MISMATCH
-    deeper = fixed_point_route(weights, args.order + args.extra).gv
     res = verify(poly, deeper)
     _emit(
         {
@@ -303,6 +318,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flag_ranges(args)
         return args.fn(args)
     except RouteMismatchError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)

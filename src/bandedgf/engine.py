@@ -6,11 +6,13 @@ the target is the series whose z^n coefficient is the (1,1) entry of V^n.
 * the direct route powers a finite corner of V itself;
 * the fixed-point route solves the quadratic equation
   G = I + z B G + z^2 C G A G for the standard-walk sum G over the block
-  weights, then converts to the starred sum via the floor-weight shift
-  G*^-1 = G^-1 + (B - D) z;
+  weights, and the first-return equation G* = I + (z D + z^2 C G A) G* for
+  the starred sum, both online (one coefficient at a time from the ones
+  already known), in O(n^2 s^3) through order n;
 * the Laurent route reads the transition sums M_0, M_1, M_-1 off the powers
-  of the step symbol A x + B + C x^-1 and combines them as
-  G = M_0 - M_1 M_0^-1 M_-1.
+  of the step symbol A x + B + C x^-1, combines them as
+  G = M_0 - M_1 M_0^-1 M_-1, and converts to the starred sum via the
+  floor-weight shift G*^-1 = G^-1 + (B - D) z.
 
 The reported scalar is always the (1,1) entry of the starred matrix G*,
 which is what the corner of V generates.  ``cross_check`` runs every route
@@ -88,7 +90,7 @@ def direct_route(spec: BandedSpec, order: int) -> Series:
 
 
 def _starred(w: BlockWeights, gw: MatrixSeries) -> MatrixSeries:
-    """Starred sum from the plain one: G*^-1 = G^-1 + (B - D) z."""
+    """Starred sum from the plain one: G*^-1 = G^-1 + (B - D) z (Laurent route)."""
     field, s, order = w.field, w.s, gw.order
     shift = [cm.zeros(field, s)] * (order + 1)
     if order >= 1:
@@ -97,21 +99,34 @@ def _starred(w: BlockWeights, gw: MatrixSeries) -> MatrixSeries:
 
 
 def fixed_point_route(w: BlockWeights, order: int) -> GenFunBundle:
-    """Iterate the contraction G -> I + z B G + z^2 C G A G from G = I.
+    """Solve G = I + z B G + z^2 C G A G and its floor-corrected form online.
 
-    Each pass pins one further z-order, so the iterate is kept truncated to
-    the number of orders already exact; after ``order`` passes the solution
-    is exact through z^order.
+    With P_i = C G_i A cached as each G_i is finished, both sums follow
+    coefficient by coefficient from
+
+        G_k  = B G_{k-1}  + sum_{i+j=k-2} P_i G_j,
+        G*_k = D G*_{k-1} + sum_{i+j=k-2} P_i G*_j,
+
+    the second being the first-return decomposition G* = I + (z D + z^2 C G A) G*
+    of walks at the floor.  Every coefficient is one call to
+    :func:`~bandedgf.matrices.sum_of_products`, so the route costs
+    O(order^2 s^3) and takes no series product or inverse.  Only the Laurent
+    route uses the floor-weight shift G*^-1 = G^-1 + (B - D) z, so the two
+    routes reach G* by different formulas.
     """
     field, s = w.field, w.s
-    g = MatrixSeries.identity(field, s, 0)
+    sop = cm.sum_of_products
+    ident = cm.identity(field, s)
+    g, gstar, p = [ident], [ident], []
     for k in range(1, order + 1):
-        bg = g.lmul_const(w.b).mul_z_pow(1)
-        gag = (g.rmul_const(w.a) * g).lmul_const(w.c).mul_z_pow(2).truncate(k)
-        g = MatrixSeries.identity(field, s, k) + bg + gag
-    gwstar = _starred(w, g)
+        # p holds P_0 .. P_{k-2}; reversed, it pairs P_{k-2-j} with G_j.
+        g.append(sop(field, [(w.b, g[k - 1]), *zip(reversed(p), g)]))
+        gstar.append(sop(field, [(w.d, gstar[k - 1]), *zip(reversed(p), gstar)]))
+        p.append(cm.mul(field, cm.mul(field, w.c, g[k - 1]), w.a))
+    gwstar = MatrixSeries(field, s, gstar)
     return GenFunBundle(
-        "fixed_point", field, s, order, g, gwstar, gwstar.entry(0, 0)
+        "fixed_point", field, s, order, MatrixSeries(field, s, g), gwstar,
+        gwstar.entry(0, 0),
     )
 
 
@@ -175,8 +190,12 @@ def cross_check(
     block_size: int | None = None,
     oracle_length: int | None = None,
     weights: BlockWeights | None = None,
-) -> CrossCheckReport:
+) -> tuple[CrossCheckReport, dict]:
     """Run every route and raise RouteMismatchError on the first disagreement.
+
+    Returns the report together with the bundles the block routes built,
+    keyed by route name ("fixed_point", "laurent"), so callers that need the
+    series again do not recompute it.
 
     The enumeration oracle grows like 3^length, so its depth defaults to
     min(order, 10) instead of following ``order``; pass ``oracle_length=0``
@@ -221,14 +240,14 @@ def cross_check(
     demand_matrix("oracle_vs_engine_m0", sums.m0, lr.m0.truncate(oracle_length))
     demand_matrix("oracle_vs_engine_m1", sums.m1, lr.m1.truncate(oracle_length))
     demand_matrix("oracle_vs_engine_mm1", sums.mm1, lr.mm1.truncate(oracle_length))
-    return CrossCheckReport(order, oracle_length, checks)
+    report = CrossCheckReport(order, oracle_length, checks)
+    return report, {"fixed_point": fp, "laurent": lr}
 
 
 def series_bundle(spec: BandedSpec, order: int, block_size: int | None = None):
     """Cross-checked corner series for a spec (the 'series' CLI payload)."""
-    report = cross_check(spec, order, block_size)
-    weights = block_reduce(spec, block_size)
-    return fixed_point_route(weights, order).gv, report
+    report, bundles = cross_check(spec, order, block_size)
+    return bundles["fixed_point"].gv, report
 
 
 # -- the step symbol's characteristic polynomial -------------------------------

@@ -30,7 +30,7 @@ from .annihilator import (
     verify,
 )
 from .banded import BandedSpec, block_reduce
-from .engine import cross_check, fixed_point_route, symbol_determinant
+from .engine import cross_check, symbol_determinant
 from .errors import RouteMismatchError
 from .fields import QQ
 from .section5 import AffineRecursion, EventuallyPolySeq, affine_pipeline
@@ -185,9 +185,8 @@ def example_spec(name: str) -> BandedSpec:
     return builders[name]()
 
 
-def _poly_checks(spec, golden, order, override_poly):
+def _poly_checks(gv, golden, order, override_poly):
     checks = []
-    gv = fixed_point_route(block_reduce(spec), order).gv
     poly = override_poly if override_poly is not None else golden
     label = "external_polynomial" if override_poly is not None else "golden_annihilator"
     res = verify(poly, gv)
@@ -214,19 +213,20 @@ def run_checks(name: str, order: int = 40, override_poly: AnnihilatorPoly | None
     spec = example_spec(name)
     checks = []
     try:
-        cross_check(spec, order)
+        _, bundles = cross_check(spec, order)
         checks.append(("route_agreement", True, None))
     except RouteMismatchError as exc:
         checks.append(("route_agreement", False, str(exc)))
         return checks
 
+    fp = bundles["fixed_point"]
     if name == "ex4.1":
-        checks.extend(_poly_checks(spec, ex41_annihilator(), order, override_poly))
+        checks.extend(_poly_checks(fp.gv, ex41_annihilator(), order, override_poly))
     elif name == "ex4.2":
-        checks.extend(_poly_checks(spec, ex42_annihilator(), order, override_poly))
+        checks.extend(_poly_checks(fp.gv, ex42_annihilator(), order, override_poly))
     elif name == "ex4.3":
         w = block_reduce(spec)
-        gv = fixed_point_route(w, order).gv
+        gv = fp.gv
         res = check_closed_form_sqrt(gv, ex43_closed_form())
         checks.append(
             ("closed_form_match", bool(res),
@@ -273,7 +273,7 @@ def run_checks(name: str, order: int = 40, override_poly: AnnihilatorPoly | None
             ("closed_form_match", bool(res),
              None if res else f"first mismatch at z^{res.first_bad_order}")
         )
-        gwstar = fixed_point_route(block_reduce(spec), order).gwstar.entry(0, 0)
+        gwstar = fp.gwstar.entry(0, 0)
         res = check_closed_form_sqrt(gwstar, ex512_starred_closed_form())
         checks.append(
             ("starred_closed_form_match", bool(res),

@@ -8,6 +8,9 @@ raw field values (see :mod:`bandedgf.fields`), so entries combine with plain
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter, mul as _mul
+
 from .errors import NonUnitError, ShapeError
 from .fields import Field
 
@@ -60,6 +63,21 @@ def mul(field: Field, x, y):
     return tuple(
         tuple(red(sum(a * b for a, b in zip(row, col))) for col in yT) for row in x
     )
+
+
+def sum_of_products(field: Field, pairs):
+    """Sum of the products x y over a nonempty sequence of (x, y) matrix pairs.
+
+    Row i of every x and column j of every y are laid end to end, so each
+    entry is one raw dot product over all pairs, reduced once.
+    """
+    xs, ys = zip(*pairs)
+    rng = range(len(xs[0]))
+    yts = [tuple(zip(*y)) for y in ys]
+    rows = [list(chain.from_iterable(map(itemgetter(i), xs))) for i in rng]
+    cols = [list(chain.from_iterable(map(itemgetter(j), yts))) for j in rng]
+    red = field.reduce
+    return tuple(tuple(red(sum(map(_mul, row, col))) for col in cols) for row in rows)
 
 
 def scale(field: Field, x, scalar):

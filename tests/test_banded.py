@@ -198,6 +198,20 @@ def test_json_rejects_malformed_documents():
         )
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"field": "rational", "period": 1, "bands": [{"offset": 0, "values": 5}]},
+        {"field": "rational", "period": 2, "bands": [{"offset": 0, "values": "11"}]},
+        {"field": "rational", "period": 1, "bands": {"offset": 0, "values": [1]}},
+        {"field": "rational", "period": 1, "bands": [], "exceptional": 1},
+    ],
+)
+def test_json_rejects_wrongly_typed_members(doc):
+    with pytest.raises(SpecFormatError):
+        BandedSpec.from_json_doc(doc)
+
+
 def test_prime_field_spec_round_trip():
     f = PrimeField(13)
     spec = BandedSpec(f, 1, {0: [5], 1: [12]}, [(1, 1, 3)])

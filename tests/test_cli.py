@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bandedgf import cli
 from bandedgf.errors import RouteMismatchError
 
@@ -112,8 +114,82 @@ def test_annihilate_none_found_exits_1(tmp_path, capsys):
         "--degx", "1", "--degz", "0",
     )
     assert code == 1
+    assert json.loads(out) == {
+        "command": "annihilate",
+        "order": 30,
+        "degx": 1,
+        "degz": 0,
+        "polynomial": None,
+        "status": "none-found",
+    }
+
+
+def test_annihilate_extra_zero_verifies_the_reconstruction_series(capsys):
+    code, out, _ = run_cli(
+        capsys, "annihilate", "--example", "ex4.1", "--order", "60",
+        "--degx", "3", "--degz", "5", "--extra", "0",
+    )
+    assert code == 0
     doc = json.loads(out)
-    assert doc["status"] == "none-found" and doc["polynomial"] is None
+    assert doc["status"] == "pass" and doc["verified_to_order"] == 60
+
+
+def test_annihilate_builds_the_series_once(capsys, monkeypatch):
+    calls = []
+    real = cli.fixed_point_route
+
+    def counted(w, order):
+        calls.append(order)
+        return real(w, order)
+
+    monkeypatch.setattr(cli, "fixed_point_route", counted)
+    code, out, _ = run_cli(
+        capsys, "annihilate", "--example", "ex4.2", "--order", "50",
+        "--degx", "3", "--degz", "5", "--extra", "12",
+    )
+    assert code == 0
+    assert calls == [62]
+    assert json.loads(out)["verified_to_order"] == 62
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["annihilate", "--example", "ex4.1", "--order", "60", "--degx", "3",
+          "--degz", "5", "--extra", "-1"], "--extra"),
+        (["annihilate", "--example", "ex4.1", "--order", "60", "--degx", "3",
+          "--degz", "5", "--guard", "-5"], "--guard"),
+        (["annihilate", "--example", "ex4.1", "--order", "60", "--degx", "0",
+          "--degz", "5"], "--degx"),
+        (["annihilate", "--example", "ex4.1", "--order", "60", "--degx", "3",
+          "--degz", "-1"], "--degz"),
+        (["series", "--example", "ex4.1", "--order", "-3"], "--order"),
+        (["annihilate", "--example", "ex4.1", "--order", "-1", "--degx", "3",
+          "--degz", "5"], "--order"),
+        (["verify-example", "ex4.1", "--order", "-1"], "--order"),
+        (["check-identity", "--example", "ex5.12", "--order", "-1"], "--order"),
+        (["check-identity", "--example", "ex5.12", "--order", "5",
+          "--enum-length", "-1"], "--enum-length"),
+        (["oracle", "--example", "ex5.12", "--length", "-1"], "--length"),
+        (["weighted", "--example", "ex5.12", "--weights", "w.json",
+          "--order", "-2"], "--order"),
+        (["affine", "--example", "ex5.12", "--recursion", "r.json",
+          "--order", "-2"], "--order"),
+    ],
+)
+def test_out_of_range_flags_exit_2(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: {flag} must be at least")
+    assert err.count("\n") == 1
+
+
+def test_band_values_not_a_list_exits_2(tmp_path, capsys):
+    doc = {"field": "rational", "period": 1, "bands": [{"offset": 0, "values": 5}]}
+    path = write_spec(tmp_path, doc)
+    code, _, err = run_cli(capsys, "series", "--spec", path, "--order", "4")
+    assert code == 2
+    assert err.startswith("input error:") and err.count("\n") == 1
 
 
 def test_verify_example_pass(capsys):

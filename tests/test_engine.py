@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bandedgf import fixtures
 from bandedgf import matrices as cm
@@ -8,6 +10,7 @@ from bandedgf.engine import (
     direct_route,
     fixed_point_route,
     laurent_route,
+    series_bundle,
     symbol_determinant,
 )
 from bandedgf.errors import RouteMismatchError
@@ -141,15 +144,16 @@ def test_constant_terms(weight_factory):
 
 def test_cross_check_passes_on_corpus():
     for name in fixtures.EXAMPLE_NAMES:
-        report = cross_check(fixtures.example_spec(name), 12)
+        report, bundles = cross_check(fixtures.example_spec(name), 12)
         assert report.checks
+        assert set(bundles) == {"fixed_point", "laurent"}
 
 
 def test_cross_check_agrees_with_enumeration_oracle(weight_factory):
     # Random weights, wrapped as the block pattern they generate.
     w = weight_factory(2, seed=81)
     spec = from_block_weights(w)
-    report = cross_check(spec, 10)
+    report, _ = cross_check(spec, 10)
     assert report.oracle_length == 10
 
 
@@ -195,3 +199,108 @@ def test_symbol_determinant_third_example_samples():
             for poly in fixtures.EX43_SYMBOL_DET
         )
         assert det == want
+
+
+# -- the online fixed-point route against the cubic iteration it replaced -----
+
+
+def _reference_fixed_point(w, order):
+    """The earlier route: re-iterate G -> I + z B G + z^2 C G A G over the
+    whole truncated series each pass, then G*^-1 = G^-1 + (B - D) z by two
+    series inversions."""
+    field, s = w.field, w.s
+    g = MatrixSeries.identity(field, s, 0)
+    for k in range(1, order + 1):
+        bg = g.lmul_const(w.b).mul_z_pow(1)
+        gag = (g.rmul_const(w.a) * g).lmul_const(w.c).mul_z_pow(2).truncate(k)
+        g = MatrixSeries.identity(field, s, k) + bg + gag
+    shift = [cm.zeros(field, s)] * (order + 1)
+    if order >= 1:
+        shift[1] = cm.sub(field, w.b, w.d)
+    gwstar = (g.inverse() + MatrixSeries(field, s, shift)).inverse()
+    return g, gwstar
+
+
+def _assert_matches_reference(w, order):
+    bundle = fixed_point_route(w, order)
+    gw, gwstar = _reference_fixed_point(w, order)
+    assert bundle.order == order
+    assert bundle.gw.coeffs == gw.coeffs
+    assert bundle.gwstar.coeffs == gwstar.coeffs
+    assert bundle.gv.coeffs == gwstar.entry(0, 0).coeffs
+
+
+def _over(spec, field):
+    doc = spec.to_json_doc()
+    doc["field"] = {"prime": field.p}
+    return BandedSpec.from_json_doc(doc)
+
+
+@pytest.mark.parametrize("name", fixtures.EXAMPLE_NAMES)
+@pytest.mark.parametrize("prime", [False, True], ids=["QQ", "F_2^61-1"])
+def test_online_route_matches_cubic_reference_on_fixtures(name, prime):
+    spec = fixtures.example_spec(name)
+    if prime:
+        spec = _over(spec, PrimeField(2**61 - 1))
+    w = block_reduce(spec)
+    for order in (0, 1, 2, 30):
+        _assert_matches_reference(w, order)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    s=st.integers(1, 3),
+    seed=st.integers(0, 10**6),
+    order=st.integers(0, 25),
+    zero_a=st.booleans(),
+    zero_c=st.booleans(),
+    b_is_d=st.booleans(),
+)
+def test_online_route_matches_cubic_reference_on_random_weights(
+    weight_factory, s, seed, order, zero_a, zero_c, b_is_d
+):
+    w = weight_factory(s, seed=seed)
+    zero = cm.zeros(F101, s)
+    w = BlockWeights(
+        F101, s,
+        zero if zero_a else w.a,
+        w.b,
+        zero if zero_c else w.c,
+        w.b if b_is_d else w.d,
+    )
+    _assert_matches_reference(w, order)
+
+
+def _count_fixed_point_calls(monkeypatch):
+    import bandedgf.engine as engine
+
+    calls = []
+    real = engine.fixed_point_route
+
+    def counted(w, order):
+        calls.append(order)
+        return real(w, order)
+
+    monkeypatch.setattr(engine, "fixed_point_route", counted)
+    return calls
+
+
+def test_series_bundle_runs_the_fixed_point_route_once(monkeypatch):
+    calls = _count_fixed_point_calls(monkeypatch)
+    spec = fixtures.ex41_spec()
+    gv, report = series_bundle(spec, 20)
+    assert calls == [20]
+    assert gv == direct_route(spec, 20)
+    assert report.order == 20
+
+
+@pytest.mark.parametrize("name", fixtures.EXAMPLE_NAMES)
+def test_run_checks_runs_the_fixed_point_route_once(monkeypatch, name):
+    calls = _count_fixed_point_calls(monkeypatch)
+    checks = fixtures.run_checks(name, 24)
+    assert all(ok for _, ok, _ in checks)
+    assert calls == [24]

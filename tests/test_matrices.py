@@ -26,6 +26,18 @@ def test_constant_inverse_round_trip():
     assert cm.mul(QQ, m, inv) == cm.identity(QQ, 2)
 
 
+@pytest.mark.parametrize("field", [F101, QQ])
+def test_sum_of_products_matches_summed_products(field):
+    rng = random.Random(7)
+    for s in (1, 2, 3):
+        pairs = [(rand_mat(rng, s, field), rand_mat(rng, s, field)) for _ in range(4)]
+        want = cm.zeros(field, s)
+        for x, y in pairs:
+            want = cm.add(field, want, cm.mul(field, x, y))
+        assert cm.sum_of_products(field, pairs) == want
+        assert cm.sum_of_products(field, pairs[:1]) == cm.mul(field, *pairs[0])
+
+
 def test_constant_inverse_rejects_singular():
     with pytest.raises(NonUnitError):
         cm.inverse(QQ, ((1, 1), (1, 1)))
