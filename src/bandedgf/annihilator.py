@@ -23,7 +23,7 @@ from .errors import (
     NonUnitError,
     SpecFormatError,
 )
-from .fields import Field, require_same_field
+from .fields import Field, require_same_field, scalar_to_json
 from .series import Series
 
 DEFAULT_GUARD = 20
@@ -103,7 +103,7 @@ class AnnihilatorPoly:
             "dx": self.dx,
             "dz": self.dz,
             "coeffs": [
-                [_scalar_json(self.field, c) for c in row] for row in self.coeffs
+                [scalar_to_json(self.field, c) for c in row] for row in self.coeffs
             ],
             "pretty": self.pretty(),
         }
@@ -133,12 +133,6 @@ def _pad(row, order, field):
     out = list(row[: order + 1])
     out.extend(field.zero for _ in range(order + 1 - len(out)))
     return out
-
-
-def _scalar_json(field, v):
-    if field.kind == "prime_field":
-        return int(v)
-    return int(v) if v.denominator == 1 else str(v)
 
 
 def _pretty_z_poly(field, row):
@@ -393,18 +387,24 @@ class ClosedForm:
 
     def expand(self, order: int) -> Series:
         field = self.field
-        probe_root = Series(field, _pad(self.radicand, order, field)).sqrt()
-        den = self._side(self.den_plain, self.den_radical, probe_root, order)
+        # (q1 + q2 sqrt(rho)) (q1 - q2 sqrt(rho)) = q1^2 - q2^2 rho, so a nonzero
+        # denominator vanishes at z = 0 to order at most the degree bound of
+        # q1^2 and q2^2 rho; probing that deep finds its valuation.
+        probe = max(
+            order,
+            2 * len(self.den_plain) - 2,
+            2 * len(self.den_radical) + len(self.radicand) - 3,
+        )
+        root = Series(field, _pad(self.radicand, probe, field)).sqrt()
+        den = self._side(self.den_plain, self.den_radical, root, probe)
         v = den.valuation()
         if v is None:
-            raise NonUnitError("denominator vanishes through the requested order")
-        if v == 0:
-            num = self._side(self.num_plain, self.num_radical, probe_root, order)
-            return num * den.invert()
+            raise NonUnitError("the denominator of the closed form is zero")
         deep = order + v
-        root = Series(field, _pad(self.radicand, deep, field)).sqrt()
+        if deep != probe:
+            root = Series(field, _pad(self.radicand, deep, field)).sqrt()
+            den = self._side(self.den_plain, self.den_radical, root, deep)
         num = self._side(self.num_plain, self.num_radical, root, deep)
-        den = self._side(self.den_plain, self.den_radical, root, deep)
         return num.div_z_pow(v) * den.div_z_pow(v).invert()
 
 

@@ -36,7 +36,13 @@ import json
 
 from . import matrices as cm
 from .errors import InvalidBlockSizeError, SpecFormatError
-from .fields import Field, field_from_json, field_to_json, require_same_field
+from .fields import (
+    Field,
+    field_from_json,
+    field_to_json,
+    require_same_field,
+    scalar_to_json,
+)
 
 
 class BandedSpec:
@@ -143,7 +149,7 @@ class BandedSpec:
         return cls.from_json_doc(doc)
 
     def to_json_doc(self) -> dict:
-        scalar = _scalar_to_json
+        scalar = scalar_to_json
         doc = {
             "field": field_to_json(self.field),
             "period": self.period,
@@ -162,14 +168,6 @@ class BandedSpec:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_doc(), sort_keys=True)
-
-
-def _scalar_to_json(field: Field, v):
-    if field.kind == "prime_field":
-        return int(v)
-    if v.denominator == 1:
-        return int(v.numerator)
-    return field.format(v)
 
 
 class BlockWeights:

@@ -145,7 +145,11 @@ def laurent_route(w: BlockWeights, order: int) -> GenFunBundle:
     )
 
 
-def _first_series_mismatch(a: Series, b: Series):
+def _first_mismatch(a, b):
+    """Index of the first differing coefficient of two (matrix) series, or None.
+
+    Compares through the smaller of the two orders.
+    """
     n = min(a.order, b.order)
     for i in range(n + 1):
         if a.coeffs[i] != b.coeffs[i]:
@@ -154,15 +158,14 @@ def _first_series_mismatch(a: Series, b: Series):
 
 
 def _first_matrix_mismatch(a: MatrixSeries, b: MatrixSeries):
-    n = min(a.order, b.order)
-    for i in range(n + 1):
-        if a.coeffs[i] != b.coeffs[i]:
-            ca, cb = a.coeffs[i], b.coeffs[i]
-            for r in range(a.s):
-                for c in range(a.s):
-                    if ca[r][c] != cb[r][c]:
-                        return i, (r + 1, c + 1)
-    return None
+    i = _first_mismatch(a, b)
+    if i is None:
+        return None
+    ca, cb = a.coeffs[i], b.coeffs[i]
+    for r in range(a.s):
+        for c in range(a.s):
+            if ca[r][c] != cb[r][c]:
+                return i, (r + 1, c + 1)
 
 
 class CrossCheckReport:
@@ -211,7 +214,7 @@ def cross_check(
     checks = []
 
     def demand_scalar(name, a, b):
-        bad = _first_series_mismatch(a, b)
+        bad = _first_mismatch(a, b)
         if bad is not None:
             raise RouteMismatchError(
                 f"{name}: first disagreement at z^{bad}", order=bad

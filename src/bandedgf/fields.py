@@ -218,3 +218,10 @@ def field_to_json(field: Field):
     if field.kind == "rationals":
         return "rational"
     return {"prime": field.p}
+
+
+def scalar_to_json(field: Field, v):
+    """A scalar as a JSON value: an int when integral, else the fraction's text."""
+    if field.kind == "prime_field":
+        return int(v)
+    return int(v) if v.denominator == 1 else str(v)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import matrices as cm
 from .banded import BlockWeights, from_block_weights
-from .engine import corner_first_columns, fixed_point_route, laurent_route
+from .engine import _first_mismatch, corner_first_columns, fixed_point_route, laurent_route
 from .errors import InternalConsistencyError
 from .fields import Field
 from .laurent import accumulate
@@ -58,14 +58,6 @@ class IdentityReport:
             ],
             "status": "pass" if self.ok else "fail",
         }
-
-
-def _first_mismatch(a: MatrixSeries, b: MatrixSeries):
-    n = min(a.order, b.order)
-    for i in range(n + 1):
-        if a.coeffs[i] != b.coeffs[i]:
-            return i
-    return None
 
 
 def _matrix_check(name, a, b):

@@ -1,16 +1,16 @@
 """Weighted sums over standard walks and the affine transfer pipeline.
 
-Three layers build on the walk-sum table:
+Three layers extend the corner series:
 
 * binomially weighted sums G*_r = sum over standard walks finishing at 0 of
-  C(start, r) * starred weight * z^length, computed directly as the finite
-  per-order sum over starting heights;
+  C(start, r) * starred weight * z^length, computed directly from the
+  standard-walk table as the finite per-order sum over starting heights;
 * general weighted corner sums: given a scalar sequence a_1, a_2, ... that is
   eventually polynomial along every residue class mod s, the series
-  sum_n (sum_k a_k (V^n)_{k,1}) z^n;
+  sum_n (sum_k a_k (V^n)_{k,1}) z^n, read off the first column of V^n;
 * the affine recursion y^(n+1) = T y^(n) + sum_k (V^n)_{k,1} y_k with a
   linear readout, which reduces the transfer-operator series
-  sum_n l(T^n E_1) z^n to the previous layer.
+  sum_n l(T^n E_1) z^n to the same first columns.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 
 from . import matrices as cm
 from .banded import BandedSpec, BlockWeights, block_reduce
-from .engine import fixed_point_route
+from .engine import corner_first_columns, fixed_point_route
 from .errors import (
     InternalConsistencyError,
     ShapeError,
@@ -156,31 +156,27 @@ def weighted_series(
     a: EventuallyPolySeq,
     order: int,
     block_size: int | None = None,
-    table: UTable | None = None,
 ) -> Series:
-    """sum_n (sum_k a_k (V^n)_{k,1}) z^n, via the standard-walk table.
+    """sum_n (sum_k a_k (V^n)_{k,1}) z^n, from the first column of each V^n.
 
-    The first column of the n-th power of the block pattern built from V's
-    corner stacks the blocks u_1^(n), u_2^(n), ...; entry (i, 1) of
-    u_{k+1}^(n) is (V^n)_{i+sk,1}, so each per-order sum is finite.
+    A walk of length n cannot descend more than n block levels, so
+    (V^n)_{k,1} vanishes for k > s (n + 1) and each per-order sum is finite;
+    the block size s also fixes the residue classes of the weight rules.
     """
     w = block_reduce(spec, block_size)
     if a.s != w.s:
         raise ShapeError(
             f"weight rules cover residues mod {a.s} but the block size is {w.s}"
         )
-    field, s = w.field, w.s
-    if table is None or table.order < order:
-        table = u_table(w, order)
+    field = w.field
+    count = w.s * (order + 1)
+    weights = [a.value(j) for j in range(1, count + 1)]
     coeffs = []
-    for n in range(order + 1):
+    for col in corner_first_columns(spec, order, count):
         acc = field.zero
-        for k in range(n + 1):
-            u = table.value(k + 1, n)
-            for i in range(1, s + 1):
-                v = u[i - 1][0]
-                if v != field.zero:
-                    acc = acc + a.value_by_residue(i, k) * v
+        for aj, v in zip(weights, col):
+            if v != field.zero:
+                acc = acc + aj * v
         coeffs.append(field.reduce(acc))
     return Series(field, coeffs)
 
@@ -229,8 +225,10 @@ def affine_pipeline(
         raise ShapeError(
             f"forcing rules cover residues mod {rec.s} but the block size is {w.s}"
         )
-    field, s, d = w.field, w.s, rec.dim_y
-    table = u_table(w, order)
+    field, d = w.field, rec.dim_y
+    count = w.s * (order + 1)
+    forcing = [rec.forcing_vector(j) for j in range(1, count + 1)]
+    columns = corner_first_columns(spec, order, count)
     y = [field.zero] * d
     coeffs = []
     for n in range(order + 1):
@@ -238,14 +236,10 @@ def affine_pipeline(
         if n == order:
             break
         nxt = list(cm.mat_vec(field, rec.t, y))
-        for k in range(n + 1):
-            u = table.value(k + 1, n)
-            for i in range(1, s + 1):
-                v = u[i - 1][0]
-                if v != field.zero:
-                    yk = rec.forcing_vector(i + s * k)
-                    for coord in range(d):
-                        nxt[coord] = nxt[coord] + v * yk[coord]
+        for v, yk in zip(columns[n], forcing):
+            if v != field.zero:
+                for coord in range(d):
+                    nxt[coord] = nxt[coord] + v * yk[coord]
         y = [field.reduce(x) for x in nxt]
     return Series(field, coeffs)
 

@@ -5,8 +5,10 @@ A walk is a tuple of integer heights with consecutive differences in
 level step, C for an up step; the weight of a walk is the ordered product of
 its step weights.  The starred weight replaces B by D on level steps taken at
 height 0.  Enumeration grows like 3^length, so it is capped and serves as the
-ground-truth oracle against the polynomial-time routes; the table of
-standard-walk sums (:func:`u_table`) is the production path.
+ground-truth oracle against the polynomial-time routes.  The table of
+standard-walk sums (:func:`u_table`) keeps every s-by-s block u_k^(n) for the
+callers that read whole blocks: the binomially weighted ladder and the
+identity suite.
 """
 
 from __future__ import annotations
@@ -237,34 +239,32 @@ class UTable:
 
     ``value(k, n)`` is the s-by-s sum over standard walks of length n from
     k-1 to 0; it vanishes for k > n + 1 because a walk cannot descend faster
-    than one level per step.  Filled by the linear recurrence
+    than one level per step, so row n stores only k = 1..n+1.  Filled by the
+    linear recurrence
 
         u_1^{n+1} = D u_1^n + C u_2^n
         u_k^{n+1} = A u_{k-1}^n + B u_k^n + C u_{k+1}^n   (k > 1)
 
-    with base row u_k^0 = [k == 1] * I.
+    with base row u_1^0 = I.
     """
 
     def __init__(self, field, s, rows):
         self.field = field
         self.s = s
-        self.rows = rows  # rows[n][k-1]
+        self.rows = rows  # rows[n][k-1] for k = 1..n+1
         self._zero = cm.zeros(field, s)
 
     @property
     def order(self) -> int:
         return len(self.rows) - 1
 
-    @property
-    def kmax(self) -> int:
-        return len(self.rows[0])
-
     def value(self, k: int, n: int):
         if k < 1:
             raise ValueError("k starts at 1")
-        if k > self.kmax:
+        row = self.rows[n]
+        if k > len(row):
             return self._zero
-        return self.rows[n][k - 1]
+        return row[k - 1]
 
     def series(self, k: int) -> MatrixSeries:
         """Generating function sum_n value(k, n) z^n as a matrix series."""
@@ -273,28 +273,21 @@ class UTable:
         )
 
 
-def u_table(w: BlockWeights, order: int, kmax: int | None = None) -> UTable:
-    if kmax is None:
-        kmax = order + 2
-    if kmax < order + 2:
-        raise ValueError(
-            f"kmax = {kmax} is too small; need at least order + 2 = {order + 2} "
-            "so the recurrence never reads outside the table"
-        )
+def u_table(w: BlockWeights, order: int) -> UTable:
     field, s = w.field, w.s
     zero = cm.zeros(field, s)
-    row = [cm.identity(field, s)] + [zero] * (kmax - 1)
-    rows = [tuple(row)]
+    rows = [(cm.identity(field, s),)]
     for _ in range(order):
-        prev = rows[-1]
+        # Row n holds u_1..u_{n+1} (prev[k-1] is u_k); two zero blocks stand in
+        # for u_{n+2} and u_{n+3}.
+        prev = rows[-1] + (zero, zero)
         nxt = [
             cm.add(field, cm.mul(field, w.d, prev[0]), cm.mul(field, w.c, prev[1]))
         ]
-        for k in range(2, kmax + 1):
-            above = prev[k] if k < kmax else zero
+        for k in range(2, len(prev)):
             acc = cm.mul(field, w.a, prev[k - 2])
             acc = cm.add(field, acc, cm.mul(field, w.b, prev[k - 1]))
-            acc = cm.add(field, acc, cm.mul(field, w.c, above))
+            acc = cm.add(field, acc, cm.mul(field, w.c, prev[k]))
             nxt.append(acc)
         rows.append(tuple(nxt))
     return UTable(field, s, tuple(rows))

@@ -198,6 +198,13 @@ def test_verify_example_pass(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
+@pytest.mark.parametrize("order", ["0", "1", "2"])
+def test_verify_example_passes_at_low_orders(capsys, order):
+    code, out, err = run_cli(capsys, "verify-example", "ex5.12", "--order", order)
+    assert code == 0 and err == ""
+    assert json.loads(out)["status"] == "pass"
+
+
 def test_verify_example_with_perturbed_polynomial_exits_1(tmp_path, capsys):
     from bandedgf import fixtures
 

@@ -41,8 +41,8 @@ def test_suite_catches_an_inconsistent_engine(weight_factory, monkeypatch):
 
     w = weight_factory(2, seed=204)
 
-    def corrupt_u_table(weights, order, kmax=None):
-        table = real_u_table(weights, order, kmax)
+    def corrupt_u_table(weights, order):
+        table = real_u_table(weights, order)
         rows = [list(row) for row in table.rows]
         tampered = [list(r) for r in rows[2][0]]
         tampered[0][0] = (tampered[0][0] + 1) % 101

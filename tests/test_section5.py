@@ -1,10 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bandedgf import fixtures
-from bandedgf.banded import BlockWeights, block_reduce, from_block_weights
-from bandedgf.engine import corner_first_columns, fixed_point_route
+from bandedgf import matrices as cm
+from bandedgf.banded import BandedSpec, BlockWeights, block_reduce, from_block_weights
+from bandedgf.engine import fixed_point_route
 from bandedgf.errors import ShapeError, UnsupportedCharacteristicError
 from bandedgf.fields import PrimeField, QQ
 from bandedgf.section5 import (
@@ -19,6 +23,7 @@ from bandedgf.section5 import (
     weighted_series,
 )
 from bandedgf.series import Series
+from bandedgf.walks import u_table
 
 F101 = PrimeField(101)
 
@@ -167,15 +172,16 @@ def test_weighted_series_is_linear_in_the_weights(weight_factory):
 
 
 def test_weighted_series_against_corner_powers():
-    # Independent route: read (V^n)_{k,1} straight off scalar corner powers.
+    # Independent route: read (V^n)_{k,1} off the standard-walk table, whose
+    # block u_k^(n) holds the corner powers' first column in entry (1, 1).
     spec = fixtures.ex512_spec()
     a = EventuallyPolySeq(QQ, 1, [((3,), (5, 1))])
     order = 9
     out = weighted_series(spec, a, order)
-    columns = corner_first_columns(spec, order, order + 1)
+    table = u_table(block_reduce(spec, 1), order)
     for n in range(order + 1):
         expected = sum(
-            a.value(k + 1) * columns[n][k] for k in range(order + 1)
+            a.value(k + 1) * table.value(k + 1, n)[0][0] for k in range(order + 1)
         )
         assert out.coeffs[n] == expected
 
@@ -285,3 +291,113 @@ def test_weight_rules_json_rejects_bad_documents():
         weight_rules_from_json('{"weights": [{"residue": 1, "poly": [1]}]}', QQ, 2)
     with pytest.raises(SpecFormatError):
         weight_rules_from_json("not json", QQ, 1)
+
+
+# -- the walk-table pipeline as a test-only reference ---------------------------
+
+
+def _reference_weighted_series(spec, a, order):
+    """Weighted corner sums read from entry (i, 1) of each table block u_{k+1}^(n)."""
+    w = block_reduce(spec)
+    field, s = w.field, w.s
+    table = u_table(w, order)
+    coeffs = []
+    for n in range(order + 1):
+        acc = field.zero
+        for k in range(n + 1):
+            u = table.value(k + 1, n)
+            for i in range(1, s + 1):
+                v = u[i - 1][0]
+                if v != field.zero:
+                    acc = acc + a.value_by_residue(i, k) * v
+        coeffs.append(field.reduce(acc))
+    return Series(field, coeffs)
+
+
+def _reference_affine_pipeline(spec, rec, order):
+    """Affine readout series driven by the same table entries."""
+    w = block_reduce(spec)
+    field, s, d = w.field, w.s, rec.dim_y
+    table = u_table(w, order)
+    y = [field.zero] * d
+    coeffs = []
+    for n in range(order + 1):
+        coeffs.append(field.reduce(sum(a * b for a, b in zip(rec.l, y))))
+        if n == order:
+            break
+        nxt = list(cm.mat_vec(field, rec.t, y))
+        for k in range(n + 1):
+            u = table.value(k + 1, n)
+            for i in range(1, s + 1):
+                v = u[i - 1][0]
+                if v != field.zero:
+                    yk = rec.forcing_vector(i + s * k)
+                    for coord in range(d):
+                        nxt[coord] = nxt[coord] + v * yk[coord]
+        y = [field.reduce(x) for x in nxt]
+    return Series(field, coeffs)
+
+
+def _random_scalar(rng, field):
+    if field == QQ:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return field.from_int(rng.randrange(101))
+
+
+def _random_spec(rng, field):
+    """A banded spec with random periodic bands and a (1, 1) override."""
+    period = rng.randint(1, 3)
+    bands = {
+        r: [_random_scalar(rng, field) for _ in range(period)]
+        for r in range(-2, 3)
+        if rng.random() < 0.6
+    }
+    return BandedSpec(field, period, bands, [(1, 1, _random_scalar(rng, field))])
+
+
+def _random_rules(rng, field, s):
+    return EventuallyPolySeq(
+        field,
+        s,
+        [
+            (
+                [_random_scalar(rng, field) for _ in range(rng.randint(0, 2))],
+                [_random_scalar(rng, field) for _ in range(rng.randint(0, 3))],
+            )
+            for _ in range(s)
+        ],
+    )
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    seed=st.integers(0, 10**6),
+    prime=st.booleans(),
+    from_weights=st.booleans(),
+    order=st.integers(0, 20),
+)
+def test_first_column_pipeline_matches_walk_table_reference(
+    weight_factory, seed, prime, from_weights, order
+):
+    rng = random.Random(seed)
+    field = F101 if prime else QQ
+    if from_weights:
+        spec = from_block_weights(weight_factory(rng.randint(1, 3), seed, field))
+    else:
+        spec = _random_spec(rng, field)
+    s = block_reduce(spec).s
+    a = _random_rules(rng, field, s)
+    assert weighted_series(spec, a, order) == _reference_weighted_series(spec, a, order)
+    d = rng.randint(1, 3)
+    rec = AffineRecursion(
+        field,
+        d,
+        [[_random_scalar(rng, field) for _ in range(d)] for _ in range(d)],
+        [_random_scalar(rng, field) for _ in range(d)],
+        [_random_rules(rng, field, s) for _ in range(d)],
+    )
+    assert affine_pipeline(spec, rec, order) == _reference_affine_pipeline(spec, rec, order)

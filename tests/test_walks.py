@@ -174,12 +174,6 @@ def test_u_table_vanishes_beyond_reach(weight_factory):
         assert table.value(n + 2, n) == cm.zeros(F101, 2)
 
 
-def test_u_table_kmax_precondition(weight_factory):
-    w = weight_factory(1, seed=16)
-    with pytest.raises(ValueError):
-        u_table(w, 5, kmax=5)
-
-
 def test_u_table_first_column_matches_enumeration(weight_factory):
     for s, seed in ((1, 21), (2, 22)):
         w = weight_factory(s, seed=seed)
