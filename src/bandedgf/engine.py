@@ -16,8 +16,8 @@ the target is the series whose z^n coefficient is the (1,1) entry of V^n.
 
 The reported scalar is always the (1,1) entry of the starred matrix G*,
 which is what the corner of V generates.  ``cross_check`` runs every route
-(plus the walk-enumeration oracle at small length) and insists on exact
-agreement.
+plus the walk-sum oracle of :mod:`bandedgf.walks` (a forward pass over walk
+endpoints, O(L^2 s^3) to length L) and insists on exact agreement.
 """
 
 from __future__ import annotations
@@ -200,9 +200,9 @@ def cross_check(
     keyed by route name ("fixed_point", "laurent"), so callers that need the
     series again do not recompute it.
 
-    The enumeration oracle grows like 3^length, so its depth defaults to
-    min(order, 10) instead of following ``order``; pass ``oracle_length=0``
-    to reduce it to the trivial constant-term check.
+    The oracle's depth defaults to min(order, 10), the ``oracle_length`` and
+    ``orders_compared`` the report has always printed; pass
+    ``oracle_length=0`` to reduce it to the trivial constant-term check.
     """
     if weights is None:
         weights = block_reduce(spec, block_size)

@@ -1,7 +1,7 @@
 """The identity suite: every structural relation the routes must satisfy.
 
 Each check recomputes one relation from computationally independent sides
-(fixed-point vs Laurent, walk table vs corner powers, enumeration vs
+(fixed-point vs Laurent, walk table vs corner powers, walk sums vs
 algebra) and demands exact coefficient equality.  The suite returns a report
 rather than raising, so a front-end can print every outcome; a clean run is
 the strongest internal evidence the engine is telling the truth.
@@ -109,32 +109,6 @@ def _independent_step_multiply(field: Field, a, b, c, term):
     return tuple(by_degree.get(d, zero) for d in range(-(n + 1), n + 2))
 
 
-def _sums_by_finish(w: BlockWeights, length: int):
-    """Plain-weight sums over all walks from 0, keyed by (length, finish).
-
-    Deliberately separate from the oracle in :mod:`bandedgf.walks`: a naive
-    unpruned traversal that the symbol-power comparison can trust.
-    """
-    field, s = w.field, w.s
-    sums = [{} for _ in range(length + 1)]
-    sums[0][0] = cm.identity(field, s)
-
-    def visit(h, lng, prod):
-        if lng == length:
-            return
-        for step, mat in ((-1, w.a), (0, w.b), (1, w.c)):
-            nh = h + step
-            nprod = cm.mul(field, prod, mat)
-            bucket = sums[lng + 1]
-            bucket[nh] = (
-                cm.add(field, bucket[nh], nprod) if nh in bucket else nprod
-            )
-            visit(nh, lng + 1, nprod)
-
-    visit(0, 0, cm.identity(field, s))
-    return sums
-
-
 def run_identity_suite(
     w: BlockWeights,
     order: int = 20,
@@ -185,25 +159,24 @@ def run_identity_suite(
     )
     checks.append(_matrix_check("starred_table_agreement", gstar_u, fp.gwstar))
 
-    # Walk sums against powers of the step symbol: honest enumeration at
-    # small length (every x-degree, since a walk from k to 0 translates to a
-    # walk from 0 to -k), and the step recursion of the accumulation
-    # re-derived with an independently written term product at full order.
+    # Walk sums against powers of the step symbol: the walk-sum oracle to
+    # depth min(order, enum_length) at every x-degree (a walk from k to 0
+    # translates to a walk from 0 to -k), and the step recursion of the
+    # accumulation re-derived with an independently written term product at
+    # full order.
     lau = accumulate(field, w.a, w.b, w.c, order)
     depth = min(order, enum_length)
-    by_finish = _sums_by_finish(w, depth)
-    zero = cm.zeros(field, s)
+    sums = class_sums(w, depth)
     enum_ok = True
     detail = None
     for n in range(depth + 1):
         for k in range(-n, n + 1):
-            if lau.x_coeff(n, k) != by_finish[n].get(-k, zero):
+            if lau.x_coeff(n, k) != sums.by_finish[n][-k]:
                 enum_ok, detail = False, f"x^{k} coefficient differs at z^{n}"
                 break
         if not enum_ok:
             break
     checks.append(IdentityCheck("walk_sums_match_symbol_powers", enum_ok, detail))
-    sums = class_sums(w, depth)
     rec_ok = True
     detail = None
     for n in range(order):
@@ -291,7 +264,7 @@ class OracleReport:
 
 
 def oracle_comparison(w: BlockWeights, length: int) -> OracleReport:
-    """Exhaustive enumeration against every engine output, to the given length.
+    """The walk-sum oracle against every engine output, to the given length.
 
     Covers the plain and starred standard sums, their primitive parts, the
     three transition sums, and the primitive closed-walk sum.

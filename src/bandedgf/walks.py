@@ -1,14 +1,16 @@
-"""Brute-force enumeration of matrix-weighted Motzkin walks.
+"""Matrix-weighted Motzkin walks: their weights and the walk-sum oracle.
 
 A walk is a tuple of integer heights with consecutive differences in
 {-1, 0, 1}.  Each step carries an s-by-s weight: A for a down step, B for a
 level step, C for an up step; the weight of a walk is the ordered product of
 its step weights.  The starred weight replaces B by D on level steps taken at
-height 0.  Enumeration grows like 3^length, so it is capped and serves as the
-ground-truth oracle against the polynomial-time routes.  The table of
-standard-walk sums (:func:`u_table`) keeps every s-by-s block u_k^(n) for the
-callers that read whole blocks: the binomially weighted ladder and the
-identity suite.
+height 0.  :func:`class_sums` is the oracle the routes are checked against:
+one forward pass over walk endpoints, polynomial in the length, written from
+these definitions alone.  :func:`enumerate_sum` lists every walk (3^length,
+capped) and is the brute-force reference the tests pin the oracle to.  The
+table of standard-walk sums (:func:`u_table`) keeps every s-by-s block
+u_k^(n) for the callers that read whole blocks: the binomially weighted
+ladder and the identity suite.
 """
 
 from __future__ import annotations
@@ -156,81 +158,84 @@ class WalkSums:
     sums finishing at 0, -1 and +1; ``gw``/``gwstar`` the standard closed
     sums under the plain and starred weights; ``hw``/``hwstar`` their
     primitive-standard parts; ``j0`` the primitive closed sum (which may dip
-    below 0).
+    below 0).  ``by_finish[n][k]`` is the unrestricted sum over walks of
+    length n finishing at k, for every k in [-n, n].
     """
 
-    __slots__ = ("m0", "m1", "mm1", "gw", "gwstar", "hw", "hwstar", "j0")
+    __slots__ = ("m0", "m1", "mm1", "gw", "gwstar", "hw", "hwstar", "j0", "by_finish")
 
     def __init__(self, **kw):
         for name in self.__slots__:
             setattr(self, name, kw[name])
 
 
-def class_sums(
-    w: BlockWeights,
-    length: int,
-    ceiling: int = DEFAULT_ENUMERATION_CEILING,
-) -> WalkSums:
-    """One depth-first pass computing all WalkSums classes to the given length."""
-    _check_length(length, ceiling)
+def class_sums(w: BlockWeights, length: int) -> WalkSums:
+    """All WalkSums classes to the given length, by one forward pass over walks.
+
+    A walk from 0 is summarised by its endpoint state: the height, whether it
+    has dipped below 0 (then it is not standard), and whether it has
+    revisited 0 strictly inside (then it is not primitive).  Each state
+    carries the plain weight sum of the walks that reach it and, until it
+    dips, the starred sum; a step multiplies its weight on the right, in walk
+    order.  Heights stay in [-n, n] at length n, so the pass costs
+    O(length^2 s^3) time and O(length s^2) memory.
+    """
+    if length < 0:
+        raise ValueError("length must be nonnegative")
     field, s = w.field, w.s
-    mul = cm.mul
-    buckets = {name: [cm.zeros(field, s) for _ in range(length + 1)] for name in WalkSums.__slots__}
+    mul, add = cm.mul, cm.add
+    zero, ident = cm.zeros(field, s), cm.identity(field, s)
+    closed = {n: [zero] * (length + 1) for n in ("gw", "gwstar", "hw", "hwstar", "j0")}
+    closed["gw"][0] = closed["gwstar"][0] = ident
+    by_finish = [{0: ident}]
+    # (height, dipped, zero_inside) -> [plain sum, starred sum or None once dipped]
+    states = {(0, False, False): [ident, ident]}
 
-    def credit(name, lng, prod):
-        b = buckets[name]
-        b[lng] = cm.add(field, b[lng], prod)
+    def credit(name, lng, value):
+        closed[name][lng] = add(field, closed[name][lng], value)
 
-    ident = cm.identity(field, s)
-    for name in ("m0", "gw", "gwstar"):
-        credit(name, 0, ident)
-    # Stack entries: height, length, w-product, and the w*-product (None once
-    # the walk has dipped below 0 and can no longer be standard), plus the
-    # interior-zero flag for primitivity.
-    stack = [(0, 0, ident, ident, False)]
-    while stack:
-        h, lng, prod, sprod, zero_inside = stack.pop()
-        if lng == length:
-            continue
-        child_zero = zero_inside or (lng > 0 and h == 0)
-        remaining = length - lng - 1
-        for step in (-1, 0, 1):
-            nh = h + step
-            if abs(nh) > remaining + 1:
-                continue
-            if step == -1:
-                u = us = w.a
-            elif step == 1:
-                u = us = w.c
-            elif h == 0:
-                u, us = w.b, w.d
-            else:
-                u = us = w.b
-            nprod = mul(field, prod, u)
-            if sprod is None or nh < 0:
+    for lng in range(1, length + 1):
+        nxt = {}
+        for (h, dipped, zero_inside), (prod, sprod) in states.items():
+            child_zero = zero_inside or (lng > 1 and h == 0)
+            for step, u in ((-1, w.a), (0, w.b), (1, w.c)):
+                nh = h + step
+                nprod = mul(field, prod, u)
+                ndipped = dipped or nh < 0
                 nsprod = None
-            elif sprod is prod and us is u:
-                nsprod = nprod
-            else:
-                nsprod = mul(field, sprod, us)
-            nlng = lng + 1
-            if nh == 0:
-                credit("m0", nlng, nprod)
-                if not child_zero:
-                    credit("j0", nlng, nprod)
-                if nsprod is not None:  # never went below 0: standard
-                    credit("gw", nlng, nprod)
-                    credit("gwstar", nlng, nsprod)
-                    if not child_zero:
-                        credit("hw", nlng, nprod)
-                        credit("hwstar", nlng, nsprod)
-            elif nh == 1:
-                credit("mm1", nlng, nprod)
-            elif nh == -1:
-                credit("m1", nlng, nprod)
-            stack.append((nh, nlng, nprod, nsprod, child_zero))
+                if not ndipped:
+                    us = w.d if step == 0 and h == 0 else u
+                    nsprod = mul(field, sprod, us)
+                acc = nxt.get((nh, ndipped, child_zero))
+                if acc is None:
+                    nxt[nh, ndipped, child_zero] = [nprod, nsprod]
+                else:
+                    acc[0] = add(field, acc[0], nprod)
+                    if nsprod is not None:
+                        acc[1] = add(field, acc[1], nsprod)
+        states = nxt
+        finish = {}
+        for (h, dipped, zero_inside), (prod, sprod) in states.items():
+            finish[h] = add(field, finish[h], prod) if h in finish else prod
+            if h != 0:
+                continue
+            if not zero_inside:
+                credit("j0", lng, prod)
+            if not dipped:
+                credit("gw", lng, prod)
+                credit("gwstar", lng, sprod)
+                if not zero_inside:
+                    credit("hw", lng, prod)
+                    credit("hwstar", lng, sprod)
+        by_finish.append(finish)
+
+    def transitions(k):
+        return MatrixSeries(field, s, [sums.get(k, zero) for sums in by_finish])
+
     return WalkSums(
-        **{name: MatrixSeries(field, s, buckets[name]) for name in WalkSums.__slots__}
+        m0=transitions(0), m1=transitions(-1), mm1=transitions(1),
+        **{name: MatrixSeries(field, s, sums) for name, sums in closed.items()},
+        by_finish=tuple(by_finish),
     )
 
 

@@ -242,6 +242,25 @@ def test_oracle_command(capsys):
     assert doc["length"] == 8
 
 
+def test_oracle_runs_past_the_enumeration_ceiling(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--example", "ex5.12", "--length", "16")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "pass"
+    assert doc["length"] == 16
+
+
+def test_check_identity_enumerates_past_the_ceiling(capsys):
+    code, out, _ = run_cli(
+        capsys, "check-identity", "--example", "ex5.12", "--order", "16",
+        "--enum-length", "16",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "pass"
+    assert doc["enumeration_length"] == 16
+
+
 def test_check_identity_command(tmp_path, capsys):
     path = write_spec(tmp_path, IDENTITY_BAND_SPEC)
     code, out, _ = run_cli(

@@ -275,6 +275,40 @@ def test_online_route_matches_cubic_reference_on_random_weights(
     _assert_matches_reference(w, order)
 
 
+@st.composite
+def _spec_documents(draw):
+    """Spec documents that block_reduce accepts: period 1..3, bands at -1, 0
+    and +1, an optional band at +-2 or +-3, an optional (1, 1) override, over
+    Q (true fractions) or F_101."""
+    period = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        field = {"prime": 101}
+        scalar = st.integers(0, 100)
+    else:
+        field = "rational"
+        scalar = st.builds("{}/{}".format, st.integers(-4, 4), st.integers(1, 3))
+    values = st.lists(scalar, min_size=period, max_size=period)
+    offsets = [-1, 0, 1] + draw(st.lists(st.sampled_from([-3, -2, 2, 3]), max_size=1))
+    override = draw(st.lists(scalar, max_size=1))
+    return {
+        "field": field,
+        "period": period,
+        "bands": [{"offset": r, "values": draw(values)} for r in offsets],
+        "exceptional": [{"i": 1, "j": 1, "value": v} for v in override],
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(doc=_spec_documents(), order=st.integers(0, 12))
+def test_cross_check_passes_on_random_specs(doc, order):
+    spec = BandedSpec.from_json_doc(doc)
+    report, _ = cross_check(spec, order)
+    assert report.oracle_length == min(order, 10)
+    assert [through for _, through in report.checks] == [order] * 4 + [
+        min(order, 10)
+    ] * 5
+
+
 def _count_fixed_point_calls(monkeypatch):
     import bandedgf.engine as engine
 

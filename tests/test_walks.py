@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandedgf import matrices as cm
 from bandedgf.banded import BlockWeights
@@ -29,10 +32,23 @@ def motzkin_weights():
     return scalar_weights(1, 1, 1, 1)
 
 
-def rand_weights(rng, s, field=F101):
+def rand_weights(rng, s, field=F101, special=None):
+    """Random block weights, entries mod 101 over F_101 and true fractions
+    over Q; ``special`` is None, "zero_a", "zero_c" or "b_is_d"."""
     def mat():
+        if field is QQ:
+            return [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(s)] for _ in range(s)]
         return [[rng.randrange(101) for _ in range(s)] for _ in range(s)]
-    return BlockWeights(field, s, mat(), mat(), mat(), mat())
+
+    a, b, c, d = mat(), mat(), mat(), mat()
+    zero = [[0] * s for _ in range(s)]
+    if special == "zero_a":
+        a = zero
+    elif special == "zero_c":
+        c = zero
+    elif special == "b_is_d":
+        d = b
+    return BlockWeights(field, s, a, b, c, d)
 
 
 def test_weight_of_trivial_walk_is_identity(weight_factory):
@@ -136,20 +152,31 @@ def test_primitive_filter_needs_matching_endpoints(weight_factory):
     assert enumerate_sum(w, 4, 1, 0, "primitive").is_zero()
 
 
-def test_class_sums_match_individual_enumerations(weight_factory):
-    for s, seed in ((1, 11), (2, 12), (3, 13)):
-        w = weight_factory(s, seed=seed)
-        sums = class_sums(w, 6)
-        assert sums.m0 == enumerate_sum(w, 6, 0, 0, "all")
-        assert sums.m1 == enumerate_sum(w, 6, 1, 0, "all")
-        assert sums.mm1 == enumerate_sum(w, 6, -1, 0, "all")
-        assert sums.gw == enumerate_sum(w, 6, 0, 0, "standard")
-        assert sums.gwstar == enumerate_sum(w, 6, 0, 0, "standard", mode="w_star")
-        assert sums.hw == enumerate_sum(w, 6, 0, 0, "primitive_standard")
-        assert sums.hwstar == enumerate_sum(
-            w, 6, 0, 0, "primitive_standard", mode="w_star"
-        )
-        assert sums.j0 == enumerate_sum(w, 6, 0, 0, "primitive")
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    s=st.integers(1, 3),
+    prime=st.booleans(),
+    special=st.one_of(st.none(), st.sampled_from(["zero_a", "zero_c", "b_is_d"])),
+    length=st.integers(0, 7),
+)
+def test_class_sums_match_individual_enumerations(seed, s, prime, special, length):
+    w = rand_weights(random.Random(seed), s, F101 if prime else QQ, special)
+    sums = class_sums(w, length)
+    assert sums.m0 == enumerate_sum(w, length, 0, 0, "all")
+    assert sums.m1 == enumerate_sum(w, length, 1, 0, "all")
+    assert sums.mm1 == enumerate_sum(w, length, -1, 0, "all")
+    assert sums.gw == enumerate_sum(w, length, 0, 0, "standard")
+    assert sums.gwstar == enumerate_sum(w, length, 0, 0, "standard", mode="w_star")
+    assert sums.hw == enumerate_sum(w, length, 0, 0, "primitive_standard")
+    assert sums.hwstar == enumerate_sum(
+        w, length, 0, 0, "primitive_standard", mode="w_star"
+    )
+    assert sums.j0 == enumerate_sum(w, length, 0, 0, "primitive")
+    zero = cm.zeros(w.field, w.s)
+    for k in range(-length, length + 1):
+        by_length = [sums.by_finish[n].get(k, zero) for n in range(length + 1)]
+        assert by_length == list(enumerate_sum(w, length, 0, k, "all").coeffs)
 
 
 def test_u_table_base_row(weight_factory):
