@@ -33,7 +33,7 @@ from .engine import (
 from .errors import BandedGFError
 from .fields import PrimeField, QQ, RationalField
 from .identities import oracle_comparison, run_identity_suite
-from .laurent import LaurentSeries, accumulate, extract
+from .laurent import accumulate
 from .matseries import MatrixSeries
 from .section5 import (
     AffineRecursion,
@@ -55,7 +55,6 @@ __all__ = [
     "BlockWeights",
     "ClosedForm",
     "EventuallyPolySeq",
-    "LaurentSeries",
     "MatrixSeries",
     "PrimeField",
     "QQ",
@@ -70,7 +69,6 @@ __all__ = [
     "cross_check",
     "direct_route",
     "enumerate_sum",
-    "extract",
     "fixed_point_route",
     "from_block_weights",
     "g_star_r",

@@ -9,10 +9,12 @@ the target is the series whose z^n coefficient is the (1,1) entry of V^n.
   weights, and the first-return equation G* = I + (z D + z^2 C G A) G* for
   the starred sum, both online (one coefficient at a time from the ones
   already known), in O(n^2 s^3) through order n;
-* the Laurent route reads the transition sums M_0, M_1, M_-1 off the powers
-  of the step symbol A x + B + C x^-1, combines them as
-  G = M_0 - M_1 M_0^-1 M_-1, and converts to the starred sum via the
-  floor-weight shift G*^-1 = G^-1 + (B - D) z.
+* the Laurent route reads the transition sums M_0, M_1, M_-1 off the x^0,
+  x^{+-1} coefficients of the powers of the step symbol A x + B + C x^-1
+  (streamed one z-term at a time, each trimmed to the x-degrees that still
+  reach those three), combines them as G = M_0 - M_1 M_0^-1 M_-1, and
+  converts to the starred sum via the floor-weight shift
+  G*^-1 = G^-1 + (B - D) z, taken as G* = (I + G (B - D) z)^-1 G.
 
 The reported scalar is always the (1,1) entry of the starred matrix G*,
 which is what the corner of V generates.  ``cross_check`` runs every route
@@ -28,7 +30,7 @@ from . import matrices as cm
 from .banded import BandedSpec, BlockWeights, block_reduce
 from .errors import RouteMismatchError
 from .fields import Field
-from .laurent import accumulate, extract
+from .laurent import accumulate
 from .matseries import MatrixSeries
 from .series import Series
 from .walks import class_sums
@@ -90,12 +92,14 @@ def direct_route(spec: BandedSpec, order: int) -> Series:
 
 
 def _starred(w: BlockWeights, gw: MatrixSeries) -> MatrixSeries:
-    """Starred sum from the plain one: G*^-1 = G^-1 + (B - D) z (Laurent route)."""
+    """Starred sum from the plain one (Laurent route).
+
+    The floor-weight shift G*^-1 = G^-1 + (B - D) z, solved for G* as
+    G* = (I + G (B - D) z)^-1 G: one series inverse and one product.
+    """
     field, s, order = w.field, w.s, gw.order
-    shift = [cm.zeros(field, s)] * (order + 1)
-    if order >= 1:
-        shift[1] = cm.sub(field, w.b, w.d)
-    return (gw.inverse() + MatrixSeries(field, s, shift)).inverse()
+    shift = gw.rmul_const(cm.sub(field, w.b, w.d)).mul_z_pow(1).truncate(order)
+    return (MatrixSeries.identity(field, s, order) + shift).inverse() * gw
 
 
 def fixed_point_route(w: BlockWeights, order: int) -> GenFunBundle:
@@ -131,12 +135,10 @@ def fixed_point_route(w: BlockWeights, order: int) -> GenFunBundle:
 
 
 def laurent_route(w: BlockWeights, order: int) -> GenFunBundle:
-    """Transition sums from powers of the step symbol, then G = M0 - M1 M0^-1 M-1."""
+    """Transition sums from the trimmed stream of step-symbol powers, then
+    G = M0 - M1 M0^-1 M-1 and G* = (I + G (B - D) z)^-1 G."""
     field, s = w.field, w.s
-    lau = accumulate(field, w.a, w.b, w.c, order)
-    m0 = extract(lau, 0)
-    m1 = extract(lau, 1)
-    mm1 = extract(lau, -1)
+    m0, m1, mm1 = accumulate(field, w.a, w.b, w.c, order)
     gw = m0 - (m1 * m0.inverse()) * mm1
     gwstar = _starred(w, gw)
     return GenFunBundle(

@@ -1,93 +1,63 @@
-"""Matrix-valued Laurent polynomials in x, graded by powers of z.
+"""Transition sums from the powers of the step symbol, graded by powers of z.
 
-The object of interest is the accumulation sum_{n<=N} (A x + B + C x^-1)^n z^n
-for constant s-by-s matrices A, B, C.  The z^n term is a Laurent polynomial in
-x whose support provably lies in x-degrees [-n, n], so each term is stored
-densely as the 2n+1 matrices for x^-n .. x^n.
+The z^n term of sum_n (A x + B + C x^-1)^n z^n is a Laurent polynomial in x
+with support in x-degrees [-n, n].  The Laurent route reads only its x^0 and
+x^{+-1} coefficients through z^N, and the x^d coefficient of the z^n term
+reaches x-degree 0 or +-1 only after at least |d| - 1 further steps.  So the
+z^n term is needed only in the degrees |d| <= min(n, N - n + 1); the stream
+below keeps those and only the current term, O(N s^2) memory in all.
 """
 
 from __future__ import annotations
 
 from . import matrices as cm
-from .errors import ShapeError
 from .fields import Field
 from .matseries import MatrixSeries
 
 
-class LaurentSeries:
-    """Terms ``terms[n][d + n]`` = matrix coefficient of x^d z^n, |d| <= n."""
+def trimmed_powers(field: Field, a, b, c, order: int):
+    """Yield the z^n terms of the symbol powers for n = 0..order, trimmed.
 
-    __slots__ = ("field", "s", "terms")
-
-    def __init__(self, field: Field, s: int, terms):
-        terms = tuple(tuple(cm.freeze(m) for m in term) for term in terms)
-        for n, term in enumerate(terms):
-            if len(term) != 2 * n + 1:
-                raise ShapeError(
-                    f"z^{n} term must cover x-degrees [-{n}, {n}] densely"
-                )
-            for m in term:
-                cm.check_square(m, s)
-        self.field = field
-        self.s = s
-        self.terms = terms
-
-    @property
-    def order(self) -> int:
-        return len(self.terms) - 1
-
-    def term(self, n: int):
-        return self.terms[n]
-
-    def x_coeff(self, n: int, d: int):
-        """Matrix coefficient of x^d in the z^n term (zero outside [-n, n])."""
-        if abs(d) > n:
-            return cm.zeros(self.field, self.s)
-        return self.terms[n][d + n]
-
-
-def step_multiply(field: Field, a, b, c, term):
-    """One grading step: multiply a dense [-n, n] term by (A x + B + C x^-1).
-
-    Returns the dense [-(n+1), n+1] term of the product, multiplying the step
-    polynomial on the left.
+    The z^n term is the tuple of matrix coefficients of x^-r .. x^r with
+    r = min(n, order - n + 1).  Each step multiplies the step polynomial on
+    the left: x^d picks up A (x^(d-1) part) + B (x^d part) + C (x^(d+1) part),
+    one sum of products per entry.
     """
-    s = len(a)
-    n = (len(term) - 1) // 2
-    width = 2 * (n + 1) + 1
-    zero = cm.zeros(field, s)
-    out = []
-    for idx in range(width):
-        d = idx - (n + 1)
-        # x^d picks up A*(x^(d-1) part), B*(x^d part), C*(x^(d+1) part).
-        acc = zero
-        if abs(d - 1) <= n:
-            acc = cm.add(field, acc, cm.mul(field, a, term[d - 1 + n]))
-        if abs(d) <= n:
-            acc = cm.add(field, acc, cm.mul(field, b, term[d + n]))
-        if abs(d + 1) <= n:
-            acc = cm.add(field, acc, cm.mul(field, c, term[d + 1 + n]))
-        out.append(acc)
-    return tuple(out)
-
-
-def accumulate(field: Field, a, b, c, order: int) -> LaurentSeries:
-    """Sum of (A x + B + C x^-1)^n z^n over n <= order."""
     s = len(a)
     for m in (a, b, c):
         cm.check_square(m, s)
     if order < 0:
         raise ValueError("order must be nonnegative")
-    terms = [(cm.identity(field, s),)]
-    for _ in range(order):
-        terms.append(step_multiply(field, a, b, c, terms[-1]))
-    return LaurentSeries(field, s, terms)
+    sop = cm.sum_of_products
+    term, r = (cm.identity(field, s),), 0
+    yield term
+    for n in range(1, order + 1):
+        nr = min(n, order - n + 1)
+        term = tuple(
+            sop(field, [
+                (step, term[e + r])
+                for step, e in ((a, d - 1), (b, d), (c, d + 1))
+                if -r <= e <= r
+            ])
+            for d in range(-nr, nr + 1)
+        )
+        r = nr
+        yield term
 
 
-def extract(lau: LaurentSeries, i: int) -> MatrixSeries:
-    """Matrix series of x^i coefficients across the z-grading, i in {-1, 0, 1}."""
-    if i not in (-1, 0, 1):
-        raise ValueError(f"x-degree {i} out of range; only -1, 0, 1 are extracted")
-    return MatrixSeries(
-        lau.field, lau.s, [lau.x_coeff(n, i) for n in range(lau.order + 1)]
+def accumulate(field: Field, a, b, c, order: int):
+    """The transition sums (M_0, M_1, M_-1): x^0, x^1, x^-1 coefficients of
+    sum_{n <= order} (A x + B + C x^-1)^n z^n, as matrix series."""
+    s = len(a)
+    zero = cm.zeros(field, s)
+    m0, m1, mm1 = [], [], []
+    for term in trimmed_powers(field, a, b, c, order):
+        r = len(term) // 2
+        m0.append(term[r])
+        m1.append(term[r + 1] if r else zero)
+        mm1.append(term[r - 1] if r else zero)
+    return (
+        MatrixSeries(field, s, m0),
+        MatrixSeries(field, s, m1),
+        MatrixSeries(field, s, mm1),
     )

@@ -165,10 +165,11 @@ class MatrixSeries:
         f, s = self.field, self.s
         a = self.coeffs
         c0 = cm.inverse(f, a[0])
+        neg_c0 = cm.neg(f, c0)
         out = [c0]
         for n in range(1, self.order + 1):
-            acc = cm.zeros(f, s)
-            for k in range(1, n + 1):
-                acc = cm.add(f, acc, cm.mul(f, a[k], out[n - k]))
-            out.append(cm.neg(f, cm.mul(f, c0, acc)))
+            # out[n] = -c0 (a[1] out[n-1] + ... + a[n] out[0]); the sum takes
+            # one reduce per entry.
+            acc = cm.sum_of_products(f, [(a[k], out[n - k]) for k in range(1, n + 1)])
+            out.append(cm.mul(f, neg_c0, acc))
         return MatrixSeries(f, s, out)

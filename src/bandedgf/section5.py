@@ -19,7 +19,7 @@ import json
 
 from . import matrices as cm
 from .banded import BandedSpec, BlockWeights, block_reduce
-from .engine import corner_first_columns, fixed_point_route
+from .engine import GenFunBundle, corner_first_columns
 from .errors import (
     InternalConsistencyError,
     ShapeError,
@@ -76,16 +76,19 @@ def _az_shift(w: BlockWeights, g: MatrixSeries, order: int) -> MatrixSeries:
     return g.rmul_const(w.a).mul_z_pow(1).truncate(order)
 
 
-def check_descent_identities(w: BlockWeights, rmax: int, order: int):
+def check_descent_identities(
+    w: BlockWeights, rmax: int, table: UTable, bundle: GenFunBundle
+):
     """Verify the two ladder identities tying G*_r to the plain walk sums.
 
-    Checks (I - G A z) G*_0 = G* and (I - G A z) G*_{r+1} = G A z G*_r for
-    r = 0..rmax.  A violation means an implementation bug, so it raises
-    InternalConsistencyError rather than returning a report.
+    ``table`` is ``u_table(w, order)`` and ``bundle`` is
+    ``fixed_point_route(w, order)``, passed in so a caller that already has
+    them does not build them again.  Checks (I - G A z) G*_0 = G* and
+    (I - G A z) G*_{r+1} = G A z G*_r for r = 0..rmax.  A violation means an
+    implementation bug, so it raises InternalConsistencyError rather than
+    returning a report.
     """
-    field, s = w.field, w.s
-    table = u_table(w, order)
-    bundle = fixed_point_route(w, order)
+    field, s, order = w.field, w.s, bundle.order
     gaz = _az_shift(w, bundle.gw, order)
     ident = MatrixSeries.identity(field, s, order)
     ladder = [g_star_r(w, r, order, table) for r in range(rmax + 2)]

@@ -338,3 +338,95 @@ def test_run_checks_runs_the_fixed_point_route_once(monkeypatch, name):
     checks = fixtures.run_checks(name, 24)
     assert all(ok for _, ok, _ in checks)
     assert calls == [24]
+
+
+# -- the trimmed Laurent stream against the dense store it replaced ------------
+
+
+def _dense_symbol_powers(field, a, b, c, order):
+    """The earlier store: every z^n term of the symbol powers kept densely
+    over x-degrees [-n, n]."""
+    s = len(a)
+    zero = cm.zeros(field, s)
+    terms = [(cm.identity(field, s),)]
+    for n in range(order):
+        term = terms[-1]
+        out = []
+        for d in range(-(n + 1), n + 2):
+            acc = zero
+            if abs(d - 1) <= n:
+                acc = cm.add(field, acc, cm.mul(field, a, term[d - 1 + n]))
+            if abs(d) <= n:
+                acc = cm.add(field, acc, cm.mul(field, b, term[d + n]))
+            if abs(d + 1) <= n:
+                acc = cm.add(field, acc, cm.mul(field, c, term[d + 1 + n]))
+            out.append(acc)
+        terms.append(tuple(out))
+    return terms
+
+
+def _reference_laurent(w, order):
+    """The earlier Laurent route: M_i extracted from the dense store, and
+    G*^-1 = G^-1 + (B - D) z by two series inversions."""
+    field, s = w.field, w.s
+    terms = _dense_symbol_powers(field, w.a, w.b, w.c, order)
+    zero = cm.zeros(field, s)
+
+    def extract(i):
+        return MatrixSeries(
+            field, s, [t[i + n] if abs(i) <= n else zero for n, t in enumerate(terms)]
+        )
+
+    m0, m1, mm1 = extract(0), extract(1), extract(-1)
+    gw = m0 - (m1 * m0.inverse()) * mm1
+    shift = [zero] * (order + 1)
+    if order >= 1:
+        shift[1] = cm.sub(field, w.b, w.d)
+    gwstar = (gw.inverse() + MatrixSeries(field, s, shift)).inverse()
+    return m0, m1, mm1, gw, gwstar
+
+
+def _assert_laurent_matches_reference(w, order):
+    bundle = laurent_route(w, order)
+    m0, m1, mm1, gw, gwstar = _reference_laurent(w, order)
+    assert bundle.order == order
+    assert bundle.m0.coeffs == m0.coeffs
+    assert bundle.m1.coeffs == m1.coeffs
+    assert bundle.mm1.coeffs == mm1.coeffs
+    assert bundle.gw.coeffs == gw.coeffs
+    assert bundle.gwstar.coeffs == gwstar.coeffs
+    assert bundle.gv.coeffs == gwstar.entry(0, 0).coeffs
+
+
+@pytest.mark.parametrize("name", fixtures.EXAMPLE_NAMES)
+def test_trimmed_laurent_route_matches_dense_reference_on_fixtures(name):
+    w = block_reduce(fixtures.example_spec(name))
+    for order in (0, 1, 2, 25):
+        _assert_laurent_matches_reference(w, order)
+
+
+_FRACTIONS = st.builds(
+    QQ.parse, st.builds("{}/{}".format, st.integers(-4, 4), st.integers(1, 3))
+)
+
+
+@st.composite
+def _block_weights(draw):
+    """Block weights of size 1..3 over Q (true fractions) or F_101."""
+    s = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        field, scalar = QQ, _FRACTIONS
+    else:
+        field, scalar = F101, st.integers(0, 100)
+    row = st.lists(scalar, min_size=s, max_size=s)
+    mat = st.lists(row, min_size=s, max_size=s)
+    return BlockWeights(field, s, draw(mat), draw(mat), draw(mat), draw(mat))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    w=_block_weights(),
+    order=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 25)),
+)
+def test_trimmed_laurent_route_matches_dense_reference_on_random_weights(w, order):
+    _assert_laurent_matches_reference(w, order)

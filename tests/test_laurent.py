@@ -4,66 +4,71 @@ import pytest
 
 from bandedgf import matrices as cm
 from bandedgf.fields import PrimeField, QQ
-from bandedgf.laurent import LaurentSeries, accumulate, extract, step_multiply
+from bandedgf.identities import _independent_step_multiply
+from bandedgf.laurent import accumulate, trimmed_powers
 
 F101 = PrimeField(101)
 
 
+def scalar_powers(a, b, c, order):
+    return [
+        tuple(m[0][0] for m in term)
+        for term in trimmed_powers(QQ, ((a,),), ((b,),), ((c,),), order)
+    ]
+
+
 def scalar_accumulate(a, b, c, order):
-    return accumulate(QQ, ((a,),), ((b,),), ((c,),), order)
+    sums = accumulate(QQ, ((a,),), ((b,),), ((c,),), order)
+    return [m.entry(0, 0).coeffs for m in sums]
 
 
 def test_order_zero_is_identity():
-    lau = scalar_accumulate(1, 1, 1, 0)
-    assert lau.term(0) == (((1,),),)
-    assert extract(lau, 0).coeffs == (((1,),),)
+    assert list(trimmed_powers(QQ, ((1,),), ((1,),), ((1,),), 0)) == [(((1,),),)]
+    assert scalar_accumulate(1, 1, 1, 0) == [(1,), (0,), (0,)]
 
 
 def test_trinomial_square_term():
-    # (x + 1 + 1/x)^2 = x^2 + 2x + 3 + 2/x + 1/x^2
-    lau = scalar_accumulate(1, 1, 1, 2)
-    values = [lau.x_coeff(2, d)[0][0] for d in (-2, -1, 0, 1, 2)]
-    assert values == [1, 2, 3, 2, 1]
+    # (x + 1 + 1/x)^2 = x^2 + 2x + 3 + 2/x + 1/x^2; through z^3 the z^2 term
+    # is still needed in full.
+    assert scalar_powers(1, 1, 1, 3)[2] == (1, 2, 3, 2, 1)
 
 
 def test_no_level_steps_square_term():
     # (x + 1/x)^2 = x^2 + 2 + 1/x^2
-    lau = scalar_accumulate(1, 0, 1, 2)
-    values = [lau.x_coeff(2, d)[0][0] for d in (-2, -1, 0, 1, 2)]
-    assert values == [1, 0, 2, 0, 1]
+    assert scalar_powers(1, 0, 1, 3)[2] == (1, 0, 2, 0, 1)
 
 
-def test_extract_central_and_side_coefficients():
-    lau = scalar_accumulate(1, 1, 1, 2)
-    assert extract(lau, 0).entry(0, 0).coeffs == (1, 1, 3)
-    assert extract(lau, 1).entry(0, 0).coeffs == (0, 1, 2)
-    assert extract(lau, -1).entry(0, 0).coeffs == (0, 1, 2)
+def test_accumulate_central_and_side_coefficients():
+    m0, m1, mm1 = scalar_accumulate(1, 1, 1, 2)
+    assert m0 == (1, 1, 3)
+    assert m1 == (0, 1, 2)
+    assert mm1 == (0, 1, 2)
 
 
-def test_extract_rejects_far_degrees():
-    lau = scalar_accumulate(1, 1, 1, 2)
+def test_accumulate_rejects_negative_order():
     with pytest.raises(ValueError):
-        extract(lau, 2)
-
-
-def test_support_bound_enforced():
-    with pytest.raises(Exception):
-        LaurentSeries(QQ, 1, [(((1,),), ((0,),))])
+        accumulate(QQ, ((1,),), ((1,),), ((1,),), -1)
 
 
 def test_step_recursion_holds():
+    # Each trimmed term is the centred window of the full power, built with
+    # the identity suite's separately written step product.
     rng = random.Random(5)
     s = 2
     def mat():
         return tuple(tuple(rng.randrange(101) for _ in range(s)) for _ in range(s))
     a, b, c = mat(), mat(), mat()
-    lau = accumulate(F101, a, b, c, 6)
-    for n in range(6):
-        assert step_multiply(F101, a, b, c, lau.term(n)) == lau.term(n + 1)
+    order = 7
+    full = (cm.identity(F101, s),)
+    for n, term in enumerate(trimmed_powers(F101, a, b, c, order)):
+        r = min(n, order - n + 1)
+        assert len(term) == 2 * r + 1
+        assert term == full[n - r : n + r + 1]
+        full = _independent_step_multiply(F101, a, b, c, full)
 
 
 def test_x_support_within_band():
-    lau = scalar_accumulate(1, 1, 1, 5)
-    for n in range(6):
-        assert len(lau.term(n)) == 2 * n + 1
-        assert lau.x_coeff(n, n + 1) == cm.zeros(QQ, 1)
+    # Radius min(n, N - n + 1): never past the support [-n, n], and only the
+    # degrees that still reach x^0 or x^{+-1} by z^N.
+    radii = [len(t) // 2 for t in trimmed_powers(QQ, ((1,),), ((1,),), ((1,),), 6)]
+    assert radii == [0, 1, 2, 3, 3, 2, 1]
