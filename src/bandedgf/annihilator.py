@@ -112,12 +112,12 @@ class AnnihilatorPoly:
     def from_json_doc(cls, doc, field: Field) -> "AnnihilatorPoly":
         if not isinstance(doc, dict) or "coeffs" not in doc:
             raise SpecFormatError('polynomial document needs a "coeffs" grid')
-        try:
-            grid = [[field.parse(c) for c in row] for row in doc["coeffs"]]
-        except TypeError as exc:
-            raise SpecFormatError(f"bad coefficient grid: {exc}") from exc
-        if not grid:
-            raise SpecFormatError("empty coefficient grid")
+        rows = doc["coeffs"]
+        if not isinstance(rows, list):
+            raise SpecFormatError(f'"coeffs" must be a list of rows, got {rows!r}')
+        grid = [field.parse_list(row, 'a row of "coeffs"') for row in rows]
+        if all(c == field.zero for row in grid for c in row):
+            raise SpecFormatError("the coefficient grid is zero or empty")
         return cls(field, grid)
 
     @classmethod

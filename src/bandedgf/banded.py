@@ -33,6 +33,7 @@ band inside the window already decide equality for all larger indices.
 from __future__ import annotations
 
 import json
+from math import lcm
 
 from . import matrices as cm
 from .errors import InvalidBlockSizeError, SpecFormatError
@@ -40,6 +41,7 @@ from .fields import (
     Field,
     field_from_json,
     field_to_json,
+    is_json_int,
     require_same_field,
     scalar_to_json,
 )
@@ -111,7 +113,7 @@ class BandedSpec:
             raise SpecFormatError(f"spec document lacks keys: {sorted(missing)}")
         field = field_from_json(doc["field"])
         period = doc["period"]
-        if not isinstance(period, int):
+        if not is_json_int(period):
             raise SpecFormatError(f"period must be an integer, got {period!r}")
         for key in ("bands", "exceptional"):
             if not isinstance(doc.get(key, []), list):
@@ -121,22 +123,20 @@ class BandedSpec:
             if not isinstance(rec, dict) or {"offset", "values"} - set(rec):
                 raise SpecFormatError(f"bad band record: {rec!r}")
             offset = rec["offset"]
-            if not isinstance(offset, int):
+            if not is_json_int(offset):
                 raise SpecFormatError(f"band offset must be an integer: {offset!r}")
             if offset in bands:
                 raise SpecFormatError(f"duplicate band offset {offset}")
-            if not isinstance(rec["values"], list):
-                raise SpecFormatError(f"band values must be a list: {rec!r}")
-            bands[offset] = [field.parse(v) for v in rec["values"]]
+            bands[offset] = field.parse_list(rec["values"], "band values")
         exceptional = []
         for rec in doc.get("exceptional", []):
             if not isinstance(rec, dict) or {"i", "j", "value"} - set(rec):
                 raise SpecFormatError(f"bad exceptional record: {rec!r}")
-            if not isinstance(rec["i"], int) or not isinstance(rec["j"], int):
+            if not is_json_int(rec["i"]) or not is_json_int(rec["j"]):
                 raise SpecFormatError(f"exceptional indices must be integers: {rec!r}")
             exceptional.append((rec["i"], rec["j"], field.parse(rec["value"])))
         block_size = doc.get("block_size")
-        if block_size is not None and not isinstance(block_size, int):
+        if block_size is not None and not is_json_int(block_size):
             raise SpecFormatError(f"block_size must be an integer: {block_size!r}")
         return cls(field, period, bands, exceptional, block_size)
 
@@ -279,6 +279,27 @@ def block_reduce(spec: BandedSpec, s: int | None = None) -> BlockWeights:
         for i in range(s + 1, 2 * s + 1)
     ]
     return BlockWeights(spec.field, s, a, b, c, d)
+
+
+def clear_denominators(w: BlockWeights) -> tuple[int, BlockWeights]:
+    """``(L, L·w)`` for weights over Q, L the lcm of the entries' denominators.
+
+    Every walk of length n has n steps, so the z^n coefficient of any walk sum
+    for L·w is L^n times the one for w: the routes may run on the integral
+    weights L·w (plain ints, no Fraction normalisation) and divide coefficient
+    n by L^n afterwards.  When L = 1, and always over F_p, ``w`` itself comes
+    back, not a copy.
+    """
+    if w.field.kind != "rationals":
+        return 1, w
+    blocks = (w.a, w.b, w.c, w.d)
+    den = lcm(*(v.denominator for m in blocks for row in m for v in row))
+    if den == 1:
+        return 1, w
+    red = w.field.reduce
+    return den, BlockWeights(
+        w.field, w.s, *([[red(v * den) for v in row] for row in m] for m in blocks)
+    )
 
 
 class ReductionReport:

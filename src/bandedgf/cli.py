@@ -18,7 +18,7 @@ import sys
 
 from . import fixtures
 from .annihilator import AnnihilatorPoly, reconstruct, verify
-from .banded import BandedSpec, block_reduce
+from .banded import BandedSpec, block_reduce, clear_denominators
 from .engine import fixed_point_route, series_bundle
 from .errors import (
     BandedGFError,
@@ -122,8 +122,8 @@ def cmd_series(args) -> int:
 
 def cmd_annihilate(args) -> int:
     spec = _load_spec(args)
-    weights = block_reduce(spec, args.block_size)
-    deeper = fixed_point_route(weights, args.order + args.extra).gv
+    den, weights = clear_denominators(block_reduce(spec, args.block_size))
+    deeper = fixed_point_route(weights, args.order + args.extra).unscaled(den).gv
     gv = deeper.truncate(args.order)
     poly = reconstruct(gv, args.degx, args.degz, guard=args.guard)
     if poly is None:

@@ -20,14 +20,24 @@ The reported scalar is always the (1,1) entry of the starred matrix G*,
 which is what the corner of V generates.  ``cross_check`` runs every route
 plus the walk-sum oracle of :mod:`bandedgf.walks` (a forward pass over walk
 endpoints, O(L^2 s^3) to length L) and insists on exact agreement.
+
+Over Q the block routes and the oracle run on the integral weights L·w of
+:func:`~bandedgf.banded.clear_denominators`, whose z^n coefficients are L^n
+times those of w, so their arithmetic stays on Python ints; the bundles are
+divided back (z -> z / L) before they are returned.  The direct route is
+deliberately left on the original Fraction spec: it shares neither the
+weights nor the rescale with the block routes, so ``direct_vs_fixed_point``
+and ``direct_vs_laurent`` check the rescale itself, and a wrong power of L
+shows up as a mismatch.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 
 from . import matrices as cm
-from .banded import BandedSpec, BlockWeights, block_reduce
+from .banded import BandedSpec, BlockWeights, block_reduce, clear_denominators
 from .errors import RouteMismatchError
 from .fields import Field
 from .laurent import accumulate
@@ -39,9 +49,14 @@ from .walks import class_sums
 class GenFunBundle:
     """Everything one route produces: the matrix sums and the scalar corner series."""
 
-    __slots__ = ("route", "field", "s", "order", "gw", "gwstar", "m0", "m1", "mm1", "gv")
+    __slots__ = (
+        "route", "field", "s", "order", "gw", "gwstar", "m0", "m1", "mm1", "m0inv", "gv",
+    )
 
-    def __init__(self, route, field, s, order, gw, gwstar, gv, m0=None, m1=None, mm1=None):
+    def __init__(
+        self, route, field, s, order, gw, gwstar, gv,
+        m0=None, m1=None, mm1=None, m0inv=None,
+    ):
         self.route = route
         self.field = field
         self.s = s
@@ -52,9 +67,27 @@ class GenFunBundle:
         self.m0 = m0
         self.m1 = m1
         self.mm1 = mm1
+        self.m0inv = m0inv
 
     def __repr__(self):
         return f"GenFunBundle(route={self.route!r}, s={self.s}, order={self.order})"
+
+    def unscaled(self, den: int) -> "GenFunBundle":
+        """The bundle for w from this bundle for den·w: coefficient n over den^n.
+
+        With den = 1 the bundle itself is returned.
+        """
+        if den == 1:
+            return self
+        c = Fraction(1, den)
+        sums = {
+            name: getattr(self, name).scale_z(c)
+            for name in ("gw", "gwstar", "m0", "m1", "mm1", "m0inv")
+            if getattr(self, name) is not None
+        }
+        return GenFunBundle(
+            self.route, self.field, self.s, self.order, gv=self.gv.scale_z(c), **sums
+        )
 
 
 def corner_first_columns(spec: BandedSpec, order: int, count: int = 1):
@@ -139,11 +172,12 @@ def laurent_route(w: BlockWeights, order: int) -> GenFunBundle:
     G = M0 - M1 M0^-1 M-1 and G* = (I + G (B - D) z)^-1 G."""
     field, s = w.field, w.s
     m0, m1, mm1 = accumulate(field, w.a, w.b, w.c, order)
-    gw = m0 - (m1 * m0.inverse()) * mm1
+    m0inv = m0.inverse()
+    gw = m0 - (m1 * m0inv) * mm1
     gwstar = _starred(w, gw)
     return GenFunBundle(
         "laurent", field, s, order, gw, gwstar, gwstar.entry(0, 0),
-        m0=m0, m1=m1, mm1=mm1,
+        m0=m0, m1=m1, mm1=mm1, m0inv=m0inv,
     )
 
 
@@ -202,15 +236,22 @@ def cross_check(
     keyed by route name ("fixed_point", "laurent"), so callers that need the
     series again do not recompute it.
 
+    The block routes and the oracle run on the integral weights L·w and are
+    compared with each other there (a first disagreement sits at the same
+    z^n either way); the direct route, on the original spec, is compared with
+    their unscaled corner series, and the bundles come back unscaled.
+
     The oracle's depth defaults to min(order, 10), the ``oracle_length`` and
     ``orders_compared`` the report has always printed; pass
     ``oracle_length=0`` to reduce it to the trivial constant-term check.
     """
     if weights is None:
         weights = block_reduce(spec, block_size)
+    den, weights = clear_denominators(weights)
     direct = direct_route(spec, order)
     fp = fixed_point_route(weights, order)
     lr = laurent_route(weights, order)
+    fp_out, lr_out = fp.unscaled(den), lr.unscaled(den)
     if oracle_length is None:
         oracle_length = min(order, 10)
     checks = []
@@ -233,8 +274,8 @@ def cross_check(
             )
         checks.append((name, min(a.order, b.order)))
 
-    demand_scalar("direct_vs_fixed_point", direct, fp.gv)
-    demand_scalar("direct_vs_laurent", direct, lr.gv)
+    demand_scalar("direct_vs_fixed_point", direct, fp_out.gv)
+    demand_scalar("direct_vs_laurent", direct, lr_out.gv)
     demand_matrix("fixed_point_vs_laurent_gw", fp.gw, lr.gw)
     demand_matrix("fixed_point_vs_laurent_gwstar", fp.gwstar, lr.gwstar)
     sums = class_sums(weights, oracle_length)
@@ -246,7 +287,7 @@ def cross_check(
     demand_matrix("oracle_vs_engine_m1", sums.m1, lr.m1.truncate(oracle_length))
     demand_matrix("oracle_vs_engine_mm1", sums.mm1, lr.mm1.truncate(oracle_length))
     report = CrossCheckReport(order, oracle_length, checks)
-    return report, {"fixed_point": fp, "laurent": lr}
+    return report, {"fixed_point": fp_out, "laurent": lr_out}
 
 
 def series_bundle(spec: BandedSpec, order: int, block_size: int | None = None):

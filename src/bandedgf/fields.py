@@ -80,6 +80,12 @@ class Field:
         """Parse an int or an "num/den" string into a scalar."""
         raise NotImplementedError
 
+    def parse_list(self, values, what: str):
+        """Parse a JSON list of scalars; ``what`` names it in the error."""
+        if not isinstance(values, list):
+            raise SpecFormatError(f"{what} must be a list, got {values!r}")
+        return [self.parse(v) for v in values]
+
     def format(self, x) -> str:
         """Canonical string form; inverse of :meth:`parse`."""
         raise NotImplementedError
@@ -218,6 +224,11 @@ def field_to_json(field: Field):
     if field.kind == "rationals":
         return "rational"
     return {"prime": field.p}
+
+
+def is_json_int(value) -> bool:
+    """True for a JSON integer; JSON true and false are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def scalar_to_json(field: Field, v):

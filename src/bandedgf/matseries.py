@@ -154,6 +154,15 @@ class MatrixSeries:
         f = self.field
         return MatrixSeries(f, self.s, [cm.scale(f, c, scalar) for c in self.coeffs])
 
+    def scale_z(self, c) -> "MatrixSeries":
+        """The matrix series in c z: coefficient n times c^n."""
+        f = self.field
+        out, power = [], f.one
+        for x in self.coeffs:
+            out.append(cm.scale(f, x, power))
+            power = f.reduce(power * c)
+        return MatrixSeries(f, self.s, out)
+
     def mul_z_pow(self, k: int) -> "MatrixSeries":
         if k < 0:
             raise ValueError("negative shift")

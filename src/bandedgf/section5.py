@@ -11,14 +11,23 @@ Three layers extend the corner series:
 * the affine recursion y^(n+1) = T y^(n) + sum_k (V^n)_{k,1} y_k with a
   linear readout, which reduces the transfer-operator series
   sum_n l(T^n E_1) z^n to the same first columns.
+
+Over Q the first columns are read from L·V, L the lcm of the denominators of
+the block weights (:func:`~bandedgf.banded.clear_denominators`), whose n-th
+power is L^n V^n and stays on Python ints; the weights and forcing values are
+applied unchanged to column n, and the per-order sum is divided by L^n.
+:func:`~bandedgf.engine.corner_first_columns` itself is not rescaled, so the
+direct route that shares it stays an independent computation on the original
+Fraction spec.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from . import matrices as cm
-from .banded import BandedSpec, BlockWeights, block_reduce
+from .banded import BandedSpec, BlockWeights, block_reduce, clear_denominators
 from .engine import GenFunBundle, corner_first_columns
 from .errors import (
     InternalConsistencyError,
@@ -26,7 +35,7 @@ from .errors import (
     SpecFormatError,
     UnsupportedCharacteristicError,
 )
-from .fields import Field
+from .fields import Field, is_json_int
 from .matseries import MatrixSeries
 from .series import Series
 from .walks import UTable, u_table
@@ -154,6 +163,33 @@ class EventuallyPolySeq:
         return self.value_by_residue(i, k)
 
 
+def _first_columns(spec: BandedSpec, w: BlockWeights, order: int, count: int):
+    """Pairs (column n of ``corner_first_columns`` for L·V, L^-n), n = 0..order.
+
+    (V^n)_{k,1} is L^-n times entry k of the column, so a caller sums the
+    integral column against its weights and divides the sum once.  L comes
+    from the block weights ``w`` of ``spec``, whose entries are exactly the
+    nonzero entries of V; with L = 1 the columns are those of V itself.
+    """
+    den, _ = clear_denominators(w)
+    if den == 1:
+        return [(col, 1) for col in corner_first_columns(spec, order, count)]
+    field = spec.field
+    red = field.reduce
+    scaled = BandedSpec(
+        field,
+        spec.period,
+        {r: [red(v * den) for v in values] for r, values in spec.bands.items()},
+        [(i, j, red(v * den)) for (i, j), v in spec.exceptional.items()],
+        spec.block_size,
+    )
+    out, c, step = [], field.one, Fraction(1, den)
+    for col in corner_first_columns(scaled, order, count):
+        out.append((col, c))
+        c = red(c * step)
+    return out
+
+
 def weighted_series(
     spec: BandedSpec,
     a: EventuallyPolySeq,
@@ -175,12 +211,12 @@ def weighted_series(
     count = w.s * (order + 1)
     weights = [a.value(j) for j in range(1, count + 1)]
     coeffs = []
-    for col in corner_first_columns(spec, order, count):
+    for col, c in _first_columns(spec, w, order, count):
         acc = field.zero
         for aj, v in zip(weights, col):
             if v != field.zero:
                 acc = acc + aj * v
-        coeffs.append(field.reduce(acc))
+        coeffs.append(field.reduce(acc * c))
     return Series(field, coeffs)
 
 
@@ -231,19 +267,20 @@ def affine_pipeline(
     field, d = w.field, rec.dim_y
     count = w.s * (order + 1)
     forcing = [rec.forcing_vector(j) for j in range(1, count + 1)]
-    columns = corner_first_columns(spec, order, count)
+    columns = _first_columns(spec, w, order, count)
     y = [field.zero] * d
     coeffs = []
     for n in range(order + 1):
         coeffs.append(field.reduce(sum(a * b for a, b in zip(rec.l, y))))
         if n == order:
             break
-        nxt = list(cm.mat_vec(field, rec.t, y))
-        for v, yk in zip(columns[n], forcing):
+        col, c = columns[n]
+        force = [field.zero] * d
+        for v, yk in zip(col, forcing):
             if v != field.zero:
                 for coord in range(d):
-                    nxt[coord] = nxt[coord] + v * yk[coord]
-        y = [field.reduce(x) for x in nxt]
+                    force[coord] = force[coord] + v * yk[coord]
+        y = [field.reduce(x + f * c) for x, f in zip(cm.mat_vec(field, rec.t, y), force)]
     return Series(field, coeffs)
 
 
@@ -252,20 +289,20 @@ def affine_pipeline(
 
 def weight_rules_from_json_doc(doc, field: Field, s: int) -> EventuallyPolySeq:
     """Decode {"weights": [{"residue": i, "initial": [...], "poly": [...]}]}."""
-    if not isinstance(doc, dict) or "weights" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("weights"), list):
         raise SpecFormatError('weight rules document needs a "weights" list')
     by_residue = {}
     for rec in doc["weights"]:
         if not isinstance(rec, dict) or "residue" not in rec:
             raise SpecFormatError(f"bad weight rule record: {rec!r}")
         i = rec["residue"]
-        if not isinstance(i, int) or not 1 <= i <= s:
+        if not is_json_int(i) or not 1 <= i <= s:
             raise SpecFormatError(f"residue {i!r} out of range 1..{s}")
         if i in by_residue:
             raise SpecFormatError(f"duplicate weight rule for residue {i}")
         by_residue[i] = (
-            [field.parse(v) for v in rec.get("initial", [])],
-            [field.parse(v) for v in rec.get("poly", [])],
+            field.parse_list(rec.get("initial", []), '"initial"'),
+            field.parse_list(rec.get("poly", []), '"poly"'),
         )
     missing = set(range(1, s + 1)) - set(by_residue)
     if missing:
@@ -281,12 +318,15 @@ def recursion_from_json_doc(doc, field: Field, s: int) -> AffineRecursion:
     if missing:
         raise SpecFormatError(f"recursion document lacks keys: {sorted(missing)}")
     d = doc["dimY"]
-    if not isinstance(d, int) or d < 1:
+    if not is_json_int(d) or d < 1:
         raise SpecFormatError(f"dimY must be a positive integer, got {d!r}")
-    t = [[field.parse(v) for v in row] for row in doc["T"]]
+    rows = doc["T"]
+    if not isinstance(rows, list):
+        raise SpecFormatError(f'"T" must be a list of rows, got {rows!r}')
+    t = [field.parse_list(row, 'a row of "T"') for row in rows]
     if len(t) != d or any(len(row) != d for row in t):
         raise SpecFormatError(f"T must be a {d}x{d} matrix")
-    l = [field.parse(v) for v in doc["l"]]
+    l = field.parse_list(doc["l"], '"l"')
     rules_doc = doc["y_rule"]
     if not isinstance(rules_doc, list) or len(rules_doc) != d:
         raise SpecFormatError(f'"y_rule" must list one rule set per coordinate ({d})')

@@ -149,6 +149,15 @@ class Series:
             out.append(field.reduce((a[n] - acc) * half))
         return Series(field, out)
 
+    def scale_z(self, c) -> "Series":
+        """The series in c z: coefficient n times c^n."""
+        red = self.field.reduce
+        out, power = [], self.field.one
+        for x in self.coeffs:
+            out.append(red(x * power))
+            power = red(power * c)
+        return Series(self.field, out)
+
     # -- shifts ----------------------------------------------------------------
 
     def mul_z_pow(self, k: int) -> "Series":

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bandedgf import cli
 from bandedgf.errors import RouteMismatchError
@@ -346,3 +348,164 @@ def test_spec_and_example_together_rejected(tmp_path, capsys):
         capsys, "series", "--spec", path, "--example", "ex4.1", "--order", "4"
     )
     assert code == 2
+
+
+# -- malformed documents exit 2 with one line ------------------------------------
+
+WEIGHTS_DOC = {"weights": [{"residue": 1, "initial": [6], "poly": [6, 8]}]}
+RECURSION_DOC = {"dimY": 1, "T": [[2]], "l": [1], "y_rule": [WEIGHTS_DOC]}
+
+
+def _with(doc, key, value):
+    return {**doc, key: value}
+
+
+def _with_rule(key, value):
+    return {"weights": [{**WEIGHTS_DOC["weights"][0], key: value}]}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("weighted", _with(WEIGHTS_DOC, "weights", 5)),
+        ("weighted", _with_rule("initial", 6)),
+        ("weighted", _with_rule("initial", "12")),
+        ("weighted", _with_rule("poly", None)),
+        ("affine", _with(RECURSION_DOC, "T", 2)),
+        ("affine", _with(RECURSION_DOC, "T", [2])),
+        ("affine", _with(RECURSION_DOC, "T", ["2"])),
+        ("affine", _with(RECURSION_DOC, "l", 1)),
+        ("affine", _with(RECURSION_DOC, "dimY", True)),
+    ],
+    ids=[
+        "weights-not-a-list", "initial-not-a-list", "initial-a-string",
+        "poly-not-a-list", "T-not-a-list", "T-row-not-a-list", "T-row-a-string",
+        "l-not-a-list", "dimY-boolean",
+    ],
+)
+def test_malformed_section5_documents_exit_2(tmp_path, capsys, command, doc):
+    spec_path = write_spec(tmp_path, {
+        "field": "rational", "period": 1,
+        "bands": [{"offset": 1, "values": [1]}, {"offset": -1, "values": [1]}],
+        "block_size": 1,
+    })
+    doc_path = write_spec(tmp_path, doc, name="doc.json")
+    flag = "--weights" if command == "weighted" else "--recursion"
+    code, out, err = run_cli(
+        capsys, command, "--spec", spec_path, flag, doc_path, "--order", "3"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _with(IDENTITY_BAND_SPEC, "period", True),
+        _with(IDENTITY_BAND_SPEC, "bands", [{"offset": False, "values": [1]}]),
+    ],
+    ids=["period-boolean", "offset-boolean"],
+)
+def test_boolean_spec_integers_exit_2(tmp_path, capsys, doc):
+    path = write_spec(tmp_path, doc)
+    code, out, err = run_cli(capsys, "series", "--spec", path, "--order", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+def test_verify_example_with_zero_polynomial_exits_2(tmp_path, capsys):
+    poly_path = tmp_path / "poly.json"
+    poly_path.write_text(json.dumps({"coeffs": [[0, 0], [0, "0/5"]]}))
+    code, out, err = run_cli(
+        capsys, "verify-example", "ex4.1", "--order", "10", "--poly", str(poly_path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+# -- fuzzed documents through the CLI ---------------------------------------------
+
+_JUNK = st.sampled_from(
+    [None, True, False, 0, -1, 1, 2, 1.5, "", "x", "1/2", "1/0", "12", [], [[]],
+     [1, "a"], {}, {"a": 1}]
+)
+_SMALL = st.sampled_from([0, 1, -1, 2, "1/2", "-2/3", "3/4"])
+
+
+@st.composite
+def _documents(draw):
+    """A valid spec (block size s = period) with weight rules and a recursion."""
+    s = draw(st.integers(1, 2))
+    offsets = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=3, unique=True))
+    values = st.lists(_SMALL, min_size=s, max_size=s)
+    spec = {
+        "field": draw(st.sampled_from(["rational", {"prime": 101}])),
+        "period": s,
+        "bands": [{"offset": r, "values": draw(values)} for r in offsets],
+        "exceptional": [{"i": 1, "j": 1, "value": v} for v in draw(st.lists(_SMALL, max_size=1))],
+        "block_size": s,
+    }
+    rule = st.fixed_dictionaries({
+        "initial": st.lists(_SMALL, max_size=2), "poly": st.lists(_SMALL, max_size=2),
+    })
+    rules = {"weights": [{"residue": i, **draw(rule)} for i in range(1, s + 1)]}
+    d = draw(st.integers(1, 2))
+    square = st.lists(st.lists(_SMALL, min_size=d, max_size=d), min_size=d, max_size=d)
+    recursion = {
+        "dimY": d, "T": draw(square), "l": draw(st.lists(_SMALL, min_size=d, max_size=d)),
+        "y_rule": [rules] * d,
+    }
+    return [spec, rules, recursion]
+
+
+def _paths(doc, prefix=()):
+    """Every (container, key) location inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    docs = json.loads(json.dumps(draw(_documents())))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(sorted(_paths(docs), key=repr)))
+        parent = docs
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+            if not docs:
+                break
+        else:
+            parent[path[-1]] = json.loads(json.dumps(draw(_JUNK)))
+    return docs
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    docs=_mutated_documents(),
+    command=st.sampled_from(["series", "weighted", "affine"]),
+    order=st.integers(0, 4),
+)
+def test_fuzzed_documents_exit_0_or_2(tmp_path, capsys, docs, command, order):
+    names = ("spec.json", "weights.json", "recursion.json")
+    paths = [write_spec(tmp_path, doc, name=n) for doc, n in zip(docs, names)]
+    paths += [write_spec(tmp_path, None, name=n) for n in names[len(docs):]]
+    argv = [command, "--spec", paths[0], "--order", str(order)]
+    if command == "weighted":
+        argv += ["--weights", paths[1]]
+    elif command == "affine":
+        argv += ["--recursion", paths[2]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2), err
+    if code == 0:
+        assert json.loads(out)["order"] == order
+    else:
+        assert out == "" and err.count("\n") == 1

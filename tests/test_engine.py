@@ -4,7 +4,13 @@ from hypothesis import strategies as st
 
 from bandedgf import fixtures
 from bandedgf import matrices as cm
-from bandedgf.banded import BandedSpec, BlockWeights, block_reduce, from_block_weights
+from bandedgf.banded import (
+    BandedSpec,
+    BlockWeights,
+    block_reduce,
+    clear_denominators,
+    from_block_weights,
+)
 from bandedgf.engine import (
     cross_check,
     direct_route,
@@ -276,12 +282,12 @@ def test_online_route_matches_cubic_reference_on_random_weights(
 
 
 @st.composite
-def _spec_documents(draw):
+def _spec_documents(draw, prime=True):
     """Spec documents that block_reduce accepts: period 1..3, bands at -1, 0
     and +1, an optional band at +-2 or +-3, an optional (1, 1) override, over
-    Q (true fractions) or F_101."""
+    Q (true fractions) or, if ``prime``, F_101."""
     period = draw(st.integers(1, 3))
-    if draw(st.booleans()):
+    if prime and draw(st.booleans()):
         field = {"prime": 101}
         scalar = st.integers(0, 100)
     else:
@@ -430,3 +436,95 @@ def _block_weights(draw):
 )
 def test_trimmed_laurent_route_matches_dense_reference_on_random_weights(w, order):
     _assert_laurent_matches_reference(w, order)
+
+
+# -- clearing denominators: routes on L·w, unscaled, against the Fraction routes --
+
+
+def test_clear_denominators_returns_the_weights_themselves_when_integral():
+    w = block_reduce(fixtures.ex42_spec())
+    den, same = clear_denominators(w)
+    assert den == 1 and same is w
+    wp = BlockWeights(F101, 1, [[F101.parse("1/2")]], [[3]], [[1]], [[0]])
+    den, same = clear_denominators(wp)
+    assert den == 1 and same is wp
+    wq = BlockWeights(
+        QQ, 1, [[QQ.parse("1/2")]], [[QQ.parse("2/3")]], [[1]], [[QQ.parse("-5/4")]]
+    )
+    den, scaled = clear_denominators(wq)
+    assert den == 12
+    assert scaled == BlockWeights(QQ, 1, [[6]], [[8]], [[12]], [[-15]])
+    assert all(type(v) is int for m in (scaled.a, scaled.b, scaled.c, scaled.d) for v in m[0])
+
+
+_WIDE_FRACTIONS = st.builds(
+    QQ.parse, st.builds("{}/{}".format, st.integers(-5, 5), st.integers(1, 6))
+)
+
+
+@st.composite
+def _fraction_weights(draw):
+    """Block weights over Q with true fractions: drawn directly (s = 1..3,
+    denominators up to 6) or cut from a random fractional spec document."""
+    if draw(st.booleans()):
+        return block_reduce(BandedSpec.from_json_doc(draw(_spec_documents(prime=False))))
+    s = draw(st.integers(1, 3))
+    mat = st.lists(st.lists(_WIDE_FRACTIONS, min_size=s, max_size=s), min_size=s, max_size=s)
+    return BlockWeights(QQ, s, draw(mat), draw(mat), draw(mat), draw(mat))
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=_fraction_weights(), order=st.integers(0, 20))
+def test_routes_on_cleared_weights_unscale_to_the_fraction_routes(w, order):
+    den, scaled = clear_denominators(w)
+    blocks = (scaled.a, scaled.b, scaled.c, scaled.d)
+    assert all(type(v) is int for m in blocks for row in m for v in row)
+    for route in (fixed_point_route, laurent_route):
+        want = route(w, order)
+        got = route(scaled, order).unscaled(den)
+        for name in ("gw", "gwstar", "m0", "m1", "mm1", "m0inv"):
+            if getattr(want, name) is None:
+                assert getattr(got, name) is None
+            else:
+                assert getattr(got, name).coeffs == getattr(want, name).coeffs, name
+        assert got.gv.coeffs == want.gv.coeffs
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    w=_fraction_weights(),
+    order=st.integers(0, 12),
+    enum_length=st.integers(0, 6),
+    corrupt=st.booleans(),
+)
+def test_identity_and_oracle_reports_do_not_see_the_rescale(w, order, enum_length, corrupt):
+    """The suite and the oracle report print the same documents whether they
+    run on the Fraction weights or on the cleared integral ones, also when
+    the walk table is corrupted and checks fail."""
+    import bandedgf.identities as identities
+    from bandedgf.walks import u_table as real_u_table
+
+    def corrupt_u_table(weights, order):
+        table = real_u_table(weights, order)
+        if order < 2:
+            return table
+        rows = [list(row) for row in table.rows]
+        tampered = [list(r) for r in rows[2][0]]
+        tampered[0][0] += 1
+        rows[2] = (tuple(tuple(r) for r in tampered),) + tuple(rows[2][1:])
+        return type(table)(table.field, table.s, tuple(rows))
+
+    def reports():
+        return (
+            identities.run_identity_suite(w, order, enum_length).to_json_doc(),
+            identities.oracle_comparison(w, enum_length).to_json_doc(),
+        )
+
+    with pytest.MonkeyPatch.context() as mp:
+        if corrupt:
+            mp.setattr(identities, "u_table", corrupt_u_table)
+        cleared = reports()
+        mp.setattr(identities, "clear_denominators", lambda w: (1, w))
+        assert reports() == cleared
+    if not corrupt:
+        assert cleared[0]["status"] == cleared[1]["status"] == "pass"
