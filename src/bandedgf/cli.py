@@ -214,7 +214,7 @@ def cmd_weighted(args) -> int:
             rules = weight_rules_from_json(fh.read(), spec.field, weights.s)
     except OSError as exc:
         raise SpecFormatError(f"cannot read weights file: {exc}") from exc
-    series = weighted_series(spec, rules, args.order, block_size=args.block_size)
+    series = weighted_series(spec, weights, rules, args.order)
     _emit(
         {
             "command": "weighted",
@@ -234,7 +234,7 @@ def cmd_affine(args) -> int:
             rec = recursion_from_json(fh.read(), spec.field, weights.s)
     except OSError as exc:
         raise SpecFormatError(f"cannot read recursion file: {exc}") from exc
-    series = affine_pipeline(spec, rec, args.order, block_size=args.block_size)
+    series = affine_pipeline(spec, weights, rec, args.order)
     _emit(
         {
             "command": "affine",

@@ -96,24 +96,35 @@ def corner_first_columns(spec: BandedSpec, order: int, count: int = 1):
     Works on a finite corner of V sized to contain every index reachable from
     column 1 within ``order`` steps (order * bandwidth plus the exceptional
     square), so the truncation is exact; returns a list of ``count``-tuples.
+
+    Step t computes only rows 1..f_t, f_t = max(exceptional_bound, 1) +
+    t * bandwidth, and leaves the rest zero.  This is exact: V^0 e_1 = e_1
+    lives in row 1, and a nonzero v_{i,j} lies on a band (i <= j + bandwidth)
+    or in the exceptional square (i <= exceptional_bound), so if V^(t-1) e_1
+    vanishes below row f_(t-1) then V^t e_1 vanishes below row f_t.
     """
     field = spec.field
     if order < 0:
         raise ValueError("order must be nonnegative")
-    k = max(order * spec.bandwidth + max(spec.exceptional_bound, 1), count)
+    reach, bw = max(spec.exceptional_bound, 1), spec.bandwidth
+    k = max(order * bw + reach, count)
     rows = []
     zero = field.zero
     for i in range(1, k + 1):
         cols = {i + r for r in spec.bands if 1 <= i + r <= k}
         cols.update(j for (ei, j) in spec.exceptional if ei == i and j <= k)
         row = [(j - 1, spec.entry(i, j)) for j in sorted(cols)]
-        rows.append([(j, v) for j, v in row if v != zero])
+        rows.append([(j, v) for j, v in row if v])
     x = [zero] * k
     x[0] = field.one
     red = field.reduce
     out = [tuple(x[:count])]
-    for _ in range(order):
-        x = [red(sum(v * x[j] for j, v in row)) if row else zero for row in rows]
+    for t in range(1, order + 1):
+        x = [
+            red(sum(v * x[j] for j, v in row)) if row else zero
+            for row in rows[: reach + t * bw]
+        ]
+        x += [zero] * (k - len(x))
         out.append(tuple(x[:count]))
     return out
 

@@ -56,16 +56,12 @@ class Field:
         """Canonicalize a raw arithmetic result into a field scalar."""
         raise NotImplementedError
 
+    # 0 and 1 are already canonical in both fields (ints, and p >= 2).
+    zero = 0
+    one = 1
+
     def from_int(self, n: int):
         raise NotImplementedError
-
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
 
     def neg(self, x):
         return self.reduce(-x)

@@ -208,9 +208,10 @@ def _poly_checks(gv, golden, order, override_poly):
 def run_checks(name: str, order: int = 40, override_poly: AnnihilatorPoly | None = None):
     """Re-verify a built-in example; returns a list of (check, ok, detail)."""
     spec = example_spec(name)
+    w = block_reduce(spec)
     checks = []
     try:
-        _, bundles = cross_check(spec, order)
+        _, bundles = cross_check(spec, order, weights=w)
         checks.append(("route_agreement", True, None))
     except RouteMismatchError as exc:
         checks.append(("route_agreement", False, str(exc)))
@@ -222,7 +223,6 @@ def run_checks(name: str, order: int = 40, override_poly: AnnihilatorPoly | None
     elif name == "ex4.2":
         checks.extend(_poly_checks(fp.gv, ex42_annihilator(), order, override_poly))
     elif name == "ex4.3":
-        w = block_reduce(spec)
         gv = fp.gv
         res = check_closed_form_sqrt(gv, ex43_closed_form())
         checks.append(
@@ -248,7 +248,7 @@ def run_checks(name: str, order: int = 40, override_poly: AnnihilatorPoly | None
                  None if res else f"first nonzero residual at z^{res.first_bad_order}")
             )
     elif name == "ex5.12":
-        readout = affine_pipeline(spec, ex512_recursion(), order)
+        readout = affine_pipeline(spec, w, ex512_recursion(), order)
         first = [QQ.format(c) for c in readout.coeffs[:3]]
         want = ["0", "6", "116"][: len(first)]
         checks.append(

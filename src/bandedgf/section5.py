@@ -14,8 +14,11 @@ Three layers extend the corner series:
 
 Over Q the first columns are read from L·V, L the lcm of the denominators of
 the block weights (:func:`~bandedgf.banded.clear_denominators`), whose n-th
-power is L^n V^n and stays on Python ints; the weights and forcing values are
-applied unchanged to column n, and the per-order sum is divided by L^n.
+power is L^n V^n and stays on Python ints.  The weights a_1..a_count (or the
+forcing vectors y_1..y_count) are cleared the same way, by M the lcm of their
+denominators, so the per-order sums run on ints too; by linearity the sum for
+order n is then divided once, by M L^n.  Over F_p, and when L = M = 1,
+nothing is scaled.
 :func:`~bandedgf.engine.corner_first_columns` itself is not rescaled, so the
 direct route that shares it stays an independent computation on the original
 Fraction spec.
@@ -25,9 +28,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
 from . import matrices as cm
-from .banded import BandedSpec, BlockWeights, block_reduce, clear_denominators
+from .banded import BandedSpec, BlockWeights, clear_denominators
 from .engine import GenFunBundle, corner_first_columns
 from .errors import (
     InternalConsistencyError,
@@ -163,46 +167,53 @@ class EventuallyPolySeq:
         return self.value_by_residue(i, k)
 
 
-def _first_columns(spec: BandedSpec, w: BlockWeights, order: int, count: int):
-    """Pairs (column n of ``corner_first_columns`` for L·V, L^-n), n = 0..order.
+def _denominator(field: Field, scalars) -> int:
+    """The lcm of the scalars' denominators over Q; 1 over F_p."""
+    if field.kind != "rationals":
+        return 1
+    return lcm(*(v.denominator for v in scalars))
+
+
+def _first_columns(
+    spec: BandedSpec, w: BlockWeights, order: int, count: int, den: int = 1
+):
+    """Pairs (column n of ``corner_first_columns`` for L·V, 1 / (den L^n)), n = 0..order.
 
     (V^n)_{k,1} is L^-n times entry k of the column, so a caller sums the
-    integral column against its weights and divides the sum once.  L comes
-    from the block weights ``w`` of ``spec``, whose entries are exactly the
-    nonzero entries of V; with L = 1 the columns are those of V itself.
+    integral column against its weights (cleared by ``den``) and divides the
+    sum once.  L comes from the block weights ``w`` of ``spec``, whose entries
+    are exactly the nonzero entries of V; with L = 1 the columns are those of
+    V itself.
     """
-    den, _ = clear_denominators(w)
-    if den == 1:
-        return [(col, 1) for col in corner_first_columns(spec, order, count)]
-    field = spec.field
-    red = field.reduce
+    lden, _ = clear_denominators(w)
+    c = Fraction(1, den) if den != 1 else 1
+    if lden == 1:
+        return [(col, c) for col in corner_first_columns(spec, order, count)]
+    red = spec.field.reduce
     scaled = BandedSpec(
-        field,
+        spec.field,
         spec.period,
-        {r: [red(v * den) for v in values] for r, values in spec.bands.items()},
-        [(i, j, red(v * den)) for (i, j), v in spec.exceptional.items()],
+        {r: [red(v * lden) for v in values] for r, values in spec.bands.items()},
+        [(i, j, red(v * lden)) for (i, j), v in spec.exceptional.items()],
         spec.block_size,
     )
-    out, c, step = [], field.one, Fraction(1, den)
+    out, step = [], Fraction(1, lden)
     for col in corner_first_columns(scaled, order, count):
         out.append((col, c))
-        c = red(c * step)
+        c = c * step
     return out
 
 
 def weighted_series(
-    spec: BandedSpec,
-    a: EventuallyPolySeq,
-    order: int,
-    block_size: int | None = None,
+    spec: BandedSpec, w: BlockWeights, a: EventuallyPolySeq, order: int
 ) -> Series:
     """sum_n (sum_k a_k (V^n)_{k,1}) z^n, from the first column of each V^n.
 
-    A walk of length n cannot descend more than n block levels, so
-    (V^n)_{k,1} vanishes for k > s (n + 1) and each per-order sum is finite;
-    the block size s also fixes the residue classes of the weight rules.
+    ``w`` is ``block_reduce(spec, s)``: the block size s fixes the residue
+    classes of the weight rules.  A walk of length n cannot descend more than
+    n block levels, so (V^n)_{k,1} vanishes for k > s (n + 1) and each
+    per-order sum is finite.
     """
-    w = block_reduce(spec, block_size)
     if a.s != w.s:
         raise ShapeError(
             f"weight rules cover residues mod {a.s} but the block size is {w.s}"
@@ -210,12 +221,12 @@ def weighted_series(
     field = w.field
     count = w.s * (order + 1)
     weights = [a.value(j) for j in range(1, count + 1)]
+    den = _denominator(field, weights)
+    if den != 1:
+        weights = [field.reduce(v * den) for v in weights]
     coeffs = []
-    for col, c in _first_columns(spec, w, order, count):
-        acc = field.zero
-        for aj, v in zip(weights, col):
-            if v != field.zero:
-                acc = acc + aj * v
+    for col, c in _first_columns(spec, w, order, count, den):
+        acc = sum(aj * v for aj, v in zip(weights, col) if v)
         coeffs.append(field.reduce(acc * c))
     return Series(field, coeffs)
 
@@ -253,34 +264,38 @@ class AffineRecursion:
 
 
 def affine_pipeline(
-    spec: BandedSpec,
-    rec: AffineRecursion,
-    order: int,
-    block_size: int | None = None,
+    spec: BandedSpec, w: BlockWeights, rec: AffineRecursion, order: int
 ) -> Series:
-    """Readout series of y^(n+1) = T y^(n) + sum_k (V^n)_{k,1} y_k from y^(0) = 0."""
-    w = block_reduce(spec, block_size)
+    """Readout series of y^(n+1) = T y^(n) + sum_k (V^n)_{k,1} y_k from y^(0) = 0.
+
+    ``w`` is ``block_reduce(spec, s)``, whose block size s must match the
+    residue count of the forcing rules.
+    """
     if rec.s != w.s:
         raise ShapeError(
             f"forcing rules cover residues mod {rec.s} but the block size is {w.s}"
         )
     field, d = w.field, rec.dim_y
+    red = field.reduce
     count = w.s * (order + 1)
     forcing = [rec.forcing_vector(j) for j in range(1, count + 1)]
-    columns = _first_columns(spec, w, order, count)
+    den = _denominator(field, (v for yk in forcing for v in yk))
+    if den != 1:
+        forcing = [tuple(red(v * den) for v in yk) for yk in forcing]
+    columns = _first_columns(spec, w, order, count, den)
     y = [field.zero] * d
     coeffs = []
     for n in range(order + 1):
-        coeffs.append(field.reduce(sum(a * b for a, b in zip(rec.l, y))))
+        coeffs.append(red(sum(a * b for a, b in zip(rec.l, y))))
         if n == order:
             break
         col, c = columns[n]
-        force = [field.zero] * d
+        force = [0] * d
         for v, yk in zip(col, forcing):
-            if v != field.zero:
+            if v:
                 for coord in range(d):
-                    force[coord] = force[coord] + v * yk[coord]
-        y = [field.reduce(x + f * c) for x, f in zip(cm.mat_vec(field, rec.t, y), force)]
+                    force[coord] += v * yk[coord]
+        y = [red(x + f * c) for x, f in zip(cm.mat_vec(field, rec.t, y), force)]
     return Series(field, coeffs)
 
 

@@ -467,21 +467,26 @@ def _paths(doc, prefix=()):
             yield from _paths(value, prefix + (key,))
 
 
-@st.composite
-def _mutated_documents(draw):
-    docs = json.loads(json.dumps(draw(_documents())))
+def _mutate(draw, doc, junk=_JUNK):
+    """Delete or overwrite up to three locations inside a JSON document."""
+    doc = json.loads(json.dumps(doc))
     for _ in range(draw(st.integers(0, 3))):
-        path = draw(st.sampled_from(sorted(_paths(docs), key=repr)))
-        parent = docs
+        path = draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+        parent = doc
         for key in path[:-1]:
             parent = parent[key]
         if draw(st.booleans()):
             del parent[path[-1]]
-            if not docs:
+            if not doc:
                 break
         else:
-            parent[path[-1]] = json.loads(json.dumps(draw(_JUNK)))
-    return docs
+            parent[path[-1]] = json.loads(json.dumps(draw(junk)))
+    return doc
+
+
+@st.composite
+def _mutated_documents(draw):
+    return _mutate(draw, draw(_documents()))
 
 
 @settings(
@@ -509,3 +514,44 @@ def test_fuzzed_documents_exit_0_or_2(tmp_path, capsys, docs, command, order):
         assert json.loads(out)["order"] == order
     else:
         assert out == "" and err.count("\n") == 1
+
+
+_POLY_JUNK = _JUNK | st.sampled_from(
+    [0.0, -2.5, 1e300, [[1]], [[0, "0/3"]], "[[1]]", {"coeffs": 1}]
+)
+
+
+@st.composite
+def _poly_documents(draw):
+    """Polynomial documents around a grid of small scalars: ragged rows,
+    all-zero grids, a dropped "coeffs", and nested lists, booleans, floats and
+    strings put in anywhere, the whole document included."""
+    grid = draw(st.lists(st.lists(_SMALL, max_size=4), max_size=4))
+    if draw(st.booleans()):
+        grid = [[0] * len(row) for row in grid]
+    doc = _mutate(draw, {"coeffs": grid, "dx": len(grid) - 1}, _POLY_JUNK)
+    if draw(st.integers(0, 9)) == 0:
+        doc = draw(_POLY_JUNK)
+    return doc
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    doc=_poly_documents(),
+    name=st.sampled_from(["ex4.1", "ex4.2", "ex4.3", "ex5.12"]),
+    order=st.integers(0, 3),
+)
+def test_fuzzed_polynomial_documents_exit_0_1_or_2(tmp_path, capsys, doc, name, order):
+    path = write_spec(tmp_path, doc, name="poly.json")
+    code, out, err = run_cli(
+        capsys, "verify-example", name, "--order", str(order), "--poly", path
+    )
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert out == "" and err.startswith("input error:") and err.count("\n") == 1
+    else:
+        assert err == "" and json.loads(out)["example"] == name

@@ -12,6 +12,7 @@ from bandedgf.banded import (
     from_block_weights,
 )
 from bandedgf.engine import (
+    corner_first_columns,
     cross_check,
     direct_route,
     fixed_point_route,
@@ -528,3 +529,57 @@ def test_identity_and_oracle_reports_do_not_see_the_rescale(w, order, enum_lengt
         assert reports() == cleared
     if not corrupt:
         assert cleared[0]["status"] == cleared[1]["status"] == "pass"
+
+
+# -- the first-column frontier against the untrimmed corner loop ------------------
+
+
+def _untrimmed_first_columns(spec, order, count):
+    """Every step computes all k rows of the corner, as before the frontier."""
+    field = spec.field
+    k = max(order * spec.bandwidth + max(spec.exceptional_bound, 1), count)
+    rows = []
+    for i in range(1, k + 1):
+        cols = {i + r for r in spec.bands if 1 <= i + r <= k}
+        cols.update(j for (ei, j) in spec.exceptional if ei == i and j <= k)
+        row = [(j - 1, spec.entry(i, j)) for j in sorted(cols)]
+        rows.append([(j, v) for j, v in row if v != field.zero])
+    x = [field.zero] * k
+    x[0] = field.one
+    out = [tuple(x[:count])]
+    for _ in range(order):
+        x = [
+            field.reduce(sum(v * x[j] for j, v in row)) if row else field.zero
+            for row in rows
+        ]
+        out.append(tuple(x[:count]))
+    return out
+
+
+@st.composite
+def _frontier_specs(draw):
+    """Specs with bands at any offsets in -3..3 and exceptional entries anywhere
+    in the 6x6 corner (zero overrides included) or in row 1 only, over Q or F_101."""
+    field = draw(st.sampled_from([QQ, F101]))
+    if field == QQ:
+        scalar = st.builds(
+            QQ.parse, st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 3))
+        )
+    else:
+        scalar = st.integers(0, 100)
+    period = draw(st.integers(1, 3))
+    offsets = draw(st.lists(st.integers(-3, 3), max_size=4, unique=True))
+    bands = {r: draw(st.lists(scalar, min_size=period, max_size=period)) for r in offsets}
+    rows = st.just(1) if draw(st.booleans()) else st.integers(1, 6)
+    cells = st.tuples(rows, st.integers(1, 6), scalar | st.just(0))
+    return BandedSpec(field, period, bands, draw(st.lists(cells, max_size=5)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=_frontier_specs(), order=st.integers(0, 25), data=st.data())
+def test_first_column_frontier_matches_untrimmed_corner_loop(spec, order, data):
+    s = max(spec.bandwidth, spec.exceptional_bound, 1)
+    count = data.draw(st.integers(1, s * (order + 1)))
+    got = corner_first_columns(spec, order, count)
+    assert got == _untrimmed_first_columns(spec, order, count)
+    assert all(len(col) == count for col in got)

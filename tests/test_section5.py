@@ -99,14 +99,14 @@ def test_eventually_poly_accessor():
 def test_weighted_series_constant_weights_match_ladder_base():
     spec = fixtures.ex512_spec()
     a = EventuallyPolySeq.constant(QQ, 1, 1)
-    out = weighted_series(spec, a, 10)
+    out = weighted_series(spec, block_reduce(spec), a, 10)
     assert out.coeffs == tuple(2**n for n in range(11))
 
 
 def test_weighted_series_unit_weight_picks_corner_series():
     spec = fixtures.ex512_spec()
     a = EventuallyPolySeq(QQ, 1, [((1,), (0,))])
-    out = weighted_series(spec, a, 10)
+    out = weighted_series(spec, block_reduce(spec), a, 10)
     gv = fixed_point_route(block_reduce(spec, 1), 10).gv
     assert out == gv
 
@@ -114,34 +114,37 @@ def test_weighted_series_unit_weight_picks_corner_series():
 def test_weighted_series_linear_weight_matches_next_rung():
     spec = fixtures.ex512_spec()
     a = EventuallyPolySeq(QQ, 1, [((), (0, 1))])  # a_{1+k} = k
-    out = weighted_series(spec, a, 10)
+    out = weighted_series(spec, block_reduce(spec), a, 10)
     g1 = g_star_r(block_reduce(spec, 1), 1, 10)
     assert out == g1.entry(0, 0)
 
 
 def test_weighted_series_is_linear_in_the_weights(weight_factory):
     rng = random.Random(313)
-    w = weight_factory(2, seed=103)
-    spec = from_block_weights(w)
+    spec = from_block_weights(weight_factory(2, seed=103))
+    w = block_reduce(spec)
 
-    def rand_rules():
+    def rand_rules(lengths):
         return EventuallyPolySeq(
             F101,
-            2,
+            w.s,
             [
                 (
-                    tuple(rng.randrange(101) for _ in range(rng.randrange(3))),
+                    tuple(rng.randrange(101) for _ in range(n)),
                     tuple(rng.randrange(101) for _ in range(rng.randrange(1, 3))),
                 )
-                for _ in range(2)
+                for n in lengths
             ],
         )
 
     for _ in range(3):
-        a_rule, b_rule = rand_rules(), rand_rules()
+        # Pointwise addition of the rules is the sum sequence only when both
+        # rules switch to their polynomials at the same index.
+        lengths = [rng.randrange(3) for _ in range(w.s)]
+        a_rule, b_rule = rand_rules(lengths), rand_rules(lengths)
         combo = EventuallyPolySeq(
             F101,
-            2,
+            w.s,
             [
                 (
                     tuple(
@@ -156,18 +159,13 @@ def test_weighted_series_is_linear_in_the_weights(weight_factory):
                         )
                     ),
                 )
-                for i in range(2)
+                for i in range(w.s)
             ],
         )
-        # Same initial lengths are required for pointwise addition to be the
-        # sum sequence; regenerate until they match.
-        if any(
-            len(a_rule.rules[i][0]) != len(b_rule.rules[i][0]) for i in range(2)
-        ):
-            continue
-        sa = weighted_series(spec, a_rule, 8)
-        sb = weighted_series(spec, b_rule, 8)
-        sc = weighted_series(spec, combo, 8)
+        sa = weighted_series(spec, w, a_rule, 8)
+        sb = weighted_series(spec, w, b_rule, 8)
+        sc = weighted_series(spec, w, combo, 8)
+        assert not sa.is_zero()
         assert sc == sa + sb
 
 
@@ -177,7 +175,7 @@ def test_weighted_series_against_corner_powers():
     spec = fixtures.ex512_spec()
     a = EventuallyPolySeq(QQ, 1, [((3,), (5, 1))])
     order = 9
-    out = weighted_series(spec, a, order)
+    out = weighted_series(spec, block_reduce(spec), a, order)
     table = u_table(block_reduce(spec, 1), order)
     for n in range(order + 1):
         expected = sum(
@@ -188,7 +186,7 @@ def test_weighted_series_against_corner_powers():
 
 def test_affine_pipeline_reference_values():
     spec = fixtures.ex512_spec()
-    out = affine_pipeline(spec, fixtures.ex512_recursion(), 6)
+    out = affine_pipeline(spec, corner_loop_weights(), fixtures.ex512_recursion(), 6)
     assert out.coeffs[:3] == (0, 6, 116)
 
 
@@ -198,7 +196,7 @@ def test_affine_pipeline_zero_forcing():
         QQ, 2, [[16, 4], [0, 4]], [1, 0],
         [EventuallyPolySeq.constant(QQ, 1, 0), EventuallyPolySeq.constant(QQ, 1, 0)],
     )
-    assert affine_pipeline(spec, rec, 8).is_zero()
+    assert affine_pipeline(spec, block_reduce(spec), rec, 8).is_zero()
 
 
 def test_affine_pipeline_one_step_memory_reduces_to_weighted_sum():
@@ -208,8 +206,9 @@ def test_affine_pipeline_one_step_memory_reduces_to_weighted_sum():
     rec = AffineRecursion(
         QQ, 1, [[0]], [1], [EventuallyPolySeq.constant(QQ, 1, 1)]
     )
-    out = affine_pipeline(spec, rec, 8)
-    base = weighted_series(spec, EventuallyPolySeq.constant(QQ, 1, 1), 7)
+    w = block_reduce(spec)
+    out = affine_pipeline(spec, w, rec, 8)
+    base = weighted_series(spec, w, EventuallyPolySeq.constant(QQ, 1, 1), 7)
     assert out.coeffs == (0,) + base.coeffs
 
 
@@ -224,13 +223,13 @@ def test_affine_pipeline_shape_checks():
         QQ, 1, [[1]], [1], [EventuallyPolySeq.constant(QQ, 2, 1)]
     )
     with pytest.raises(ShapeError):
-        affine_pipeline(spec, rec, 4)
+        affine_pipeline(spec, block_reduce(spec), rec, 4)
 
 
 def test_master_square_root_identity():
     spec = fixtures.ex512_spec()
     order = 20
-    s_series = affine_pipeline(spec, fixtures.ex512_recursion(), order)
+    s_series = affine_pipeline(spec, corner_loop_weights(), fixtures.ex512_recursion(), order)
 
     def poly(cs):
         return Series.from_ints(QQ, cs, order=order)
@@ -246,7 +245,7 @@ def test_intermediate_square_root_identity():
     spec = fixtures.ex512_spec()
     w = block_reduce(spec, 1)
     order = 18
-    s_series = affine_pipeline(spec, fixtures.ex512_recursion(), order)
+    s_series = affine_pipeline(spec, corner_loop_weights(), fixtures.ex512_recursion(), order)
     g0 = g_star_r(w, 0, order).entry(0, 0)
     g1 = g_star_r(w, 1, order).entry(0, 0)
     gwstar = fixed_point_route(w, order).gwstar.entry(0, 0)
@@ -278,7 +277,7 @@ def test_recursion_json_round_trip():
      ]}
     """
     rec = recursion_from_json(doc, QQ, 1)
-    out = affine_pipeline(fixtures.ex512_spec(), rec, 4)
+    out = affine_pipeline(fixtures.ex512_spec(), corner_loop_weights(), rec, 4)
     assert out.coeffs[:3] == (0, 6, 116)
 
 
@@ -338,9 +337,9 @@ def _reference_affine_pipeline(spec, rec, order):
     return Series(field, coeffs)
 
 
-def _random_scalar(rng, field):
+def _random_scalar(rng, field, integral=False):
     if field == QQ:
-        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return Fraction(rng.randint(-4, 4), 1 if integral else rng.randint(1, 3))
     return field.from_int(rng.randrange(101))
 
 
@@ -355,14 +354,14 @@ def _random_spec(rng, field):
     return BandedSpec(field, period, bands, [(1, 1, _random_scalar(rng, field))])
 
 
-def _random_rules(rng, field, s):
+def _random_rules(rng, field, s, integral):
     return EventuallyPolySeq(
         field,
         s,
         [
             (
-                [_random_scalar(rng, field) for _ in range(rng.randint(0, 2))],
-                [_random_scalar(rng, field) for _ in range(rng.randint(0, 3))],
+                [_random_scalar(rng, field, integral) for _ in range(rng.randint(0, 2))],
+                [_random_scalar(rng, field, integral) for _ in range(rng.randint(0, 3))],
             )
             for _ in range(s)
         ],
@@ -378,26 +377,30 @@ def _random_rules(rng, field, s):
     seed=st.integers(0, 10**6),
     prime=st.booleans(),
     from_weights=st.booleans(),
+    integral=st.booleans(),
     order=st.integers(0, 20),
 )
 def test_first_column_pipeline_matches_walk_table_reference(
-    weight_factory, seed, prime, from_weights, order
+    weight_factory, seed, prime, from_weights, integral, order
 ):
+    """Over Q the weight and forcing rules are all-integer or carry
+    denominators, so the cleared sums are divided by M = 1 and by M > 1."""
     rng = random.Random(seed)
     field = F101 if prime else QQ
     if from_weights:
         spec = from_block_weights(weight_factory(rng.randint(1, 3), seed, field))
     else:
         spec = _random_spec(rng, field)
-    s = block_reduce(spec).s
-    a = _random_rules(rng, field, s)
-    assert weighted_series(spec, a, order) == _reference_weighted_series(spec, a, order)
+    w = block_reduce(spec)
+    s = w.s
+    a = _random_rules(rng, field, s, integral)
+    assert weighted_series(spec, w, a, order) == _reference_weighted_series(spec, a, order)
     d = rng.randint(1, 3)
     rec = AffineRecursion(
         field,
         d,
         [[_random_scalar(rng, field) for _ in range(d)] for _ in range(d)],
         [_random_scalar(rng, field) for _ in range(d)],
-        [_random_rules(rng, field, s) for _ in range(d)],
+        [_random_rules(rng, field, s, integral) for _ in range(d)],
     )
-    assert affine_pipeline(spec, rec, order) == _reference_affine_pipeline(spec, rec, order)
+    assert affine_pipeline(spec, w, rec, order) == _reference_affine_pipeline(spec, rec, order)
