@@ -94,8 +94,11 @@ def _check_flag_ranges(args) -> None:
 def _emit(doc, out_path) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SpecFormatError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -157,10 +157,13 @@ def fixed_point_route(w: BlockWeights, order: int) -> GenFunBundle:
 
     the second being the first-return decomposition G* = I + (z D + z^2 C G A) G*
     of walks at the floor.  Every coefficient is one call to
-    :func:`~bandedgf.matrices.sum_of_products`, so the route costs
-    O(order^2 s^3) and takes no series product or inverse.  Only the Laurent
-    route uses the floor-weight shift G*^-1 = G^-1 + (B - D) z, so the two
-    routes reach G* by different formulas.
+    :func:`~bandedgf.matrices.sum_of_products`, and so is each factor of P_i,
+    so the route costs O(order^2 s^3) and takes no series product or inverse.
+    The kernel skips the zero entries of its left factors, which pays on the
+    mostly-zero step weights and on P_i.  The oracle the route is checked
+    against multiplies with the dense :func:`~bandedgf.matrices.mul` instead.
+    Only the Laurent route uses the floor-weight shift G*^-1 = G^-1 + (B - D) z,
+    so the two routes reach G* by different formulas.
     """
     field, s = w.field, w.s
     sop = cm.sum_of_products
@@ -170,7 +173,7 @@ def fixed_point_route(w: BlockWeights, order: int) -> GenFunBundle:
         # p holds P_0 .. P_{k-2}; reversed, it pairs P_{k-2-j} with G_j.
         g.append(sop(field, [(w.b, g[k - 1]), *zip(reversed(p), g)]))
         gstar.append(sop(field, [(w.d, gstar[k - 1]), *zip(reversed(p), gstar)]))
-        p.append(cm.mul(field, cm.mul(field, w.c, g[k - 1]), w.a))
+        p.append(sop(field, [(sop(field, [(w.c, g[k - 1])]), w.a)]))
     gwstar = MatrixSeries(field, s, gstar)
     return GenFunBundle(
         "fixed_point", field, s, order, MatrixSeries(field, s, g), gwstar,

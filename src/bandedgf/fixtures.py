@@ -182,18 +182,18 @@ def example_spec(name: str) -> BandedSpec:
     return builders[name]()
 
 
-def _poly_checks(gv, golden, order, override_poly):
-    checks = []
-    poly = override_poly if override_poly is not None else golden
-    label = "external_polynomial" if override_poly is not None else "golden_annihilator"
-    res = verify(poly, gv)
-    checks.append(
-        (f"{label}_residual_zero", bool(res),
-         None if res else f"first nonzero residual at z^{res.first_bad_order}")
-    )
+def _outcome(name, res, what):
+    """A (check, ok, detail) triple from a result that knows its first bad order."""
+    return (name, bool(res), None if res else f"first {what} at z^{res.first_bad_order}")
+
+
+def _golden_checks(gv, golden, order):
+    checks = [
+        _outcome("golden_annihilator_residual_zero", verify(golden, gv), "nonzero residual")
+    ]
     # Reconstruction needs enough orders beyond the unknown count; run it
     # only when the requested order supports the golden polynomial's bounds.
-    if override_poly is None and order >= (golden.dx + 1) * (golden.dz + 1) + 20:
+    if order >= (golden.dx + 1) * (golden.dz + 1) + 20:
         found = reconstruct(gv, golden.dx, golden.dz)
         if found is None:
             checks.append(("reconstruction_recovers_golden", False, "no annihilator found"))
@@ -206,7 +206,12 @@ def _poly_checks(gv, golden, order, override_poly):
 
 
 def run_checks(name: str, order: int = 40, override_poly: AnnihilatorPoly | None = None):
-    """Re-verify a built-in example; returns a list of (check, ok, detail)."""
+    """Re-verify a built-in example; returns a list of (check, ok, detail).
+
+    With ``override_poly`` the golden annihilator checks of ex4.1 and ex4.2
+    are skipped, and every example ends with that polynomial's residual
+    against its series (the readout series for ex5.12).
+    """
     spec = example_spec(name)
     w = block_reduce(spec)
     checks = []
@@ -218,16 +223,15 @@ def run_checks(name: str, order: int = 40, override_poly: AnnihilatorPoly | None
         return checks
 
     fp = bundles["fixed_point"]
-    if name == "ex4.1":
-        checks.extend(_poly_checks(fp.gv, ex41_annihilator(), order, override_poly))
-    elif name == "ex4.2":
-        checks.extend(_poly_checks(fp.gv, ex42_annihilator(), order, override_poly))
+    target = fp.gv
+    if name in ("ex4.1", "ex4.2"):
+        if override_poly is None:
+            golden = ex41_annihilator() if name == "ex4.1" else ex42_annihilator()
+            checks.extend(_golden_checks(target, golden, order))
     elif name == "ex4.3":
-        gv = fp.gv
-        res = check_closed_form_sqrt(gv, ex43_closed_form())
         checks.append(
-            ("closed_form_match", bool(res),
-             None if res else f"first mismatch at z^{res.first_bad_order}")
+            _outcome("closed_form_match", check_closed_form_sqrt(target, ex43_closed_form()),
+                     "mismatch")
         )
         det_ok = True
         detail = None
@@ -241,14 +245,8 @@ def run_checks(name: str, order: int = 40, override_poly: AnnihilatorPoly | None
                 det_ok, detail = False, f"symbol determinant differs at z = {z0}"
                 break
         checks.append(("symbol_determinant_samples", det_ok, detail))
-        if override_poly is not None:
-            res = verify(override_poly, gv)
-            checks.append(
-                ("external_polynomial_residual_zero", bool(res),
-                 None if res else f"first nonzero residual at z^{res.first_bad_order}")
-            )
     elif name == "ex5.12":
-        readout = affine_pipeline(spec, w, ex512_recursion(), order)
+        target = readout = affine_pipeline(spec, w, ex512_recursion(), order)
         first = [QQ.format(c) for c in readout.coeffs[:3]]
         want = ["0", "6", "116"][: len(first)]
         checks.append(
@@ -264,21 +262,18 @@ def run_checks(name: str, order: int = 40, override_poly: AnnihilatorPoly | None
             ("square_root_identity", diff is None,
              None if diff is None else f"first mismatch at z^{diff}")
         )
-        res = check_closed_form_sqrt(readout, ex512_readout_closed_form())
         checks.append(
-            ("closed_form_match", bool(res),
-             None if res else f"first mismatch at z^{res.first_bad_order}")
+            _outcome("closed_form_match",
+                     check_closed_form_sqrt(readout, ex512_readout_closed_form()), "mismatch")
         )
-        gwstar = fp.gwstar.entry(0, 0)
-        res = check_closed_form_sqrt(gwstar, ex512_starred_closed_form())
         checks.append(
-            ("starred_closed_form_match", bool(res),
-             None if res else f"first mismatch at z^{res.first_bad_order}")
+            _outcome("starred_closed_form_match",
+                     check_closed_form_sqrt(fp.gwstar.entry(0, 0), ex512_starred_closed_form()),
+                     "mismatch")
         )
-        if override_poly is not None:
-            res = verify(override_poly, readout)
-            checks.append(
-                ("external_polynomial_residual_zero", bool(res),
-                 None if res else f"first nonzero residual at z^{res.first_bad_order}")
-            )
+    if override_poly is not None:
+        checks.append(
+            _outcome("external_polynomial_residual_zero", verify(override_poly, target),
+                     "nonzero residual")
+        )
     return checks

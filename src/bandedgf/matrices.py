@@ -1,15 +1,15 @@
 """Constant s-by-s matrices over a field, stored as tuples of row tuples.
 
-These helpers back everything that multiplies step weights together: walk
-enumeration, the block reduction, matrix series coefficients.  Scalars are
-raw field values (see :mod:`bandedgf.fields`), so entries combine with plain
-``+``/``*`` and are reduced per result entry.
+Scalars are raw field values (see :mod:`bandedgf.fields`), so entries
+combine with plain ``+``/``*`` and are reduced per result entry.
+:func:`sum_of_products` is the one block-product kernel: ``MatrixSeries``,
+the Laurent stream and the fixed-point route multiply only through it.  The
+dense :func:`mul` is the reference side's product (the walk oracle, the walk
+tables, the identity suite's own step product), so the oracle never shares
+the kernel it checks.
 """
 
 from __future__ import annotations
-
-from itertools import chain
-from operator import itemgetter, mul as _mul
 
 from .errors import NonUnitError, ShapeError
 from .fields import Field
@@ -68,16 +68,25 @@ def mul(field: Field, x, y):
 def sum_of_products(field: Field, pairs):
     """Sum of the products x y over a nonempty sequence of (x, y) matrix pairs.
 
-    Row i of every x and column j of every y are laid end to end, so each
-    entry is one raw dot product over all pairs, reduced once.
+    Row i of the sum accumulates x[i][t] * (row t of y) in raw arithmetic,
+    skipping the zero entries of each left factor, and each entry is reduced
+    once at the end.  The step weights and the sparse products built from
+    them (C G A, the symbol's A, B, C) are mostly zero, so the skip pays.
     """
-    xs, ys = zip(*pairs)
-    rng = range(len(xs[0]))
-    yts = [tuple(zip(*y)) for y in ys]
-    rows = [list(chain.from_iterable(map(itemgetter(i), xs))) for i in rng]
-    cols = [list(chain.from_iterable(map(itemgetter(j), yts))) for j in rng]
+    s = len(pairs[0][0])
+    rng = range(s)
+    acc = [[0] * s for _ in rng]
+    for x, y in pairs:
+        for i in rng:
+            xrow, acci = x[i], acc[i]
+            for t in rng:
+                v = xrow[t]
+                if v:
+                    yrow = y[t]
+                    for j in rng:
+                        acci[j] += v * yrow[j]
     red = field.reduce
-    return tuple(tuple(red(sum(map(_mul, row, col))) for col in cols) for row in rows)
+    return tuple(tuple(map(red, row)) for row in acc)
 
 
 def scale(field: Field, x, scalar):

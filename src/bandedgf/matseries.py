@@ -119,36 +119,24 @@ class MatrixSeries:
 
     def __mul__(self, other: "MatrixSeries") -> "MatrixSeries":
         n = self._common(other)
-        f, s = self.field, self.s
+        f, sop = self.field, cm.sum_of_products
         a, b = self.coeffs, other.coeffs
-        red = f.reduce
-        rng = range(s)
-        out = []
-        for m in range(n + 1):
-            acc = [[0] * s for _ in rng]
-            for k in range(m + 1):
-                ak, bk = a[k], b[m - k]
-                for i in rng:
-                    arow = ak[i]
-                    acci = acc[i]
-                    for t in rng:
-                        av = arow[t]
-                        if av:
-                            brow = bk[t]
-                            for j in rng:
-                                acci[j] += av * brow[j]
-            out.append(tuple(tuple(red(x) for x in row) for row in acc))
-        return MatrixSeries(f, s, out)
+        return MatrixSeries(
+            f, self.s,
+            [sop(f, [(a[k], b[m - k]) for k in range(m + 1)]) for m in range(n + 1)],
+        )
 
     def lmul_const(self, m) -> "MatrixSeries":
         """Left-multiply by a constant matrix."""
-        f = self.field
-        return MatrixSeries(f, self.s, [cm.mul(f, m, c) for c in self.coeffs])
+        cm.check_square(m, self.s)
+        f, sop = self.field, cm.sum_of_products
+        return MatrixSeries(f, self.s, [sop(f, [(m, c)]) for c in self.coeffs])
 
     def rmul_const(self, m) -> "MatrixSeries":
         """Right-multiply by a constant matrix."""
-        f = self.field
-        return MatrixSeries(f, self.s, [cm.mul(f, c, m) for c in self.coeffs])
+        cm.check_square(m, self.s)
+        f, sop = self.field, cm.sum_of_products
+        return MatrixSeries(f, self.s, [sop(f, [(c, m)]) for c in self.coeffs])
 
     def scale(self, scalar) -> "MatrixSeries":
         f = self.field
@@ -172,13 +160,12 @@ class MatrixSeries:
     def inverse(self) -> "MatrixSeries":
         """Order-by-order inverse; the constant term must be invertible over F."""
         f, s = self.field, self.s
-        a = self.coeffs
+        a, sop = self.coeffs, cm.sum_of_products
         c0 = cm.inverse(f, a[0])
         neg_c0 = cm.neg(f, c0)
         out = [c0]
         for n in range(1, self.order + 1):
-            # out[n] = -c0 (a[1] out[n-1] + ... + a[n] out[0]); the sum takes
-            # one reduce per entry.
-            acc = cm.sum_of_products(f, [(a[k], out[n - k]) for k in range(1, n + 1)])
-            out.append(cm.mul(f, neg_c0, acc))
+            # out[n] = -c0 (a[1] out[n-1] + ... + a[n] out[0]).
+            acc = sop(f, [(a[k], out[n - k]) for k in range(1, n + 1)])
+            out.append(sop(f, [(neg_c0, acc)]))
         return MatrixSeries(f, s, out)

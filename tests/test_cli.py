@@ -555,3 +555,61 @@ def test_fuzzed_polynomial_documents_exit_0_1_or_2(tmp_path, capsys, doc, name, 
         assert out == "" and err.startswith("input error:") and err.count("\n") == 1
     else:
         assert err == "" and json.loads(out)["example"] == name
+
+
+# -- fuzzed flags through the CLI -------------------------------------------------
+
+_FIELD_FLAGS = [None, "rational", "p:2", "p:3", "p:101", "p:4", "p:1", "p:0", "p:-7",
+                "p:x", "p:", "junk"]
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(
+        ["series", "oracle", "check-identity", "annihilate", "verify-example"]
+    ),
+    name=st.sampled_from(["ex4.1", "ex4.2", "ex4.3", "ex5.12"]),
+    field=st.sampled_from(_FIELD_FLAGS),
+    block_size=st.sampled_from([None, *range(-1, 9)]),
+    order=st.integers(0, 4),
+    out=st.sampled_from([None, "missing", "directory", "file"]),
+)
+def test_fuzzed_flags_exit_0_1_or_2(
+    tmp_path, capsys, command, name, field, block_size, order, out
+):
+    """Every command on every fixture under drawn --field, --block-size,
+    --order/--length and --out values: exit 0 or 1 with a JSON document, or
+    2 with one stderr line, never a traceback."""
+    target = {
+        "missing": tmp_path / "missing" / "out.json",
+        "directory": tmp_path,
+        "file": tmp_path / "out.json",
+    }.get(out)
+    if out == "file" and target.exists():
+        target.unlink()
+    if command == "verify-example":
+        argv = [command, name, "--order", str(order)]
+    else:
+        argv = [command, "--example", name]
+        argv += ["--length" if command == "oracle" else "--order", str(order)]
+        if field is not None:
+            argv += ["--field", field]
+        if block_size is not None:
+            argv += ["--block-size", str(block_size)]
+        if command == "annihilate":
+            argv += ["--degx", "1", "--degz", "1", "--guard", "0", "--extra", "2"]
+    if target is not None:
+        argv += ["--out", str(target)]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert stdout == "" and err.count("\n") == 1, err
+        return
+    assert err == ""
+    text = target.read_text() if out == "file" else stdout
+    assert out != "file" or stdout == ""
+    assert json.loads(text)["command"] == command

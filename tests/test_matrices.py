@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,16 +27,106 @@ def test_constant_inverse_round_trip():
     assert cm.mul(QQ, m, inv) == cm.identity(QQ, 2)
 
 
+def rand_entry(rng, field):
+    """A random scalar; over Q a mix of ints and proper Fractions."""
+    if field is QQ and rng.random() < 0.5:
+        return QQ.reduce(Fraction(rng.randrange(-30, 31), rng.randrange(1, 8)))
+    return field.from_int(rng.randrange(-50, 51))
+
+
+def rand_sparse_mat(rng, s, field):
+    """A random matrix of one of several sparsity shapes: dense, mostly zero,
+    zero, a single nonzero entry, or dense but for a zero row or column."""
+    shape = rng.choice(("dense", "sparse", "zero", "single", "zero_row", "zero_col"))
+    density = 0.2 if shape == "sparse" else 1.0
+    m = [
+        [rand_entry(rng, field) if rng.random() < density else field.zero for _ in range(s)]
+        for _ in range(s)
+    ]
+    if shape == "zero":
+        m = [[field.zero] * s for _ in range(s)]
+    elif shape == "single":
+        m = [[field.zero] * s for _ in range(s)]
+        m[rng.randrange(s)][rng.randrange(s)] = rand_entry(rng, field) or field.one
+    elif shape == "zero_row":
+        m[rng.randrange(s)] = [field.zero] * s
+    elif shape == "zero_col":
+        j = rng.randrange(s)
+        for row in m:
+            row[j] = field.zero
+    return cm.freeze(m)
+
+
+def summed_products(field, pairs):
+    s = len(pairs[0][0])
+    want = cm.zeros(field, s)
+    for x, y in pairs:
+        want = cm.add(field, want, cm.mul(field, x, y))
+    return want
+
+
 @pytest.mark.parametrize("field", [F101, QQ])
 def test_sum_of_products_matches_summed_products(field):
     rng = random.Random(7)
     for s in (1, 2, 3):
         pairs = [(rand_mat(rng, s, field), rand_mat(rng, s, field)) for _ in range(4)]
-        want = cm.zeros(field, s)
-        for x, y in pairs:
-            want = cm.add(field, want, cm.mul(field, x, y))
-        assert cm.sum_of_products(field, pairs) == want
+        assert cm.sum_of_products(field, pairs) == summed_products(field, pairs)
         assert cm.sum_of_products(field, pairs[:1]) == cm.mul(field, *pairs[0])
+    # Sparse factors (zero rows and columns, single nonzeros) and, over Q,
+    # mixed int and Fraction entries, at every size and pair count.
+    for s in range(1, 7):
+        for count in range(1, 9):
+            for _ in range(3):
+                pairs = [
+                    (rand_sparse_mat(rng, s, field), rand_sparse_mat(rng, s, field))
+                    for _ in range(count)
+                ]
+                got = cm.sum_of_products(field, pairs)
+                assert got == summed_products(field, pairs)
+                assert got == tuple(tuple(map(field.reduce, row)) for row in got)
+
+
+def reference_series_mul(a: MatrixSeries, b: MatrixSeries) -> MatrixSeries:
+    """The zero-skipping loop MatrixSeries.__mul__ ran before it called
+    sum_of_products, kept as a reference for the kernel."""
+    n = min(a.order, b.order)
+    f, s = a.field, a.s
+    red = f.reduce
+    rng = range(s)
+    out = []
+    for m in range(n + 1):
+        acc = [[0] * s for _ in rng]
+        for k in range(m + 1):
+            ak, bk = a.coeffs[k], b.coeffs[m - k]
+            for i in rng:
+                arow = ak[i]
+                acci = acc[i]
+                for t in rng:
+                    av = arow[t]
+                    if av:
+                        brow = bk[t]
+                        for j in rng:
+                            acci[j] += av * brow[j]
+        out.append(tuple(tuple(red(x) for x in row) for row in acc))
+    return MatrixSeries(f, s, out)
+
+
+@pytest.mark.parametrize("field", [F101, QQ])
+def test_series_product_matches_the_old_zero_skipping_loop(field):
+    rng = random.Random(13)
+    for s in range(1, 5):
+        for order in (0, 1, 4, 7):
+            a = MatrixSeries(field, s, [rand_sparse_mat(rng, s, field) for _ in range(order + 1)])
+            b = MatrixSeries(field, s, [rand_sparse_mat(rng, s, field) for _ in range(order + 2)])
+            assert (a * b).coeffs == reference_series_mul(a, b).coeffs
+            assert (b * a).coeffs == reference_series_mul(b, a).coeffs
+            m = rand_sparse_mat(rng, s, field)
+            const = MatrixSeries.from_const(field, m, order)
+            assert a.lmul_const(m).coeffs == reference_series_mul(const, a).coeffs
+            assert a.rmul_const(m).coeffs == reference_series_mul(a, const).coeffs
+            unit = MatrixSeries(field, s, (cm.identity(field, s),) + a.coeffs[1:])
+            ident = MatrixSeries.identity(field, s, order)
+            assert reference_series_mul(unit, unit.inverse()).coeffs == ident.coeffs
 
 
 def test_constant_inverse_rejects_singular():
@@ -74,6 +165,11 @@ def test_shape_mismatch():
     b = MatrixSeries.identity(QQ, 3, 3)
     with pytest.raises(ShapeError):
         a * b
+    for m in (cm.identity(QQ, 3), cm.identity(QQ, 1)):
+        with pytest.raises(ShapeError):
+            a.lmul_const(m)
+        with pytest.raises(ShapeError):
+            a.rmul_const(m)
 
 
 def test_matrix_series_inverse_round_trip():
@@ -107,8 +203,6 @@ def test_entry_and_from_entries_round_trip():
 
 def test_integer_rational_mix_is_exact():
     # Rational matrices with true fractions still combine exactly.
-    from fractions import Fraction
-
     half = Fraction(1, 2)
     m = MatrixSeries(QQ, 2, [((1, half), (0, 1)), ((half, 0), (0, half))])
     sq = m * m

@@ -1,0 +1,61 @@
+"""Which matrix product each layer uses, read from the sources.
+
+The block routes and ``MatrixSeries`` multiply through
+``matrices.sum_of_products``; the walk oracle and the identity suite's own
+step product use the dense ``matrices.mul``.  The oracle checks the routes,
+so it must never share their kernel.  The sources are parsed with ``ast``,
+never imported, so a refactor that moves a layer onto the other product
+fails here.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bandedgf"
+
+
+def _tree(module):
+    return ast.parse((SRC / f"{module}.py").read_text())
+
+
+def _function(tree, name):
+    return next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def _names(node):
+    """Every name, attribute and imported name used under ``node``."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+            if isinstance(sub.value, ast.Name):
+                found.add(f"{sub.value.id}.{sub.attr}")
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+    return found
+
+
+def test_the_oracle_never_uses_the_route_kernel():
+    walks = _names(_tree("walks"))
+    step = _names(_function(_tree("identities"), "_independent_step_multiply"))
+    for used in (walks, step):
+        assert "sum_of_products" not in used
+        assert "cm.mul" in used
+
+
+@pytest.mark.parametrize("module", ["matseries", "laurent", "engine"])
+def test_the_block_routes_never_use_the_dense_product(module):
+    tree = _tree(module)
+    used = _names(tree)
+    assert "cm.mul" not in used
+    assert "sum_of_products" in used
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "matrices":
+            assert "mul" not in {alias.name for alias in node.names}
