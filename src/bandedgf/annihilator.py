@@ -4,6 +4,13 @@ Given a series g known to high order, search for a nonzero bivariate
 polynomial P(z, x) with P(z, g(z)) = 0 through every known order.  The
 search is linear algebra: coefficients c_{i,j} of z^j x^i are unknowns and
 each z-order of sum c_{i,j} z^j g^i contributes one homogeneous equation.
+The system is built once, at the largest bounds, and a single elimination
+(fraction-free over Q, mod p over F_p) runs over its columns in a chosen
+order up to the first column that depends on the ones before it.  The
+columns of every smaller bound are a prefix of that order, and whether a
+column is a pivot depends only on the columns before it, so that first
+dependent column answers every smaller bound at once: three such passes find
+the least x-degree, the least z-degree, and the solution itself.
 The returned polynomial is made canonical (degree-minimal within the given
 bounds, integer content 1 over the rationals, deterministic sign/scaling) so
 reruns and golden-file comparisons are stable.  Verification re-evaluates
@@ -15,7 +22,6 @@ exact expansion.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (
@@ -192,6 +198,20 @@ def reconstruct(
     truncation are then ruled out by re-verification at higher order.  The
     minimization is lexicographic: smallest x-degree admitting a solution,
     then smallest z-degree at that x-degree.
+
+    The system is built once, at (dx, dz), and eliminated three times, each
+    time up to the first column that depends on the columns before it:
+
+    1. in (i, j) order: that column's i is the least x-degree dx';
+    2. in (j, i) order at dx': that column's j is the least z-degree dz';
+    3. in (i, j) order at (dx', dz'): its dependency is the solution.
+
+    For every smaller bound the columns form a prefix of the order taken, so
+    a bound admits a solution exactly when the first dependent column lies
+    inside it.  Pass 2 finds a solution at (dx', dz') but in another column
+    order; pass 3 returns the one a scan of the bounds in (i, j) order finds
+    (the first free column at 1, the later ones at 0), which fixes the
+    polynomial even when the solutions at (dx', dz') are not all proportional.
     """
     if dx < 1 or dz < 0:
         raise ValueError("need dx >= 1 and dz >= 0")
@@ -201,118 +221,80 @@ def reconstruct(
             f"series order {g.order} is too small for bounds ({dx},{dz}); "
             f"need at least {needed}"
         )
-    powers = [Series.one(g.field, g.order)]
+    field = g.field
+    powers = [Series.one(field, g.order)]
     for _ in range(dx):
         powers.append(powers[-1] * g)
-    found_dx = None
-    for dxp in range(1, dx + 1):
-        if _solve(g, powers, dxp, dz) is not None:
-            found_dx = dxp
-            break
-    if found_dx is None:
+    rows = _system(field, powers, dz)
+    width = dz + 1
+
+    def by_x(bx, bz):
+        return [i * width + j for i in range(bx + 1) for j in range(bz + 1)]
+
+    first = _first_dependency(field, rows, by_x(dx, dz))
+    if first is None:
         return None
-    for dzp in range(dz + 1):
-        sol = _solve(g, powers, found_dx, dzp)
-        if sol is not None:
-            grid = [
-                [sol[i * (dzp + 1) + j] for j in range(dzp + 1)]
-                for i in range(found_dx + 1)
-            ]
-            return AnnihilatorPoly(g.field, grid)
-    raise AssertionError("solution vanished between scans")  # pragma: no cover
+    found_dx = first[0] // width
+    by_z = [i * width + j for j in range(width) for i in range(found_dx + 1)]
+    found_dz = by_z[_first_dependency(field, rows, by_z)[0]] % width
+    _, sol = _first_dependency(field, rows, by_x(found_dx, found_dz))
+    w = found_dz + 1
+    grid = [sol[i * w:(i + 1) * w] for i in range(found_dx + 1)]
+    return AnnihilatorPoly(field, grid)
 
 
-def _solve(g: Series, powers, dx: int, dz: int):
-    """One nullspace vector of the annihilation system at these bounds, or None."""
-    ncols = (dx + 1) * (dz + 1)
-    nrows = g.order + 1
-    field = g.field
-    zero = field.zero
+def _system(field: Field, powers, dz: int):
+    """Rows n = 0..order of the annihilation system, integral over Q.
+
+    Column i(dz+1) + j holds the z^n coefficient of z^j g^i; over Q each row
+    is multiplied by the lcm of its denominators, which keeps its nullspace.
+    """
     rows = []
-    for n in range(nrows):
-        row = []
-        for i in range(dx + 1):
-            gi = powers[i].coeffs
-            for j in range(dz + 1):
-                row.append(gi[n - j] if n >= j else zero)
+    for n in range(powers[0].order + 1):
+        row = [gi[n - j] if n >= j else 0 for gi in (pw.coeffs for pw in powers)
+               for j in range(dz + 1)]
+        if not field.characteristic:
+            den = lcm(*(c.denominator for c in row))
+            row = [c.numerator * (den // c.denominator) for c in row]
         rows.append(row)
-    if field.kind == "prime_field":
-        return _nullspace_mod_p(rows, ncols, field.p)
-    return _nullspace_rational(rows, ncols)
+    return rows
 
 
-def _nullspace_mod_p(rows, ncols, p):
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] % p), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [v * inv % p for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in piv_cols]
-    if not free:
-        return None
-    fc = free[0]
-    x = [0] * ncols
-    x[fc] = 1
-    for row_idx, pc in enumerate(piv_cols):
-        x[pc] = (-m[row_idx][fc]) % p
-    return x
+def _first_dependency(field: Field, rows, cols):
+    """The first of ``cols`` that depends on the ones before it, or None.
 
-
-def _nullspace_rational(rows, ncols):
-    """Fraction-free (Bareiss) elimination, then back-substitution."""
-    m = []
-    for row in rows:
-        den = lcm(*(c.denominator for c in row)) if row else 1
-        m.append([int(c * den) for c in row])
-    nrows = len(m)
-    piv_cols = []
-    r = 0
+    Returns (k, x): ``cols[k]`` is that column, and x, indexed like ``cols``,
+    is its dependency: x[k] = 1, the later entries 0, and the earlier ones,
+    which are all pivots, by back-substitution.  Elimination runs only up to
+    column k; whether a column is a pivot depends only on the columns before
+    it, so stopping there changes nothing.  Rows are integers over Q, reduced
+    mod p over F_p.  Over Q the update is fraction-free (Bareiss), and every
+    row below the pivot is rescaled, zero multiplier or not: that is what
+    keeps the later divisions by the previous pivot exact.
+    """
+    p = field.characteristic
+    m = [[row[c] for c in cols] for row in rows]
     prev = 1
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+    for k in range(len(cols)):
+        pr = next((i for i in range(k, len(m)) if m[i][k]), None)
         if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            mi, mr = m[i], m[r]
-            # The scaling by pivot/prev applies to every row, zero multiplier
-            # or not; it is what keeps later exact divisions exact.
-            for j in range(c + 1, ncols):
-                mi[j] = (mi[j] * pivot - mic * mr[j]) // prev
-            mi[c] = 0
+            x = [0] * len(cols)
+            x[k] = 1
+            for r in range(k - 1, -1, -1):
+                acc = sum(m[r][j] * x[j] for j in range(r + 1, k + 1))
+                x[r] = field.div(-acc, m[r][r])
+            return k, x
+        m[k], m[pr] = m[pr], m[k]
+        top = m[k][k:]
+        pivot = top[0]
+        for row in m[k + 1:]:
+            mult = row[k]
+            if p:
+                row[k:] = [(a * pivot - mult * b) % p for a, b in zip(row[k:], top)]
+            else:
+                row[k:] = [(a * pivot - mult * b) // prev for a, b in zip(row[k:], top)]
         prev = pivot
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in piv_cols]
-    if not free:
-        return None
-    fc = free[0]
-    x = [Fraction(0)] * ncols
-    x[fc] = Fraction(1)
-    for row_idx in range(len(piv_cols) - 1, -1, -1):
-        pc = piv_cols[row_idx]
-        row = m[row_idx]
-        acc = sum((Fraction(row[j]) * x[j] for j in range(pc + 1, ncols)), Fraction(0))
-        x[pc] = -acc / row[pc]
-    return x
+    return None
 
 
 # -- verification -----------------------------------------------------------------

@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import fixtures
-from .annihilator import AnnihilatorPoly, reconstruct, verify
+from .annihilator import DEFAULT_GUARD, AnnihilatorPoly, reconstruct, verify
 from .banded import BandedSpec, block_reduce, clear_denominators
 from .engine import fixed_point_route, series_bundle
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     RouteMismatchError,
     SpecFormatError,
 )
-from .fields import PrimeField, QQ
+from .fields import PrimeField, QQ, field_to_json
 from .identities import oracle_comparison, run_identity_suite
 from .section5 import (
     affine_pipeline,
@@ -71,7 +71,7 @@ def _load_spec(args) -> BandedSpec:
         override = _parse_field_flag(args.field)
         if override != spec.field:
             doc = spec.to_json_doc()
-            doc["field"] = "rational" if override == QQ else {"prime": override.p}
+            doc["field"] = field_to_json(override)
             spec = BandedSpec.from_json_doc(doc)
     return spec
 
@@ -281,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
     p.add_argument("--degx", type=int, required=True, help="x-degree bound")
     p.add_argument("--degz", type=int, required=True, help="z-degree bound")
-    p.add_argument("--guard", type=int, default=20, help="extra orders beyond the unknown count")
+    p.add_argument(
+        "--guard", type=int, default=DEFAULT_GUARD, help="extra orders beyond the unknown count"
+    )
     p.add_argument("--extra", type=int, default=20, help="additional orders for re-verification")
     p.set_defaults(fn=cmd_annihilate)
 

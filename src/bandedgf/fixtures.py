@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .annihilator import (
+    DEFAULT_GUARD,
     AnnihilatorPoly,
     ClosedForm,
     check_closed_form_sqrt,
@@ -193,7 +194,7 @@ def _golden_checks(gv, golden, order):
     ]
     # Reconstruction needs enough orders beyond the unknown count; run it
     # only when the requested order supports the golden polynomial's bounds.
-    if order >= (golden.dx + 1) * (golden.dz + 1) + 20:
+    if order >= (golden.dx + 1) * (golden.dz + 1) + DEFAULT_GUARD:
         found = reconstruct(gv, golden.dx, golden.dz)
         if found is None:
             checks.append(("reconstruction_recovers_golden", False, "no annihilator found"))

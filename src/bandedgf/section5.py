@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from . import matrices as cm
 from .banded import BandedSpec, BlockWeights, clear_denominators
@@ -37,7 +37,6 @@ from .errors import (
     InternalConsistencyError,
     ShapeError,
     SpecFormatError,
-    UnsupportedCharacteristicError,
 )
 from .fields import Field, is_json_int
 from .matseries import MatrixSeries
@@ -46,20 +45,14 @@ from .walks import UTable, u_table
 
 
 def field_binomial(field: Field, k: int, r: int):
-    """C(k, r) as a field scalar, via the falling factorial over r factorial."""
+    """C(k, r) as a field scalar: the integer binomial, reduced.
+
+    Pascal's rule holds mod p, so this is the binomial of every
+    characteristic, also where r! vanishes mod p.
+    """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    p = field.characteristic
-    if p and r >= p:
-        raise UnsupportedCharacteristicError(
-            f"binomial with r = {r} needs characteristic 0 or > {r}"
-        )
-    num = field.one
-    fact = field.one
-    for t in range(r):
-        num = field.reduce(num * field.from_int(k - t))
-        fact = field.reduce(fact * field.from_int(t + 1))
-    return field.reduce(num * field.inv(fact))
+    return field.from_int(comb(k, r))
 
 
 def g_star_r(w: BlockWeights, r: int, order: int, table: UTable | None = None) -> MatrixSeries:

@@ -1,16 +1,19 @@
+import math
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bandedgf import fixtures
+from bandedgf import annihilator, fixtures
 from bandedgf.annihilator import (
     AnnihilatorPoly,
     ClosedForm,
     check_closed_form_sqrt,
     reconstruct,
     verify,
-    _nullspace_rational,
+    _first_dependency,
 )
 from bandedgf.banded import BlockWeights, block_reduce
 from bandedgf.engine import fixed_point_route
@@ -86,8 +89,6 @@ def test_reconstruct_demands_enough_orders():
 
 def test_reconstruct_returns_none_for_transcendental_prefix():
     # Factorials grow too fast to satisfy any small algebraic relation.
-    import math
-
     g = Series.from_ints(QQ, [math.factorial(n) for n in range(46)])
     assert reconstruct(g, 2, 3, guard=20) is None
 
@@ -148,56 +149,262 @@ def test_soundness_on_corpus_with_extended_order():
         assert verify(golden, g, extra=40)
 
 
+def reference_nullspace(field, rows, ncols):
+    """Gauss-Jordan with the field's own operations (Fractions over Q)."""
+    m = [[field.reduce(c) for c in row] for row in rows]
+    nrows = len(m)
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [field.div(v, m[r][c]) for v in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [field.reduce(a - f * b) for a, b in zip(m[i], m[r])]
+        piv_cols.append(c)
+        r += 1
+    free = [c for c in range(ncols) if c not in piv_cols]
+    if not free:
+        return None
+    fc = free[0]
+    x = [field.zero] * ncols
+    x[fc] = field.one
+    for idx, pc in enumerate(piv_cols):
+        x[pc] = field.neg(m[idx][fc])
+    return fc, x
+
+
+def integral_rows(field, rows):
+    """Rows as ``_first_dependency`` takes them: over Q, each times its lcm."""
+    if field.characteristic:
+        return rows
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(c).denominator for c in row))
+        out.append([int(c * den) for c in row])
+    return out
+
+
 def test_nullspace_rational_against_fraction_reference():
+    # The single elimination, over Q and F_p and in a random column order,
+    # against plain Gauss-Jordan: same first free column, same dependency.
     rng = random.Random(55)
+    for field in (QQ, PrimeField(2), PrimeField(3), PrimeField(101)):
+        for trial in range(40):
+            nrows = rng.randrange(1, 7)
+            ncols = rng.randrange(1, 7)
+            if field.characteristic:
+                rows = [[rng.randrange(field.p) for _ in range(ncols)] for _ in range(nrows)]
+            else:
+                rows = [
+                    [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(ncols)]
+                    for _ in range(nrows)
+                ]
+            if rng.random() < 0.5 and nrows >= 2:
+                rows[-1] = [field.reduce(2 * v) for v in rows[0]]
+            cols = list(range(ncols))
+            rng.shuffle(cols)
+            permuted = [[row[c] for c in cols] for row in rows]
+            got = _first_dependency(field, integral_rows(field, rows), cols)
+            want = reference_nullspace(field, permuted, ncols)
+            assert got == want
+            if got is not None:
+                for row in permuted:
+                    assert field.reduce(sum(c * x for c, x in zip(row, got[1]))) == 0
 
-    def reference_nullspace(rows, ncols):
-        m = [[Fraction(c) for c in row] for row in rows]
-        nrows = len(m)
-        piv_cols = []
-        r = 0
-        for c in range(ncols):
-            pr = next((i for i in range(r, nrows) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            m[r] = [v / m[r][c] for v in m[r]]
-            for i in range(nrows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            piv_cols.append(c)
-            r += 1
-        free = [c for c in range(ncols) if c not in piv_cols]
-        if not free:
-            return None
-        fc = free[0]
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for idx, pc in enumerate(piv_cols):
-            x[pc] = -m[idx][fc]
-        return x
 
-    for trial in range(25):
-        nrows = rng.randrange(1, 7)
-        ncols = rng.randrange(1, 7)
-        rank_killer = rng.random() < 0.5
-        rows = [
-            [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(ncols)]
-            for _ in range(nrows)
-        ]
-        if rank_killer and nrows >= 2:
-            rows[-1] = [2 * v for v in rows[0]]
-        got = _nullspace_rational([list(r) for r in rows], ncols)
-        want = reference_nullspace(rows, ncols)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None
-            # Both must be genuine nullspace vectors and proportional.
-            for row in rows:
-                assert sum(c * x for c, x in zip(row, got)) == 0
-                assert sum(c * x for c, x in zip(row, want)) == 0
+# The per-bound scan that reconstruct replaced, kept as its reference: each
+# candidate bound builds its own system and takes the first free column of a
+# full elimination.
+
+def reference_solve(g, powers, dx, dz):
+    ncols = (dx + 1) * (dz + 1)
+    nrows = g.order + 1
+    field = g.field
+    zero = field.zero
+    rows = []
+    for n in range(nrows):
+        row = []
+        for i in range(dx + 1):
+            gi = powers[i].coeffs
+            for j in range(dz + 1):
+                row.append(gi[n - j] if n >= j else zero)
+        rows.append(row)
+    if field.kind == "prime_field":
+        return reference_nullspace_mod_p(rows, ncols, field.p)
+    return reference_nullspace_rational(rows, ncols)
+
+
+def reference_nullspace_mod_p(rows, ncols, p):
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c] % p), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [v * inv % p for v in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    free = [c for c in range(ncols) if c not in piv_cols]
+    if not free:
+        return None
+    fc = free[0]
+    x = [0] * ncols
+    x[fc] = 1
+    for row_idx, pc in enumerate(piv_cols):
+        x[pc] = (-m[row_idx][fc]) % p
+    return x
+
+
+def reference_nullspace_rational(rows, ncols):
+    m = []
+    for row in rows:
+        den = lcm(*(c.denominator for c in row)) if row else 1
+        m.append([int(c * den) for c in row])
+    nrows = len(m)
+    piv_cols = []
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pivot = m[r][c]
+        for i in range(r + 1, nrows):
+            mic = m[i][c]
+            mi, mr = m[i], m[r]
+            for j in range(c + 1, ncols):
+                mi[j] = (mi[j] * pivot - mic * mr[j]) // prev
+            mi[c] = 0
+        prev = pivot
+        piv_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    free = [c for c in range(ncols) if c not in piv_cols]
+    if not free:
+        return None
+    fc = free[0]
+    x = [Fraction(0)] * ncols
+    x[fc] = Fraction(1)
+    for row_idx in range(len(piv_cols) - 1, -1, -1):
+        pc = piv_cols[row_idx]
+        row = m[row_idx]
+        acc = sum((Fraction(row[j]) * x[j] for j in range(pc + 1, ncols)), Fraction(0))
+        x[pc] = -acc / row[pc]
+    return x
+
+
+def reference_reconstruct(g, dx, dz):
+    powers = [Series.one(g.field, g.order)]
+    for _ in range(dx):
+        powers.append(powers[-1] * g)
+    found_dx = next(
+        (b for b in range(1, dx + 1) if reference_solve(g, powers, b, dz) is not None), None
+    )
+    if found_dx is None:
+        return None
+    for dzp in range(dz + 1):
+        sol = reference_solve(g, powers, found_dx, dzp)
+        if sol is not None:
+            grid = [
+                [sol[i * (dzp + 1) + j] for j in range(dzp + 1)]
+                for i in range(found_dx + 1)
+            ]
+            return AnnihilatorPoly(g.field, grid)
+    raise AssertionError("solution vanished between scans")
+
+
+@st.composite
+def reconstruction_cases(draw):
+    field = draw(st.sampled_from((QQ, PrimeField(2), PrimeField(3), PrimeField(101))))
+    dx = draw(st.integers(1, 4))
+    dz = draw(st.integers(0, 5))
+    guard = draw(st.sampled_from((0, 1, 20)))
+    order = (dx + 1) * (dz + 1) + guard
+
+    def scalar():
+        if field.characteristic:
+            return draw(st.integers(0, field.p - 1))
+        return field.reduce(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))))
+
+    kind = draw(st.sampled_from(("route", "polynomial", "prefix")))
+    if kind == "route":
+        s = draw(st.integers(1, 2))
+        blocks = [[[scalar() for _ in range(s)] for _ in range(s)] for _ in range(4)]
+        g = fixed_point_route(BlockWeights(field, s, *blocks), order).gv
+    elif kind == "polynomial":
+        coeffs = [scalar() for _ in range(draw(st.integers(1, 4)))]
+        g = Series(field, (coeffs + [0] * order)[: order + 1])
+    else:
+        valuation = draw(st.integers(0, 3))
+        g = Series(field, [0] * valuation + [scalar() for _ in range(order + 1 - valuation)])
+    return g, dx, dz, guard
+
+
+@settings(max_examples=150, deadline=None)
+@given(reconstruction_cases())
+def test_reconstruct_matches_the_per_bound_scan(case):
+    g, dx, dz, guard = case
+    assert reconstruct(g, dx, dz, guard=guard) == reference_reconstruct(g, dx, dz)
+
+
+def test_reconstruct_keeps_the_scan_choice_among_several_solutions():
+    # These prefixes (bounds (4, 5), guard 0) each have two solutions at the
+    # least degrees (4, 5) that are not proportional.  The scan's choice is
+    # the first free column in (i, j) order, which the (j, i) pass alone
+    # does not give.
+    cases = (
+        (2, [0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 0, 1, 0,
+             0, 1, 1, 1, 1, 0],
+         [[0, 0, 0, 1, 1], [0, 1, 0, 1], [1, 0, 0, 0, 1], [1, 1, 1, 1, 0, 1], [1, 0, 1]],
+         [[0, 0, 0, 0, 0, 1], [], [0, 1], [], [0, 1, 0, 1]]),
+        (3, [0, 0, 1, 0, 2, 2, 2, 1, 1, 1, 2, 1, 2, 2, 2, 2, 1, 2, 1, 1, 1, 0, 1, 2, 1,
+             0, 0, 2, 0, 0, 1],
+         [[0, 0, 2, 0, 0, 1], [1, 0, 1, 1], [0, 2, 0, 0, 1, 2], [2, 2, 0, 0, 1, 1],
+          [1, 2, 2, 1]],
+         [[0, 0, 2, 2], [1, 1, 2, 1, 1, 2], [2, 1, 1, 1, 1, 2], [0, 0, 1, 0, 2],
+          [0, 1, 1, 2, 1]]),
+    )
+    for p, prefix, scan, other in cases:
+        field = PrimeField(p)
+        g = Series(field, prefix)
+        want, other = AnnihilatorPoly(field, scan), AnnihilatorPoly(field, other)
+        assert (want.dx, want.dz) == (other.dx, other.dz) == (4, 5)
+        assert want != other and verify(want, g) and verify(other, g)
+        assert reconstruct(g, 4, 5, guard=0) == want == reference_reconstruct(g, 4, 5)
+
+
+def test_reconstruct_runs_at_most_three_eliminations(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _first_dependency(*args)
+
+    monkeypatch.setattr(annihilator, "_first_dependency", counting)
+    g = motzkin_series(60)
+    assert reconstruct(g, 4, 6) == AnnihilatorPoly(QQ, [[1], [-1, 1], [0, 0, 1]])
+    assert len(calls) == 3
+    calls.clear()
+    prefix = Series.from_ints(QQ, [math.factorial(n) for n in range(46)])
+    assert reconstruct(prefix, 2, 3) is None
+    assert len(calls) == 1
 
 
 def test_closed_form_plain_rational():

@@ -275,6 +275,17 @@ def test_check_identity_command(tmp_path, capsys):
     assert len(doc["identities"]) == 13
 
 
+@pytest.mark.parametrize("field", ["p:2", "p:3"])
+def test_check_identity_in_characteristic_2_and_3(capsys, field):
+    # The binomial weights of the ladder identities are C(k, r) mod p, which
+    # exist also where r! vanishes mod p.
+    code, out, err = run_cli(
+        capsys, "check-identity", "--example", "ex4.1", "--field", field, "--order", "8",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "pass"
+
+
 def test_weighted_command(tmp_path, capsys):
     spec_path = write_spec(
         tmp_path,

@@ -1,0 +1,53 @@
+"""Default CLI output, pinned byte for byte.
+
+``data/cli_golden.json`` holds about forty argvs, covering every command on
+the four built-in examples over Q and F_101, with the stdout, stderr and
+exit code that ``cli.main`` gave for each.  Documents named in an argv as
+``{key}`` are written to files first, from the file's ``documents`` table.
+A refactor must leave every case unchanged; when an output changes on
+purpose, re-record the file with ``python tests/test_cli_golden.py`` and say
+why in the change log.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from bandedgf import cli
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+DATA = json.loads(GOLDEN.read_text())
+
+
+def write_documents(root: Path):
+    paths = {}
+    for key, doc in DATA["documents"].items():
+        path = root / f"{key}.json"
+        path.write_text(json.dumps(doc))
+        paths[key] = str(path)
+    return paths
+
+
+def run(argv, paths):
+    real = [a.format(**paths) if a.startswith("{") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(real)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("case", DATA["cases"], ids=lambda c: " ".join(c["argv"]))
+def test_default_output_is_unchanged(tmp_path, case):
+    assert run(case["argv"], write_documents(tmp_path)) == case
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_documents(Path(tmp))
+        DATA["cases"] = [run(case["argv"], paths) for case in DATA["cases"]]
+    GOLDEN.write_text(json.dumps(DATA, indent=1, sort_keys=True))

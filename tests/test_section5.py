@@ -9,7 +9,7 @@ from bandedgf import fixtures
 from bandedgf import matrices as cm
 from bandedgf.banded import BandedSpec, BlockWeights, block_reduce, from_block_weights
 from bandedgf.engine import fixed_point_route
-from bandedgf.errors import ShapeError, UnsupportedCharacteristicError
+from bandedgf.errors import ShapeError
 from bandedgf.fields import PrimeField, QQ
 from bandedgf.section5 import (
     AffineRecursion,
@@ -41,9 +41,14 @@ def test_field_binomial_matches_integers():
             assert field_binomial(F101, k, r) == comb(k, r) % 101
 
 
-def test_field_binomial_small_characteristic_rejected():
-    with pytest.raises(UnsupportedCharacteristicError):
-        field_binomial(PrimeField(3), 5, 3)
+def test_field_binomial_small_characteristic_is_the_reduced_binomial():
+    from math import comb
+
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        for k in range(12):
+            for r in range(k + 2):
+                assert field_binomial(field, k, r) == comb(k, r) % p
 
 
 def test_weighted_ladder_base_series():
