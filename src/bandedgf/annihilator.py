@@ -270,7 +270,10 @@ def _first_dependency(field: Field, rows, cols):
     it, so stopping there changes nothing.  Rows are integers over Q, reduced
     mod p over F_p.  Over Q the update is fraction-free (Bareiss), and every
     row below the pivot is rescaled, zero multiplier or not: that is what
-    keeps the later divisions by the previous pivot exact.
+    keeps the later divisions by the previous pivot exact.  Over F_p a row
+    with a zero multiplier would only be rescaled by the nonzero pivot, which
+    changes neither the pivot choice nor the back-substitution, so it is
+    skipped.
     """
     p = field.characteristic
     m = [[row[c] for c in cols] for row in rows]
@@ -290,6 +293,8 @@ def _first_dependency(field: Field, rows, cols):
         for row in m[k + 1:]:
             mult = row[k]
             if p:
+                if not mult:
+                    continue
                 row[k:] = [(a * pivot - mult * b) % p for a, b in zip(row[k:], top)]
             else:
                 row[k:] = [(a * pivot - mult * b) // prev for a, b in zip(row[k:], top)]

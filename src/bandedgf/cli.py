@@ -209,44 +209,37 @@ def cmd_check_identity(args) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
-def cmd_weighted(args) -> int:
+def _section5_command(args, path, what, decode, pipeline) -> int:
+    """Run a Section 5 ``pipeline`` on the document at ``path``, read by ``decode``."""
     spec = _load_spec(args)
     weights = block_reduce(spec, args.block_size)
     try:
-        with open(args.weights, "r", encoding="utf-8") as fh:
-            rules = weight_rules_from_json(fh.read(), spec.field, weights.s)
+        with open(path, "r", encoding="utf-8") as fh:
+            data = decode(fh.read(), spec.field, weights.s)
     except OSError as exc:
-        raise SpecFormatError(f"cannot read weights file: {exc}") from exc
-    series = weighted_series(spec, weights, rules, args.order)
+        raise SpecFormatError(f"cannot read {what} file: {exc}") from exc
+    series = pipeline(spec, weights, data, args.order)
     _emit(
         {
-            "command": "weighted",
+            "command": args.command,
             "order": args.order,
             "coefficients": _series_doc(series),
         },
         args.out,
     )
     return EXIT_OK
+
+
+def cmd_weighted(args) -> int:
+    return _section5_command(
+        args, args.weights, "weights", weight_rules_from_json, weighted_series
+    )
 
 
 def cmd_affine(args) -> int:
-    spec = _load_spec(args)
-    weights = block_reduce(spec, args.block_size)
-    try:
-        with open(args.recursion, "r", encoding="utf-8") as fh:
-            rec = recursion_from_json(fh.read(), spec.field, weights.s)
-    except OSError as exc:
-        raise SpecFormatError(f"cannot read recursion file: {exc}") from exc
-    series = affine_pipeline(spec, weights, rec, args.order)
-    _emit(
-        {
-            "command": "affine",
-            "order": args.order,
-            "coefficients": _series_doc(series),
-        },
-        args.out,
+    return _section5_command(
+        args, args.recursion, "recursion", recursion_from_json, affine_pipeline
     )
-    return EXIT_OK
 
 
 def _add_spec_args(p, with_order=True):

@@ -12,13 +12,15 @@ Three layers extend the corner series:
   linear readout, which reduces the transfer-operator series
   sum_n l(T^n E_1) z^n to the same first columns.
 
-Over Q the first columns are read from L·V, L the lcm of the denominators of
-the block weights (:func:`~bandedgf.banded.clear_denominators`), whose n-th
-power is L^n V^n and stays on Python ints.  The weights a_1..a_count (or the
-forcing vectors y_1..y_count) are cleared the same way, by M the lcm of their
-denominators, so the per-order sums run on ints too; by linearity the sum for
-order n is then divided once, by M L^n.  Over F_p, and when L = M = 1,
-nothing is scaled.
+Both of the last two reduce to the per-order sums sum_k (V^n)_{k,1} r(k)
+for a few rules r, and :func:`_column_sums` is the one place that forms them:
+it sizes the column, reads the rule values, clears denominators and
+rescales.  Over Q it reads the first columns of L·V, L the lcm of the
+denominators of the block weights
+(:func:`~bandedgf.banded.clear_denominators`), whose n-th power is L^n V^n
+and stays on Python ints; the rule values are cleared the same way, by M the
+lcm of their denominators, and by linearity the sum for order n is divided
+once, by M L^n.  Over F_p, L = M = 1.
 :func:`~bandedgf.engine.corner_first_columns` itself is not rescaled, so the
 direct route that shares it stays an independent computation on the original
 Fraction spec.
@@ -27,7 +29,6 @@ Fraction spec.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from math import comb, lcm
 
 from . import matrices as cm
@@ -160,40 +161,37 @@ class EventuallyPolySeq:
         return self.value_by_residue(i, k)
 
 
-def _denominator(field: Field, scalars) -> int:
-    """The lcm of the scalars' denominators over Q; 1 over F_p."""
-    if field.kind != "rationals":
-        return 1
-    return lcm(*(v.denominator for v in scalars))
+def _column_sums(spec: BandedSpec, w: BlockWeights, rules, order: int):
+    """Tuples (sum_k (V^n)_{k,1} r(k) for r in ``rules``), n = 0..order.
 
-
-def _first_columns(
-    spec: BandedSpec, w: BlockWeights, order: int, count: int, den: int = 1
-):
-    """Pairs (column n of ``corner_first_columns`` for L·V, 1 / (den L^n)), n = 0..order.
-
-    (V^n)_{k,1} is L^-n times entry k of the column, so a caller sums the
-    integral column against its weights (cleared by ``den``) and divides the
-    sum once.  L comes from the block weights ``w`` of ``spec``, whose entries
-    are exactly the nonzero entries of V; with L = 1 the columns are those of
-    V itself.
+    ``rules`` are EventuallyPolySeq over the residues mod ``w.s``, and ``w``
+    is the block form of ``spec``, whose entries are exactly the nonzero
+    entries of V.  A walk of length n cannot descend more than n block
+    levels, so (V^n)_{k,1} vanishes for k > s (n + 1) and each sum is finite.
+    The sums run on the first columns of L·V and the rule values times M, and
+    the one for order n is divided by M L^n (see the module docstring).
     """
+    field = spec.field
+    red = field.reduce
+    count = w.s * (order + 1)
+    values = [[rule.value(k) for k in range(1, count + 1)] for rule in rules]
+    den = lcm(*(v.denominator for vals in values for v in vals))
+    values = [[red(v * den) for v in vals] for vals in values]
     lden, _ = clear_denominators(w)
-    c = Fraction(1, den) if den != 1 else 1
-    if lden == 1:
-        return [(col, c) for col in corner_first_columns(spec, order, count)]
-    red = spec.field.reduce
     scaled = BandedSpec(
-        spec.field,
+        field,
         spec.period,
-        {r: [red(v * lden) for v in values] for r, values in spec.bands.items()},
+        {r: [red(v * lden) for v in vals] for r, vals in spec.bands.items()},
         [(i, j, red(v * lden)) for (i, j), v in spec.exceptional.items()],
         spec.block_size,
     )
-    out, step = [], Fraction(1, lden)
+    c, step = field.inv(den), field.inv(lden)
+    out = []
     for col in corner_first_columns(scaled, order, count):
-        out.append((col, c))
-        c = c * step
+        out.append(
+            tuple(red(sum(v * x for v, x in zip(col, vals) if v) * c) for vals in values)
+        )
+        c = red(c * step)
     return out
 
 
@@ -203,25 +201,13 @@ def weighted_series(
     """sum_n (sum_k a_k (V^n)_{k,1}) z^n, from the first column of each V^n.
 
     ``w`` is ``block_reduce(spec, s)``: the block size s fixes the residue
-    classes of the weight rules.  A walk of length n cannot descend more than
-    n block levels, so (V^n)_{k,1} vanishes for k > s (n + 1) and each
-    per-order sum is finite.
+    classes of the weight rules.
     """
     if a.s != w.s:
         raise ShapeError(
             f"weight rules cover residues mod {a.s} but the block size is {w.s}"
         )
-    field = w.field
-    count = w.s * (order + 1)
-    weights = [a.value(j) for j in range(1, count + 1)]
-    den = _denominator(field, weights)
-    if den != 1:
-        weights = [field.reduce(v * den) for v in weights]
-    coeffs = []
-    for col, c in _first_columns(spec, w, order, count, den):
-        acc = sum(aj * v for aj, v in zip(weights, col) if v)
-        coeffs.append(field.reduce(acc * c))
-    return Series(field, coeffs)
+    return Series(w.field, [f for (f,) in _column_sums(spec, w, (a,), order)])
 
 
 class AffineRecursion:
@@ -268,27 +254,13 @@ def affine_pipeline(
         raise ShapeError(
             f"forcing rules cover residues mod {rec.s} but the block size is {w.s}"
         )
-    field, d = w.field, rec.dim_y
+    field = w.field
     red = field.reduce
-    count = w.s * (order + 1)
-    forcing = [rec.forcing_vector(j) for j in range(1, count + 1)]
-    den = _denominator(field, (v for yk in forcing for v in yk))
-    if den != 1:
-        forcing = [tuple(red(v * den) for v in yk) for yk in forcing]
-    columns = _first_columns(spec, w, order, count, den)
-    y = [field.zero] * d
+    y = [field.zero] * rec.dim_y
     coeffs = []
-    for n in range(order + 1):
+    for force in _column_sums(spec, w, rec.y_rules, order):
         coeffs.append(red(sum(a * b for a, b in zip(rec.l, y))))
-        if n == order:
-            break
-        col, c = columns[n]
-        force = [0] * d
-        for v, yk in zip(col, forcing):
-            if v:
-                for coord in range(d):
-                    force[coord] += v * yk[coord]
-        y = [red(x + f * c) for x, f in zip(cm.mat_vec(field, rec.t, y), force)]
+        y = [red(x + f) for x, f in zip(cm.mat_vec(field, rec.t, y), force)]
     return Series(field, coeffs)
 
 

@@ -340,6 +340,20 @@ def test_affine_command(tmp_path, capsys):
     assert doc["coefficients"][:3] == ["0", "6", "116"]
 
 
+@pytest.mark.parametrize(
+    "command,flag,what",
+    [("weighted", "--weights", "weights"), ("affine", "--recursion", "recursion")],
+)
+def test_missing_section5_document_exits_2(tmp_path, capsys, command, flag, what):
+    code, out, err = run_cli(
+        capsys, command, "--example", "ex5.12", "--order", "4",
+        flag, str(tmp_path / "none.json"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: cannot read {what} file")
+    assert err.count("\n") == 1
+
+
 def test_field_override_flag(tmp_path, capsys):
     path = write_spec(tmp_path, IDENTITY_BAND_SPEC)
     code, out, _ = run_cli(

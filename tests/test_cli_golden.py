@@ -1,8 +1,10 @@
 """Default CLI output, pinned byte for byte.
 
-``data/cli_golden.json`` holds about forty argvs, covering every command on
-the four built-in examples over Q and F_101, with the stdout, stderr and
-exit code that ``cli.main`` gave for each.  Documents named in an argv as
+``data/cli_golden.json`` holds about fifty argvs, covering every command on
+the four built-in examples over Q and F_101, and ``weighted`` and ``affine``
+on a fractional spec with fractional and integral rules over Q and
+F_(2^61-1), with the stdout, stderr and exit code that ``cli.main`` gave for
+each.  Documents named in an argv as
 ``{key}`` are written to files first, from the file's ``documents`` table.
 A refactor must leave every case unchanged; when an output changes on
 purpose, re-record the file with ``python tests/test_cli_golden.py`` and say
