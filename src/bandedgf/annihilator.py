@@ -306,38 +306,25 @@ def _first_dependency(field: Field, rows, cols):
 
 
 class VerifyResult:
-    """Outcome of a residual check; falsy with the first bad order on failure."""
+    """Outcome of a residual check, read off the residual series alone: falsy,
+    with the first nonzero order, unless the residual vanishes through its order."""
 
-    def __init__(self, ok: bool, first_bad_order=None, checked_order=None):
-        self.ok = ok
-        self.first_bad_order = first_bad_order
-        self.checked_order = checked_order
+    def __init__(self, residual: Series):
+        self.first_bad_order = residual.valuation()
+        self.checked_order = residual.order
 
     def __bool__(self):
-        return self.ok
+        return self.first_bad_order is None
 
     def __repr__(self):
-        if self.ok:
+        if self:
             return f"VerifyResult(ok through z^{self.checked_order})"
         return f"VerifyResult(first nonzero residual at z^{self.first_bad_order})"
 
 
-def verify(poly: AnnihilatorPoly, g: Series, extra: int = 0) -> VerifyResult:
-    """Check P(z, g) = 0 through g's full order.
-
-    ``extra`` asserts headroom: the caller promises g extends at least that
-    far beyond the order a reconstruction at these degree bounds would need.
-    """
-    needed = (poly.dx + 1) * (poly.dz + 1) + DEFAULT_GUARD + extra
-    if extra and g.order < needed:
-        raise InsufficientPrecisionError(
-            f"series order {g.order} gives no headroom; need {needed}"
-        )
-    residual = poly.evaluate(g)
-    bad = residual.valuation()
-    if bad is None:
-        return VerifyResult(True, checked_order=g.order)
-    return VerifyResult(False, first_bad_order=bad, checked_order=g.order)
+def verify(poly: AnnihilatorPoly, g: Series) -> VerifyResult:
+    """Check P(z, g) = 0 through g's full order."""
+    return VerifyResult(poly.evaluate(g))
 
 
 # -- closed forms with one square root --------------------------------------------
@@ -354,7 +341,7 @@ class ClosedForm:
     def __init__(self, field: Field, radicand, num_plain, num_radical=(),
                  den_plain=(1,), den_radical=()):
         self.field = field
-        self.radicand = tuple(field.parse(c) if isinstance(c, (int, str)) else field.reduce(c) for c in radicand)
+        self.radicand = self._poly(radicand)
         self.num_plain = self._poly(num_plain)
         self.num_radical = self._poly(num_radical)
         self.den_plain = self._poly(den_plain)
@@ -398,9 +385,4 @@ class ClosedForm:
 def check_closed_form_sqrt(g: Series, form: ClosedForm) -> VerifyResult:
     """Compare g against the exact expansion of the closed form, coefficientwise."""
     require_same_field(g.field, form.field)
-    expansion = form.expand(g.order)
-    diff = g - expansion
-    bad = diff.valuation()
-    if bad is None:
-        return VerifyResult(True, checked_order=diff.order)
-    return VerifyResult(False, first_bad_order=bad, checked_order=diff.order)
+    return VerifyResult(g - form.expand(g.order))

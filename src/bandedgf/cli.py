@@ -19,7 +19,7 @@ import sys
 from . import fixtures
 from .annihilator import DEFAULT_GUARD, AnnihilatorPoly, reconstruct, verify
 from .banded import BandedSpec, block_reduce, clear_denominators
-from .engine import fixed_point_route, series_bundle
+from .engine import cross_check, fixed_point_route
 from .errors import (
     BandedGFError,
     InsufficientPrecisionError,
@@ -110,12 +110,12 @@ def _series_doc(series):
 
 def cmd_series(args) -> int:
     spec = _load_spec(args)
-    gv, report = series_bundle(spec, args.order, block_size=args.block_size)
+    report, bundles = cross_check(spec, args.order, block_size=args.block_size)
     _emit(
         {
             "command": "series",
             "order": args.order,
-            "coefficients": _series_doc(gv),
+            "coefficients": _series_doc(bundles["fixed_point"].gv),
             "cross_check": report.to_json_doc(),
         },
         args.out,
@@ -129,33 +129,33 @@ def cmd_annihilate(args) -> int:
     deeper = fixed_point_route(weights, args.order + args.extra).unscaled(den).gv
     gv = deeper.truncate(args.order)
     poly = reconstruct(gv, args.degx, args.degz, guard=args.guard)
+    doc = {
+        "command": "annihilate",
+        "order": args.order,
+        "degx": args.degx,
+        "degz": args.degz,
+    }
     if poly is None:
-        _emit(
-            {
-                "command": "annihilate",
-                "order": args.order,
-                "degx": args.degx,
-                "degz": args.degz,
-                "polynomial": None,
-                "status": "none-found",
-            },
-            args.out,
+        ok = False
+        doc.update(polynomial=None, status="none-found")
+    else:
+        res = verify(poly, deeper)
+        ok = bool(res)
+        doc.update(
+            polynomial=poly.to_json_doc(),
+            verified_to_order=res.checked_order,
+            status="pass" if ok else "fail",
         )
-        return EXIT_MISMATCH
-    res = verify(poly, deeper)
-    _emit(
-        {
-            "command": "annihilate",
-            "order": args.order,
-            "degx": args.degx,
-            "degz": args.degz,
-            "polynomial": poly.to_json_doc(),
-            "verified_to_order": res.checked_order,
-            "status": "pass" if res else "fail",
-        },
-        args.out,
-    )
-    return EXIT_OK if res else EXIT_MISMATCH
+    _emit(doc, args.out)
+    return EXIT_OK if ok else EXIT_MISMATCH
+
+
+def _report_command(args, report) -> int:
+    """Print a check report under the command's name; exit 1 if a check failed."""
+    doc = report.to_json_doc()
+    doc["command"] = args.command
+    _emit(doc, args.out)
+    return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
 def cmd_verify_example(args) -> int:
@@ -168,45 +168,23 @@ def cmd_verify_example(args) -> int:
         except OSError as exc:
             raise SpecFormatError(f"cannot read polynomial file: {exc}") from exc
     try:
-        checks = fixtures.run_checks(args.name, args.order, override_poly=override)
+        report = fixtures.run_checks(args.name, args.order, override_poly=override)
     except KeyError as exc:
         raise SpecFormatError(str(exc)) from exc
-    ok = all(c[1] for c in checks)
-    _emit(
-        {
-            "command": "verify-example",
-            "example": args.name,
-            "order": args.order,
-            "checks": [
-                {"name": n, "ok": o, "detail": d} for n, o, d in checks
-            ],
-            "status": "pass" if ok else "fail",
-        },
-        args.out,
-    )
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return _report_command(args, report)
 
 
 def cmd_oracle(args) -> int:
     spec = _load_spec(args)
     weights = block_reduce(spec, args.block_size)
-    report = oracle_comparison(weights, args.length)
-    doc = report.to_json_doc()
-    doc["command"] = "oracle"
-    _emit(doc, args.out)
-    return EXIT_OK if report.ok else EXIT_MISMATCH
+    return _report_command(args, oracle_comparison(weights, args.length))
 
 
 def cmd_check_identity(args) -> int:
     spec = _load_spec(args)
     weights = block_reduce(spec, args.block_size)
-    report = run_identity_suite(
-        weights, order=args.order, enum_length=args.enum_length
-    )
-    doc = report.to_json_doc()
-    doc["command"] = "check-identity"
-    _emit(doc, args.out)
-    return EXIT_OK if report.ok else EXIT_MISMATCH
+    report = run_identity_suite(weights, order=args.order, enum_length=args.enum_length)
+    return _report_command(args, report)
 
 
 def _section5_command(args, path, what, decode, pipeline) -> int:

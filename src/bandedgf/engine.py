@@ -304,12 +304,6 @@ def cross_check(
     return report, {"fixed_point": fp_out, "laurent": lr_out}
 
 
-def series_bundle(spec: BandedSpec, order: int, block_size: int | None = None):
-    """Cross-checked corner series for a spec (the 'series' CLI payload)."""
-    report, bundles = cross_check(spec, order, block_size)
-    return bundles["fixed_point"].gv, report
-
-
 # -- the step symbol's characteristic polynomial -------------------------------
 
 

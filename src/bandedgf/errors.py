@@ -58,10 +58,6 @@ class RouteMismatchError(BandedGFError):
         self.entry = entry
 
 
-class InternalConsistencyError(RouteMismatchError):
-    """An identity that must hold by construction failed: implementation bug."""
-
-
 class InsufficientPrecisionError(BandedGFError):
     """Series is not known to a high enough order for the request."""
 

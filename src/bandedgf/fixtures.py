@@ -26,6 +26,7 @@ from .annihilator import (
     DEFAULT_GUARD,
     AnnihilatorPoly,
     ClosedForm,
+    VerifyResult,
     check_closed_form_sqrt,
     reconstruct,
     verify,
@@ -34,6 +35,7 @@ from .banded import BandedSpec, block_reduce
 from .engine import _poly_mul, cross_check, symbol_determinant
 from .errors import RouteMismatchError
 from .fields import QQ
+from .identities import CheckReport, IdentityCheck
 from .section5 import AffineRecursion, EventuallyPolySeq, affine_pipeline
 from .series import Series
 
@@ -123,6 +125,13 @@ SAMPLE_POINTS = (
 )
 
 
+def _ex43_symbol_det_at(z0):
+    return tuple(
+        QQ.reduce(sum(Fraction(c) * z0 ** k for k, c in enumerate(poly)))
+        for poly in EX43_SYMBOL_DET
+    )
+
+
 def ex512_spec() -> BandedSpec:
     return BandedSpec(QQ, 1, {-1: [1], 1: [1]}, [(1, 1, 1)], block_size=1)
 
@@ -184,8 +193,8 @@ def example_spec(name: str) -> BandedSpec:
 
 
 def _outcome(name, res, what):
-    """A (check, ok, detail) triple from a result that knows its first bad order."""
-    return (name, bool(res), None if res else f"first {what} at z^{res.first_bad_order}")
+    """A check from a result that knows its first bad order."""
+    return IdentityCheck(name, None if res else f"first {what} at z^{res.first_bad_order}")
 
 
 def _golden_checks(gv, golden, order):
@@ -197,17 +206,17 @@ def _golden_checks(gv, golden, order):
     if order >= (golden.dx + 1) * (golden.dz + 1) + DEFAULT_GUARD:
         found = reconstruct(gv, golden.dx, golden.dz)
         if found is None:
-            checks.append(("reconstruction_recovers_golden", False, "no annihilator found"))
+            detail = "no annihilator found"
         else:
-            checks.append(
-                ("reconstruction_recovers_golden", found == golden,
-                 None if found == golden else f"found degrees ({found.dx},{found.dz})")
-            )
+            detail = None if found == golden else f"found degrees ({found.dx},{found.dz})"
+        checks.append(IdentityCheck("reconstruction_recovers_golden", detail))
     return checks
 
 
-def run_checks(name: str, order: int = 40, override_poly: AnnihilatorPoly | None = None):
-    """Re-verify a built-in example; returns a list of (check, ok, detail).
+def run_checks(
+    name: str, order: int = 40, override_poly: AnnihilatorPoly | None = None
+) -> CheckReport:
+    """Re-verify a built-in example; returns a report of named checks.
 
     With ``override_poly`` the golden annihilator checks of ex4.1 and ex4.2
     are skipped, and every example ends with that polynomial's residual
@@ -215,13 +224,13 @@ def run_checks(name: str, order: int = 40, override_poly: AnnihilatorPoly | None
     """
     spec = example_spec(name)
     w = block_reduce(spec)
-    checks = []
+    header = {"example": name, "order": order}
     try:
         _, bundles = cross_check(spec, order, weights=w)
-        checks.append(("route_agreement", True, None))
     except RouteMismatchError as exc:
-        checks.append(("route_agreement", False, str(exc)))
-        return checks
+        return CheckReport(header, "checks", [IdentityCheck("route_agreement", str(exc))])
+
+    checks = [IdentityCheck("route_agreement")]
 
     fp = bundles["fixed_point"]
     target = fp.gv
@@ -234,35 +243,25 @@ def run_checks(name: str, order: int = 40, override_poly: AnnihilatorPoly | None
             _outcome("closed_form_match", check_closed_form_sqrt(target, ex43_closed_form()),
                      "mismatch")
         )
-        det_ok = True
-        detail = None
-        for z0 in SAMPLE_POINTS:
-            got = symbol_determinant(w, z0)
-            want = tuple(
-                QQ.reduce(sum(Fraction(c) * z0 ** k for k, c in enumerate(poly)))
-                for poly in EX43_SYMBOL_DET
-            )
-            if got != want:
-                det_ok, detail = False, f"symbol determinant differs at z = {z0}"
-                break
-        checks.append(("symbol_determinant_samples", det_ok, detail))
+        det_failure = next(
+            (f"symbol determinant differs at z = {z0}" for z0 in SAMPLE_POINTS
+             if symbol_determinant(w, z0) != _ex43_symbol_det_at(z0)),
+            None,
+        )
+        checks.append(IdentityCheck("symbol_determinant_samples", det_failure))
     elif name == "ex5.12":
         target = readout = affine_pipeline(spec, w, ex512_recursion(), order)
         first = [QQ.format(c) for c in readout.coeffs[:3]]
         want = ["0", "6", "116"][: len(first)]
         checks.append(
-            ("first_coefficients", first == want, None if first == want else f"got {first}")
+            IdentityCheck("first_coefficients", None if first == want else f"got {first}")
         )
         lhs = Series.from_ints(QQ, EX512_READOUT_DEN, order=order) * readout
         root = Series.from_ints(QQ, [1, 0, -4], order=order).sqrt()
         rhs = Series.from_ints(QQ, [0, 4, -16, 16], order=order) + (
             Series.from_ints(QQ, [0, 2, -12], order=order) * root
         )
-        diff = (lhs - rhs).valuation()
-        checks.append(
-            ("square_root_identity", diff is None,
-             None if diff is None else f"first mismatch at z^{diff}")
-        )
+        checks.append(_outcome("square_root_identity", VerifyResult(lhs - rhs), "mismatch"))
         checks.append(
             _outcome("closed_form_match",
                      check_closed_form_sqrt(readout, ex512_readout_closed_form()), "mismatch")
@@ -277,4 +276,4 @@ def run_checks(name: str, order: int = 40, override_poly: AnnihilatorPoly | None
             _outcome("external_polynomial_residual_zero", verify(override_poly, target),
                      "nonzero residual")
         )
-    return checks
+    return CheckReport(header, "checks", checks)

@@ -1,10 +1,12 @@
-"""The identity suite: every structural relation the routes must satisfy.
+"""The identity suite, the oracle comparison, and the one report they return.
 
 Each check recomputes one relation from computationally independent sides
 (fixed-point vs Laurent, walk table vs corner powers, walk sums vs
-algebra) and demands exact coefficient equality.  The suite returns a report
-rather than raising, so a front-end can print every outcome; a clean run is
-the strongest internal evidence the engine is telling the truth.
+algebra) and demands exact coefficient equality.  A check carries only what
+failed, or None when it held; the suite, the oracle comparison and
+:func:`~bandedgf.fixtures.run_checks` all return a :class:`CheckReport` of
+such checks rather than raising, so a front-end can print every outcome; a
+clean run is the strongest internal evidence the engine is telling the truth.
 
 Every relation here is homogeneous under (z, A, B, C, D) -> (z / L, L A, L B,
 L C, L D), and the reports print only the index of a first disagreement,
@@ -18,7 +20,6 @@ from __future__ import annotations
 from . import matrices as cm
 from .banded import BlockWeights, clear_denominators, from_block_weights
 from .engine import _first_mismatch, corner_first_columns, fixed_point_route, laurent_route
-from .errors import InternalConsistencyError
 from .fields import Field
 from .laurent import trimmed_powers
 from .matseries import MatrixSeries
@@ -29,37 +30,40 @@ DEFAULT_ENUM_LENGTH = 8
 
 
 class IdentityCheck:
-    def __init__(self, name: str, ok: bool, detail: str | None = None):
+    """A named check: ``detail`` says what failed, or is None when it held."""
+
+    def __init__(self, name: str, detail: str | None = None):
         self.name = name
-        self.ok = ok
         self.detail = detail
+
+    @property
+    def ok(self) -> bool:
+        return self.detail is None
 
     def __repr__(self):
         flag = "ok" if self.ok else f"FAIL ({self.detail})"
         return f"IdentityCheck({self.name}: {flag})"
 
 
-class IdentityReport:
-    def __init__(self, order: int, enum_length: int, checks):
-        self.order = order
-        self.enum_length = enum_length
+class CheckReport:
+    """Checks under a header; its JSON lists them under ``key`` beside the header."""
+
+    def __init__(self, header: dict, key: str, checks):
+        self.header = header
+        self.key = key
         self.checks = list(checks)
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def __bool__(self):
-        return self.ok
-
     def failures(self):
         return [c for c in self.checks if not c.ok]
 
     def to_json_doc(self):
         return {
-            "order": self.order,
-            "enumeration_length": self.enum_length,
-            "identities": [
+            **self.header,
+            self.key: [
                 {"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks
             ],
             "status": "pass" if self.ok else "fail",
@@ -68,9 +72,7 @@ class IdentityReport:
 
 def _matrix_check(name, a, b):
     bad = _first_mismatch(a, b)
-    if bad is None:
-        return IdentityCheck(name, True)
-    return IdentityCheck(name, False, f"first disagreement at z^{bad}")
+    return IdentityCheck(name, None if bad is None else f"first disagreement at z^{bad}")
 
 
 def _shifted_const(field, s, mat, order):
@@ -115,12 +117,46 @@ def _independent_step_multiply(field: Field, a, b, c, term):
     return tuple(by_degree.get(d, zero) for d in range(-(n + 1), n + 2))
 
 
+def _walk_sums_failure(field: Field, w: BlockWeights, sums, depth: int):
+    """The oracle's walk sums by endpoint against the independent full terms."""
+    term = (cm.identity(field, w.s),)
+    for n in range(depth + 1):
+        if n:
+            term = _independent_step_multiply(field, w.a, w.b, w.c, term)
+        for k in range(-n, n + 1):
+            if term[k + n] != sums.by_finish[n][-k]:
+                return f"x^{k} coefficient differs at z^{n}"
+    return None
+
+
+def _step_recursion_failure(field: Field, w: BlockWeights, order: int):
+    """Each trimmed term of the library's stream against the independent step."""
+    want = (cm.identity(field, w.s),)
+    for n, got in enumerate(trimmed_powers(field, w.a, w.b, w.c, order)):
+        cut = (len(want) - len(got)) // 2
+        if cut < 0 or want[cut : len(want) - cut] != got:
+            return f"step recursion fails at z^{n}"
+        want = _independent_step_multiply(field, w.a, w.b, w.c, got)
+    return None
+
+
+def _corner_table_failure(table, columns, s: int, order: int):
+    """The first columns of the corner powers against the walk table."""
+    for n in range(order + 1):
+        for k in range(order + 2):
+            u = table.value(k + 1, n)
+            for i in range(s):
+                if columns[n][i + s * k] != u[i][0]:
+                    return f"entry ({i + s * k + 1},1) of power {n} differs"
+    return None
+
+
 def run_identity_suite(
     w: BlockWeights,
     order: int = 20,
     enum_length: int = DEFAULT_ENUM_LENGTH,
     rmax: int = 3,
-) -> IdentityReport:
+) -> CheckReport:
     _, w = clear_denominators(w)
     field, s = w.field, w.s
     checks = []
@@ -173,108 +209,51 @@ def run_identity_suite(
     # full order against that product, cut to the next term's window.
     depth = min(order, enum_length)
     sums = class_sums(w, depth)
-    term = (cm.identity(field, s),)
-    enum_ok = True
-    detail = None
-    for n in range(depth + 1):
-        if n:
-            term = _independent_step_multiply(field, w.a, w.b, w.c, term)
-        for k in range(-n, n + 1):
-            if term[k + n] != sums.by_finish[n][-k]:
-                enum_ok, detail = False, f"x^{k} coefficient differs at z^{n}"
-                break
-        if not enum_ok:
-            break
-    checks.append(IdentityCheck("walk_sums_match_symbol_powers", enum_ok, detail))
-    rec_ok = True
-    detail = None
-    want = (cm.identity(field, s),)
-    for n, got in enumerate(trimmed_powers(field, w.a, w.b, w.c, order)):
-        cut = (len(want) - len(got)) // 2
-        if cut < 0 or want[cut : len(want) - cut] != got:
-            rec_ok, detail = False, f"step recursion fails at z^{n}"
-            break
-        want = _independent_step_multiply(field, w.a, w.b, w.c, got)
-    checks.append(IdentityCheck("symbol_power_step_recursion", rec_ok, detail))
+    checks.append(
+        IdentityCheck("walk_sums_match_symbol_powers", _walk_sums_failure(field, w, sums, depth))
+    )
+    checks.append(
+        IdentityCheck("symbol_power_step_recursion", _step_recursion_failure(field, w, order))
+    )
 
     # Geometric expansion of the central sum over primitive closed walks.
     j0 = _primitive_weight_sum(w, fp.gw, order)
     checks.append(
         _matrix_check("primitive_loop_geometric", lr.m0 * (ident - j0), ident)
     )
-    checks.append(
-        _matrix_check(
-            "primitive_loop_enumeration", sums.j0, j0.truncate(min(order, enum_length))
-        )
-    )
+    checks.append(_matrix_check("primitive_loop_enumeration", sums.j0, j0.truncate(depth)))
 
     # The walk-sum table against scalar corner powers of the block pattern.
     spec = from_block_weights(w)
     count = s * (order + 2)
     columns = corner_first_columns(spec, order, count)
-    table_ok = True
-    detail = None
-    for n in range(order + 1):
-        col = columns[n]
-        for k in range(order + 2):
-            u = table.value(k + 1, n)
-            for i in range(s):
-                if col[i + s * k] != u[i][0]:
-                    table_ok = False
-                    detail = f"entry ({i + s * k + 1},1) of power {n} differs"
-                    break
-            if not table_ok:
-                break
-        if not table_ok:
-            break
-    checks.append(IdentityCheck("walk_table_matches_corner_powers", table_ok, detail))
+    checks.append(
+        IdentityCheck(
+            "walk_table_matches_corner_powers", _corner_table_failure(table, columns, s, order)
+        )
+    )
 
     # Descent factorization: walks from k peel off as G (A z) walks from k-1.
     gaz = fp.gw.rmul_const(w.a).mul_z_pow(1).truncate(order)
-    ok = True
-    detail = None
-    for k in range(1, 5):
-        lhs = table.series(k + 1)
-        rhs = gaz * table.series(k)
-        bad = _first_mismatch(lhs, rhs)
-        if bad is not None:
-            ok, detail = False, f"k={k}: first disagreement at z^{bad}"
-            break
-    checks.append(IdentityCheck("descent_factorization", ok, detail))
+    descents = (
+        (k, _first_mismatch(table.series(k + 1), gaz * table.series(k))) for k in range(1, 5)
+    )
+    descent_failure = next(
+        (f"k={k}: first disagreement at z^{bad}" for k, bad in descents if bad is not None),
+        None,
+    )
+    checks.append(IdentityCheck("descent_factorization", descent_failure))
 
     # The binomially weighted ladder identities.
-    try:
-        check_descent_identities(w, rmax, table, fp)
-        checks.append(IdentityCheck("weighted_ladder", True))
-    except InternalConsistencyError as exc:
-        checks.append(IdentityCheck("weighted_ladder", False, str(exc)))
+    checks.append(
+        IdentityCheck("weighted_ladder", check_descent_identities(w, rmax, table, fp))
+    )
 
-    return IdentityReport(order, min(order, enum_length), checks)
-
-
-class OracleReport:
-    def __init__(self, length: int, checks):
-        self.length = length
-        self.checks = list(checks)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def __bool__(self):
-        return self.ok
-
-    def to_json_doc(self):
-        return {
-            "length": self.length,
-            "comparisons": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks
-            ],
-            "status": "pass" if self.ok else "fail",
-        }
+    header = {"order": order, "enumeration_length": depth}
+    return CheckReport(header, "identities", checks)
 
 
-def oracle_comparison(w: BlockWeights, length: int) -> OracleReport:
+def oracle_comparison(w: BlockWeights, length: int) -> CheckReport:
     """The walk-sum oracle against every engine output, to the given length.
 
     Covers the plain and starred standard sums, their primitive parts, the
@@ -302,4 +281,4 @@ def oracle_comparison(w: BlockWeights, length: int) -> OracleReport:
         ("primitive_loop_sum", sums.j0, j0_engine),
     ]
     checks = [_matrix_check(name, a, b.truncate(length)) for name, a, b in pairs]
-    return OracleReport(length, checks)
+    return CheckReport({"length": length}, "comparisons", checks)

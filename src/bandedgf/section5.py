@@ -34,11 +34,7 @@ from math import comb, lcm
 from . import matrices as cm
 from .banded import BandedSpec, BlockWeights, clear_denominators
 from .engine import GenFunBundle, corner_first_columns
-from .errors import (
-    InternalConsistencyError,
-    ShapeError,
-    SpecFormatError,
-)
+from .errors import ShapeError, SpecFormatError
 from .fields import Field, is_json_int
 from .matseries import MatrixSeries
 from .series import Series
@@ -91,27 +87,24 @@ def check_descent_identities(
     ``table`` is ``u_table(w, order)`` and ``bundle`` is
     ``fixed_point_route(w, order)``, passed in so a caller that already has
     them does not build them again.  Checks (I - G A z) G*_0 = G* and
-    (I - G A z) G*_{r+1} = G A z G*_r for r = 0..rmax.  A violation means an
-    implementation bug, so it raises InternalConsistencyError rather than
-    returning a report.
+    (I - G A z) G*_{r+1} = G A z G*_r for r = 0..rmax.  Returns the first
+    identity that fails, as text, or None when both hold; a failure means an
+    implementation bug.
     """
     field, s, order = w.field, w.s, bundle.order
     gaz = _az_shift(w, bundle.gw, order)
-    ident = MatrixSeries.identity(field, s, order)
+    lead = MatrixSeries.identity(field, s, order) - gaz
     ladder = [g_star_r(w, r, order, table) for r in range(rmax + 2)]
-    lhs0 = (ident - gaz) * ladder[0]
-    if lhs0 != bundle.gwstar.truncate(order):
-        raise InternalConsistencyError(
-            "(I - G A z) G*_0 differs from the starred walk sum"
-        )
-    for r in range(rmax + 1):
-        lhs = (ident - gaz) * ladder[r + 1]
-        rhs = gaz * ladder[r]
-        if lhs != rhs:
-            raise InternalConsistencyError(
-                f"(I - G A z) G*_{r + 1} differs from G A z G*_{r}"
-            )
-    return True
+    if lead * ladder[0] != bundle.gwstar.truncate(order):
+        return "(I - G A z) G*_0 differs from the starred walk sum"
+    return next(
+        (
+            f"(I - G A z) G*_{r + 1} differs from G A z G*_{r}"
+            for r in range(rmax + 1)
+            if lead * ladder[r + 1] != gaz * ladder[r]
+        ),
+        None,
+    )
 
 
 class EventuallyPolySeq:

@@ -80,7 +80,7 @@ def test_route_mismatch_maps_to_exit_1(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise RouteMismatchError("forced", order=3)
 
-    monkeypatch.setattr(cli, "series_bundle", boom)
+    monkeypatch.setattr(cli, "cross_check", boom)
     path = write_spec(tmp_path, IDENTITY_BAND_SPEC)
     code, _, err = run_cli(capsys, "series", "--spec", path, "--order", "4")
     assert code == 1

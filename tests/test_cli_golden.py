@@ -1,14 +1,19 @@
 """Default CLI output, pinned byte for byte.
 
-``data/cli_golden.json`` holds about fifty argvs, covering every command on
-the four built-in examples over Q and F_101, and ``weighted`` and ``affine``
+``data/cli_golden.json`` holds about seventy argvs, covering every command
+on the four built-in examples over Q and F_101, ``weighted`` and ``affine``
 on a fractional spec with fractional and integral rules over Q and
-F_(2^61-1), with the stdout, stderr and exit code that ``cli.main`` gave for
-each.  Documents named in an argv as
-``{key}`` are written to files first, from the file's ``documents`` table.
-A refactor must leave every case unchanged; when an output changes on
-purpose, re-record the file with ``python tests/test_cli_golden.py`` and say
-why in the change log.
+F_(2^61-1), and ``verify-example --poly`` with the ex4.1 golden cubic and a
+one-coefficient perturbation of it (passing and failing checks), with the
+stdout, stderr and exit code that ``cli.main`` gave for each.  Documents
+named in an argv as ``{key}`` are written to files first, from the file's
+``documents`` table.  A refactor must leave every case unchanged; when an
+output changes on purpose, re-record the file with
+``python tests/test_cli_golden.py`` and say why in the change log.
+
+The script records whatever ``bandedgf`` it imports.  So cases that a
+refactor must keep are recorded with the parent commit's ``src`` (from a
+``git archive`` copy) first on ``PYTHONPATH``, never with the new code.
 """
 
 import contextlib

@@ -17,7 +17,6 @@ from bandedgf.engine import (
     direct_route,
     fixed_point_route,
     laurent_route,
-    series_bundle,
     symbol_determinant,
 )
 from bandedgf.errors import RouteMismatchError
@@ -330,20 +329,20 @@ def _count_fixed_point_calls(monkeypatch):
     return calls
 
 
-def test_series_bundle_runs_the_fixed_point_route_once(monkeypatch):
+def test_cross_check_runs_the_fixed_point_route_once(monkeypatch):
     calls = _count_fixed_point_calls(monkeypatch)
     spec = fixtures.ex41_spec()
-    gv, report = series_bundle(spec, 20)
+    report, bundles = cross_check(spec, 20)
     assert calls == [20]
-    assert gv == direct_route(spec, 20)
+    assert bundles["fixed_point"].gv == direct_route(spec, 20)
     assert report.order == 20
 
 
 @pytest.mark.parametrize("name", fixtures.EXAMPLE_NAMES)
 def test_run_checks_runs_the_fixed_point_route_once(monkeypatch, name):
     calls = _count_fixed_point_calls(monkeypatch)
-    checks = fixtures.run_checks(name, 24)
-    assert all(ok for _, ok, _ in checks)
+    report = fixtures.run_checks(name, 24)
+    assert report.ok, report.failures()
     assert calls == [24]
 
 

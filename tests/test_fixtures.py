@@ -21,18 +21,17 @@ def test_declared_block_sizes_verify():
 
 def test_run_checks_pass_on_every_example():
     for name in fixtures.EXAMPLE_NAMES:
-        checks = fixtures.run_checks(name, order=30)
-        assert checks, name
-        bad = [c for c in checks if not c[1]]
-        assert not bad, (name, bad)
+        report = fixtures.run_checks(name, order=30)
+        assert report.checks, name
+        assert not report.failures(), (name, report.failures())
 
 
 def test_run_checks_includes_reconstruction_when_order_allows():
-    checks = fixtures.run_checks("ex4.2", order=40)
-    names = [c[0] for c in checks]
+    report = fixtures.run_checks("ex4.2", order=40)
+    names = [c.name for c in report.checks]
     assert "reconstruction_recovers_golden" in names
     shallow = fixtures.run_checks("ex4.2", order=30)
-    assert "reconstruction_recovers_golden" not in [c[0] for c in shallow]
+    assert "reconstruction_recovers_golden" not in [c.name for c in shallow.checks]
 
 
 def test_golden_annihilators_are_canonical():
