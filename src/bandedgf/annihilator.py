@@ -21,7 +21,6 @@ exact expansion.
 
 from __future__ import annotations
 
-import json
 from math import gcd, lcm
 
 from .errors import (
@@ -125,14 +124,6 @@ class AnnihilatorPoly:
         if all(c == field.zero for row in grid for c in row):
             raise SpecFormatError("the coefficient grid is zero or empty")
         return cls(field, grid)
-
-    @classmethod
-    def from_json(cls, text: str, field: Field) -> "AnnihilatorPoly":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_doc(doc, field)
 
 
 def _pad(row, order, field):

@@ -32,7 +32,6 @@ band inside the window already decide equality for all larger indices.
 
 from __future__ import annotations
 
-import json
 from math import lcm
 
 from . import matrices as cm
@@ -140,14 +139,6 @@ class BandedSpec:
             raise SpecFormatError(f"block_size must be an integer: {block_size!r}")
         return cls(field, period, bands, exceptional, block_size)
 
-    @classmethod
-    def from_json(cls, text: str) -> "BandedSpec":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_doc(doc)
-
     def to_json_doc(self) -> dict:
         scalar = scalar_to_json
         doc = {
@@ -165,9 +156,6 @@ class BandedSpec:
         if self.block_size is not None:
             doc["block_size"] = self.block_size
         return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_doc(), sort_keys=True)
 
 
 class BlockWeights:
@@ -305,9 +293,12 @@ def clear_denominators(w: BlockWeights) -> tuple[int, BlockWeights]:
 class ReductionReport:
     """Outcome of validate_reduction; falsy when a mismatch was found."""
 
-    def __init__(self, ok: bool, mismatch=None):
-        self.ok = ok
+    def __init__(self, mismatch=None):
         self.mismatch = mismatch  # (i, j, rebuilt, expected) or None
+
+    @property
+    def ok(self) -> bool:
+        return self.mismatch is None
 
     def __bool__(self):
         return self.ok
@@ -343,8 +334,8 @@ def validate_reduction(spec: BandedSpec, w: BlockWeights, k: int) -> ReductionRe
             got = _block_pattern_entry(w, i, j)
             want = spec.entry(i, j)
             if got != want:
-                return ReductionReport(False, (i, j, got, want))
-    return ReductionReport(True)
+                return ReductionReport((i, j, got, want))
+    return ReductionReport()
 
 
 def from_block_weights(w: BlockWeights) -> BandedSpec:

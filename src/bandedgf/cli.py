@@ -5,9 +5,13 @@ Every command reads a JSON matrix spec (``--spec PATH`` or a built-in
 document to stdout or ``--out``.  Output is deterministic: keys are sorted
 and every scalar is exact (integers or "num/den" strings, never floats).
 
+Every input file (spec, polynomial, weights, recursion) is read by
+:func:`_read_document`, and the library decodes only the parsed document.
+
 Exit codes: 0 success, 1 a mathematical check failed (routes disagree,
-residual nonzero, identity broken), 2 bad input (malformed JSON, invalid
-spec, insufficient order).
+residual nonzero, identity broken), 2 bad input (an unreadable or undecodable
+file, malformed JSON, invalid document, insufficient order), always with one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from .fields import PrimeField, QQ, field_to_json
 from .identities import oracle_comparison, run_identity_suite
 from .section5 import (
     affine_pipeline,
-    recursion_from_json,
-    weight_rules_from_json,
+    recursion_from_json_doc,
+    weight_rules_from_json_doc,
     weighted_series,
 )
 
@@ -51,20 +55,28 @@ def _parse_field_flag(text):
     raise SpecFormatError(f"bad --field value {text!r}; use rational or p:PRIME")
 
 
+def _read_document(path, what):
+    """The JSON document in the file at ``path``; ``what`` names the file in errors.
+
+    Invalid UTF-8, nesting too deep for the parser and integers past Python's
+    digit limit are reported like any other invalid JSON.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise SpecFormatError(f"cannot read {what} file: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise SpecFormatError(f"invalid JSON in {what} file: {exc}") from exc
+
+
 def _load_spec(args) -> BandedSpec:
     if getattr(args, "example", None):
         if getattr(args, "spec", None):
             raise SpecFormatError("give either --spec or --example, not both")
         spec = fixtures.example_spec(args.example)
     elif getattr(args, "spec", None):
-        try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise SpecFormatError(f"cannot read spec file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"invalid JSON in spec file: {exc}") from exc
-        spec = BandedSpec.from_json_doc(doc)
+        spec = BandedSpec.from_json_doc(_read_document(args.spec, "spec"))
     else:
         raise SpecFormatError("a spec is required: --spec PATH or --example NAME")
     if getattr(args, "field", None):
@@ -161,16 +173,9 @@ def _report_command(args, report) -> int:
 def cmd_verify_example(args) -> int:
     override = None
     if args.poly:
-        spec = fixtures.example_spec(args.name)
-        try:
-            with open(args.poly, "r", encoding="utf-8") as fh:
-                override = AnnihilatorPoly.from_json(fh.read(), spec.field)
-        except OSError as exc:
-            raise SpecFormatError(f"cannot read polynomial file: {exc}") from exc
-    try:
-        report = fixtures.run_checks(args.name, args.order, override_poly=override)
-    except KeyError as exc:
-        raise SpecFormatError(str(exc)) from exc
+        field = fixtures.example_spec(args.name).field
+        override = AnnihilatorPoly.from_json_doc(_read_document(args.poly, "polynomial"), field)
+    report = fixtures.run_checks(args.name, args.order, override_poly=override)
     return _report_command(args, report)
 
 
@@ -191,11 +196,7 @@ def _section5_command(args, path, what, decode, pipeline) -> int:
     """Run a Section 5 ``pipeline`` on the document at ``path``, read by ``decode``."""
     spec = _load_spec(args)
     weights = block_reduce(spec, args.block_size)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = decode(fh.read(), spec.field, weights.s)
-    except OSError as exc:
-        raise SpecFormatError(f"cannot read {what} file: {exc}") from exc
+    data = decode(_read_document(path, what), spec.field, weights.s)
     series = pipeline(spec, weights, data, args.order)
     _emit(
         {
@@ -210,13 +211,13 @@ def _section5_command(args, path, what, decode, pipeline) -> int:
 
 def cmd_weighted(args) -> int:
     return _section5_command(
-        args, args.weights, "weights", weight_rules_from_json, weighted_series
+        args, args.weights, "weights", weight_rules_from_json_doc, weighted_series
     )
 
 
 def cmd_affine(args) -> int:
     return _section5_command(
-        args, args.recursion, "recursion", recursion_from_json, affine_pipeline
+        args, args.recursion, "recursion", recursion_from_json_doc, affine_pipeline
     )
 
 

@@ -23,10 +23,12 @@ from .engine import _first_mismatch, corner_first_columns, fixed_point_route, la
 from .fields import Field
 from .laurent import trimmed_powers
 from .matseries import MatrixSeries
-from .section5 import check_descent_identities
+from .section5 import _az_shift, check_descent_identities
 from .walks import class_sums, u_table
 
 DEFAULT_ENUM_LENGTH = 8
+# The weighted ladder is checked for G*_0 .. G*_{LADDER_RMAX + 1}.
+LADDER_RMAX = 3
 
 
 class IdentityCheck:
@@ -84,6 +86,12 @@ def _shifted_const(field, s, mat, order):
     return MatrixSeries(field, s, coeffs)
 
 
+def _primitive_standard_sum(w: BlockWeights, gw: MatrixSeries, order: int) -> MatrixSeries:
+    """H = B z + C G A z^2: a level step, or an up step, a standard loop, a down step."""
+    above = gw.lmul_const(w.c).rmul_const(w.a).mul_z_pow(2).truncate(order)
+    return _shifted_const(w.field, w.s, w.b, order) + above
+
+
 def _primitive_weight_sum(w: BlockWeights, gw: MatrixSeries, order: int) -> MatrixSeries:
     """First-return decomposition of the closed-walk primitive sum.
 
@@ -92,12 +100,10 @@ def _primitive_weight_sum(w: BlockWeights, gw: MatrixSeries, order: int) -> Matr
     mirror excursion strictly below, whose loop is the standard sum with the
     up and down weights swapped (reflection flips every step).
     """
-    field, s = w.field, w.s
-    swapped = BlockWeights(field, s, w.c, w.b, w.a, w.d)
+    swapped = BlockWeights(w.field, w.s, w.c, w.b, w.a, w.d)
     g_below = fixed_point_route(swapped, order).gw
-    above = gw.lmul_const(w.c).rmul_const(w.a).mul_z_pow(2).truncate(order)
     below = g_below.lmul_const(w.a).rmul_const(w.c).mul_z_pow(2).truncate(order)
-    return _shifted_const(field, s, w.b, order) + above + below
+    return _primitive_standard_sum(w, gw, order) + below
 
 
 def _independent_step_multiply(field: Field, a, b, c, term):
@@ -155,7 +161,6 @@ def run_identity_suite(
     w: BlockWeights,
     order: int = 20,
     enum_length: int = DEFAULT_ENUM_LENGTH,
-    rmax: int = 3,
 ) -> CheckReport:
     _, w = clear_denominators(w)
     field, s = w.field, w.s
@@ -173,9 +178,7 @@ def run_identity_suite(
     )
 
     # Primitive decomposition: H = Bz + C G A z^2 inverts G geometrically.
-    h = _shifted_const(field, s, w.b, order) + (
-        fp.gw.lmul_const(w.c).rmul_const(w.a).mul_z_pow(2).truncate(order)
-    )
+    h = _primitive_standard_sum(w, fp.gw, order)
     checks.append(
         _matrix_check("primitive_decomposition_inverts", (ident - h) * lr.gw, ident)
     )
@@ -234,7 +237,7 @@ def run_identity_suite(
     )
 
     # Descent factorization: walks from k peel off as G (A z) walks from k-1.
-    gaz = fp.gw.rmul_const(w.a).mul_z_pow(1).truncate(order)
+    gaz = _az_shift(w, fp.gw, order)
     descents = (
         (k, _first_mismatch(table.series(k + 1), gaz * table.series(k))) for k in range(1, 5)
     )
@@ -246,7 +249,7 @@ def run_identity_suite(
 
     # The binomially weighted ladder identities.
     checks.append(
-        IdentityCheck("weighted_ladder", check_descent_identities(w, rmax, table, fp))
+        IdentityCheck("weighted_ladder", check_descent_identities(w, LADDER_RMAX, table, fp))
     )
 
     header = {"order": order, "enumeration_length": depth}
@@ -265,9 +268,7 @@ def oracle_comparison(w: BlockWeights, length: int) -> CheckReport:
     fp = fixed_point_route(w, length)
     lr = laurent_route(w, length)
     ident = MatrixSeries.identity(field, s, length)
-    h_engine = _shifted_const(field, s, w.b, length) + (
-        fp.gw.lmul_const(w.c).rmul_const(w.a).mul_z_pow(2).truncate(length)
-    )
+    h_engine = _primitive_standard_sum(w, fp.gw, length)
     hstar_engine = ident - fp.gwstar.inverse()
     j0_engine = ident - lr.m0inv
     pairs = [

@@ -28,7 +28,6 @@ Fraction spec.
 
 from __future__ import annotations
 
-import json
 from math import comb, lcm
 
 from . import matrices as cm
@@ -305,19 +304,3 @@ def recursion_from_json_doc(doc, field: Field, s: int) -> AffineRecursion:
         raise SpecFormatError(f'"y_rule" must list one rule set per coordinate ({d})')
     y_rules = [weight_rules_from_json_doc(rd, field, s) for rd in rules_doc]
     return AffineRecursion(field, d, t, l, y_rules)
-
-
-def weight_rules_from_json(text: str, field: Field, s: int) -> EventuallyPolySeq:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"invalid JSON: {exc}") from exc
-    return weight_rules_from_json_doc(doc, field, s)
-
-
-def recursion_from_json(text: str, field: Field, s: int) -> AffineRecursion:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"invalid JSON: {exc}") from exc
-    return recursion_from_json_doc(doc, field, s)

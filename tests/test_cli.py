@@ -354,6 +354,54 @@ def test_missing_section5_document_exits_2(tmp_path, capsys, command, flag, what
     assert err.count("\n") == 1
 
 
+# One valid document per input flag, with "BIG" where a 5000-digit integer goes.
+_DOCUMENT_FLAGS = {
+    "spec": (
+        ["series", "--order", "4", "--spec"],
+        {"field": "rational", "period": 1, "bands": [{"offset": 0, "values": ["BIG"]}]},
+    ),
+    "polynomial": (
+        ["verify-example", "ex4.1", "--order", "10", "--poly"],
+        {"coeffs": [[1, "BIG"]]},
+    ),
+    "weights": (
+        ["weighted", "--example", "ex5.12", "--order", "4", "--weights"],
+        {"weights": [{"residue": 1, "initial": [], "poly": ["BIG"]}]},
+    ),
+    "recursion": (
+        ["affine", "--example", "ex5.12", "--order", "4", "--recursion"],
+        {"dimY": 1, "T": [["BIG"]], "l": [1],
+         "y_rule": [{"weights": [{"residue": 1, "poly": [1]}]}]},
+    ),
+}
+
+
+def _with_big(doc, digits):
+    return json.dumps(doc).replace('"BIG"', digits).encode()
+
+
+# Each kind of undecodable file, made from the flag's valid document.
+_BAD_FILES = {
+    "invalid-utf8": lambda doc: b"\xff",
+    "deep-nesting": lambda doc: b"[" * 100000,
+    "huge-integer": lambda doc: _with_big(doc, "1" * 5000),
+    "utf8-bom": lambda doc: b"\xef\xbb\xbf" + _with_big(doc, "1"),
+    "not-json": lambda doc: b"not json",
+}
+
+
+@pytest.mark.parametrize("what", sorted(_DOCUMENT_FLAGS))
+@pytest.mark.parametrize("kind", sorted(_BAD_FILES))
+def test_undecodable_documents_exit_2(tmp_path, capsys, what, kind):
+    argv, doc = _DOCUMENT_FLAGS[what]
+    path = tmp_path / "doc.json"
+    path.write_bytes(_BAD_FILES[kind](doc))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: invalid JSON in {what} file: ")
+    assert err.count("\n") == 1
+
+
 def test_field_override_flag(tmp_path, capsys):
     path = write_spec(tmp_path, IDENTITY_BAND_SPEC)
     code, out, _ = run_cli(

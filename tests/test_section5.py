@@ -18,8 +18,8 @@ from bandedgf.section5 import (
     check_descent_identities,
     field_binomial,
     g_star_r,
-    recursion_from_json,
-    weight_rules_from_json,
+    recursion_from_json_doc,
+    weight_rules_from_json_doc,
     weighted_series,
 )
 from bandedgf.series import Series
@@ -266,22 +266,22 @@ def test_intermediate_square_root_identity():
 
 
 def test_weight_rules_json_round_trip():
-    doc = '{"weights": [{"residue": 1, "initial": [6], "poly": [6, 8]}]}'
-    rules = weight_rules_from_json(doc, QQ, 1)
+    doc = {"weights": [{"residue": 1, "initial": [6], "poly": [6, 8]}]}
+    rules = weight_rules_from_json_doc(doc, QQ, 1)
     assert rules.value(1) == 6
     assert rules.value(2) == 14
     assert rules.value(3) == 22
 
 
 def test_recursion_json_round_trip():
-    doc = """
-    {"dimY": 2, "T": [[16, 4], [0, 4]], "l": [1, 0],
-     "y_rule": [
-       {"weights": [{"residue": 1, "initial": [6], "poly": [6, 8]}]},
-       {"weights": [{"residue": 1, "initial": [0], "poly": [1]}]}
-     ]}
-    """
-    rec = recursion_from_json(doc, QQ, 1)
+    doc = {
+        "dimY": 2, "T": [[16, 4], [0, 4]], "l": [1, 0],
+        "y_rule": [
+            {"weights": [{"residue": 1, "initial": [6], "poly": [6, 8]}]},
+            {"weights": [{"residue": 1, "initial": [0], "poly": [1]}]},
+        ],
+    }
+    rec = recursion_from_json_doc(doc, QQ, 1)
     out = affine_pipeline(fixtures.ex512_spec(), corner_loop_weights(), rec, 4)
     assert out.coeffs[:3] == (0, 6, 116)
 
@@ -290,11 +290,9 @@ def test_weight_rules_json_rejects_bad_documents():
     from bandedgf.errors import SpecFormatError
 
     with pytest.raises(SpecFormatError):
-        weight_rules_from_json('{"weights": [{"residue": 3, "poly": [1]}]}', QQ, 2)
+        weight_rules_from_json_doc({"weights": [{"residue": 3, "poly": [1]}]}, QQ, 2)
     with pytest.raises(SpecFormatError):
-        weight_rules_from_json('{"weights": [{"residue": 1, "poly": [1]}]}', QQ, 2)
-    with pytest.raises(SpecFormatError):
-        weight_rules_from_json("not json", QQ, 1)
+        weight_rules_from_json_doc({"weights": [{"residue": 1, "poly": [1]}]}, QQ, 2)
 
 
 # -- the walk-table pipeline as a test-only reference ---------------------------
