@@ -11,7 +11,7 @@ Every input file (spec, polynomial, weights, recursion) is read by
 Exit codes: 0 success, 1 a mathematical check failed (routes disagree,
 residual nonzero, identity broken), 2 bad input (an unreadable or undecodable
 file, malformed JSON, invalid document, insufficient order), always with one
-line on stderr.
+line on stderr, cut after ``ERROR_LINE_CAP`` characters.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .section5 import (
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
+ERROR_LINE_CAP = 300  # error messages quote bad values, which may be whole files
 
 
 def _parse_field_flag(text):
@@ -298,14 +299,13 @@ def main(argv=None) -> int:
         _check_flag_ranges(args)
         return args.fn(args)
     except RouteMismatchError as exc:
-        print(f"mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+        line, code = f"mismatch: {exc}", EXIT_MISMATCH
     except (SpecFormatError, InsufficientPrecisionError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        line, code = f"input error: {exc}", EXIT_INPUT
     except BandedGFError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        line, code = f"error: {exc}", EXIT_INPUT
+    print(line if len(line) <= ERROR_LINE_CAP else line[:ERROR_LINE_CAP] + "...", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -34,7 +34,8 @@ shows up as a mismatch.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, repeat
+from operator import add, mul
 
 from . import matrices as cm
 from .banded import BandedSpec, BlockWeights, block_reduce, clear_denominators
@@ -91,42 +92,58 @@ class GenFunBundle:
 
 
 def corner_first_columns(spec: BandedSpec, order: int, count: int = 1):
-    """First ``count`` entries of the first column of V^n, for n = 0..order.
+    """First ``count`` entries of the first column of V^n, yielded for n = 0..order.
 
     Works on a finite corner of V sized to contain every index reachable from
     column 1 within ``order`` steps (order * bandwidth plus the exceptional
-    square), so the truncation is exact; returns a list of ``count``-tuples.
+    square), so the truncation is exact.  A negative ``order`` raises at the call.
 
     Step t computes only rows 1..f_t, f_t = max(exceptional_bound, 1) +
     t * bandwidth, and leaves the rest zero.  This is exact: V^0 e_1 = e_1
     lives in row 1, and a nonzero v_{i,j} lies on a band (i <= j + bandwidth)
     or in the exceptional square (i <= exceptional_bound), so if V^(t-1) e_1
     vanishes below row f_(t-1) then V^t e_1 vanishes below row f_t.
+
+    Rows 1..m, m = exceptional_bound, are summed one by one.  Below them row i
+    is sum_r values_r[(i-1) mod p] x_{i+r}, so each band r and residue q adds
+    v times a stride-p slice of V^(t-1) e_1 (the slice itself when v = 1),
+    which by the frontier stops where its source passes f_(t-1): at most
+    #bands · p slice operations per step.  Each entry is reduced once.
     """
-    field = spec.field
     if order < 0:
         raise ValueError("order must be nonnegative")
-    reach, bw = max(spec.exceptional_bound, 1), spec.bandwidth
+    field = spec.field
+    m, p, bw = spec.exceptional_bound, spec.period, spec.bandwidth
+    reach = max(m, 1)
     k = max(order * bw + reach, count)
     rows = []
-    zero = field.zero
-    for i in range(1, k + 1):
+    for i in range(1, m + 1):
         cols = {i + r for r in spec.bands if 1 <= i + r <= k}
         cols.update(j for (ei, j) in spec.exceptional if ei == i and j <= k)
         row = [(j - 1, spec.entry(i, j)) for j in sorted(cols)]
         rows.append([(j, v) for j, v in row if v])
-    x = [zero] * k
-    x[0] = field.one
-    red = field.reduce
-    out = [tuple(x[:count])]
-    for t in range(1, order + 1):
-        x = [
-            red(sum(v * x[j] for j, v in row)) if row else zero
-            for row in rows[: reach + t * bw]
-        ]
-        x += [zero] * (k - len(x))
-        out.append(tuple(x[:count]))
-    return out
+    # (r, a, v): band r adds v x[a + r], v x[a + r + p], ... to the 0-based rows
+    # a, a + p, ..., those past the square with value v whose column exists.
+    slices = []
+    for r, vals in spec.bands.items():
+        lo = max(m, -r)
+        slices += [(r, lo + (q - lo) % p, v) for q, v in enumerate(vals) if v]
+    zero, red = field.zero, field.reduce
+
+    def columns():
+        x = [field.one] + [zero] * (k - 1)
+        yield tuple(x[:count])
+        for t in range(1, order + 1):
+            prev, hi = reach + (t - 1) * bw, reach + t * bw
+            nx = [sum(v * x[j] for j, v in row) for row in rows] + [zero] * (hi - m)
+            for r, a, v in slices:
+                b = max(a, prev - r)
+                src = x[a + r : b + r : p]
+                nx[a:b:p] = map(add, nx[a:b:p], src if v == 1 else map(mul, repeat(v), src))
+            x = list(map(red, nx)) + [zero] * (k - hi)
+            yield tuple(x[:count])
+
+    return columns()
 
 
 def direct_route(spec: BandedSpec, order: int) -> Series:

@@ -147,12 +147,12 @@ def _step_recursion_failure(field: Field, w: BlockWeights, order: int):
 
 
 def _corner_table_failure(table, columns, s: int, order: int):
-    """The first columns of the corner powers against the walk table."""
-    for n in range(order + 1):
+    """The first columns of the corner powers, streamed, against the walk table."""
+    for n, column in enumerate(columns):
         for k in range(order + 2):
             u = table.value(k + 1, n)
             for i in range(s):
-                if columns[n][i + s * k] != u[i][0]:
+                if column[i + s * k] != u[i][0]:
                     return f"entry ({i + s * k + 1},1) of power {n} differs"
     return None
 

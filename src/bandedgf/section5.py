@@ -28,7 +28,9 @@ Fraction spec.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import comb, lcm
+from operator import mul
 
 from . import matrices as cm
 from .banded import BandedSpec, BlockWeights, clear_denominators
@@ -154,7 +156,7 @@ class EventuallyPolySeq:
 
 
 def _column_sums(spec: BandedSpec, w: BlockWeights, rules, order: int):
-    """Tuples (sum_k (V^n)_{k,1} r(k) for r in ``rules``), n = 0..order.
+    """Tuples (sum_k (V^n)_{k,1} r(k) for r in ``rules``), yielded for n = 0..order.
 
     ``rules`` are EventuallyPolySeq over the residues mod ``w.s``, and ``w``
     is the block form of ``spec``, whose entries are exactly the nonzero
@@ -178,13 +180,10 @@ def _column_sums(spec: BandedSpec, w: BlockWeights, rules, order: int):
         spec.block_size,
     )
     c, step = field.inv(den), field.inv(lden)
-    out = []
     for col in corner_first_columns(scaled, order, count):
-        out.append(
-            tuple(red(sum(v * x for v, x in zip(col, vals) if v) * c) for vals in values)
-        )
+        live = list(compress(col, col))
+        yield tuple(red(sum(map(mul, live, compress(vals, col))) * c) for vals in values)
         c = red(c * step)
-    return out
 
 
 def weighted_series(

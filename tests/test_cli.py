@@ -471,6 +471,17 @@ def test_malformed_section5_documents_exit_2(tmp_path, capsys, command, doc):
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+def test_a_huge_bad_value_gives_one_short_error_line(tmp_path, capsys):
+    doc_path = write_spec(tmp_path, {"weights": [list(range(200000))]}, name="doc.json")
+    code, out, err = run_cli(
+        capsys, "weighted", "--example", "ex5.12", "--weights", doc_path, "--order", "3"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("input error: bad weight rule record: [0, 1, 2,")
+    assert err.count("\n") == 1 and err.endswith("...\n")
+    assert len(err) == cli.ERROR_LINE_CAP + len("...\n")
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -25,6 +25,7 @@ from bandedgf.matseries import MatrixSeries
 from bandedgf.walks import enumerate_sum
 
 F101 = PrimeField(101)
+F_MERSENNE = PrimeField(2**61 - 1)
 
 
 def test_direct_route_on_first_example():
@@ -557,28 +558,42 @@ def _untrimmed_first_columns(spec, order, count):
 
 @st.composite
 def _frontier_specs(draw):
-    """Specs with bands at any offsets in -3..3 and exceptional entries anywhere
-    in the 6x6 corner (zero overrides included) or in row 1 only, over Q or F_101."""
-    field = draw(st.sampled_from([QQ, F101]))
+    """Specs with bands at any offsets in -3..3 (zero and unit values frequent)
+    and exceptional entries anywhere in the 8x8 corner (zero overrides included)
+    or in row 1 only, over Q, F_101 or F_{2^61-1}.  The exceptional bound m runs
+    through 0..8, so the first row of the band slices, m + 1, falls on every
+    residue mod the period."""
+    field = draw(st.sampled_from([QQ, F101, F_MERSENNE]))
     if field == QQ:
         scalar = st.builds(
             QQ.parse, st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 3))
         )
     else:
-        scalar = st.integers(0, 100)
+        scalar = st.integers(0, field.p - 1)
+    scalar = scalar | st.sampled_from([0, 1])
     period = draw(st.integers(1, 3))
     offsets = draw(st.lists(st.integers(-3, 3), max_size=4, unique=True))
     bands = {r: draw(st.lists(scalar, min_size=period, max_size=period)) for r in offsets}
-    rows = st.just(1) if draw(st.booleans()) else st.integers(1, 6)
-    cells = st.tuples(rows, st.integers(1, 6), scalar | st.just(0))
+    rows = st.just(1) if draw(st.booleans()) else st.integers(1, 8)
+    cells = st.tuples(rows, st.integers(1, 8), scalar)
     return BandedSpec(field, period, bands, draw(st.lists(cells, max_size=5)))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(spec=_frontier_specs(), order=st.integers(0, 25), data=st.data())
 def test_first_column_frontier_matches_untrimmed_corner_loop(spec, order, data):
     s = max(spec.bandwidth, spec.exceptional_bound, 1)
     count = data.draw(st.integers(1, s * (order + 1)))
-    got = corner_first_columns(spec, order, count)
+    got = list(corner_first_columns(spec, order, count))
     assert got == _untrimmed_first_columns(spec, order, count)
     assert all(len(col) == count for col in got)
+    # Canonical scalars: ints over Q unless truly fractional, residues in [0, p).
+    if spec.field == QQ:
+        assert all(type(v) is int or v.denominator > 1 for col in got for v in col)
+    else:
+        assert all(type(v) is int and 0 <= v < spec.field.p for col in got for v in col)
+
+
+def test_first_columns_refuse_a_negative_order_at_the_call():
+    with pytest.raises(ValueError):
+        corner_first_columns(fixtures.ex41_spec(), -1)

@@ -59,3 +59,11 @@ def test_the_block_routes_never_use_the_dense_product(module):
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "matrices":
             assert "mul" not in {alias.name for alias in node.names}
+
+
+def test_the_first_column_layer_stays_scalar():
+    # The direct route and Section 5 share this layer; it must stay separate
+    # from the block-matrix code the routes it checks are built on.
+    used = _names(_function(_tree("engine"), "corner_first_columns"))
+    assert not used & {"sum_of_products", "cm.mul", "BlockWeights", "block_reduce"}
+    assert "reduce" in used
