@@ -92,7 +92,7 @@ def _load_spec(args) -> BandedSpec:
 # Least accepted value of each integer flag, for the commands that have it.
 _FLAG_MINIMA = {
     "order": 0, "extra": 0, "guard": 0, "degx": 1, "degz": 0,
-    "length": 0, "enum_length": 0,
+    "length": 0, "enum_length": 0, "block_size": 1,
 }
 
 
@@ -123,13 +123,13 @@ def _series_doc(series):
 
 def cmd_series(args) -> int:
     spec = _load_spec(args)
-    report, bundles = cross_check(spec, args.order, block_size=args.block_size)
+    report, bundles = cross_check(spec, args.order, block_reduce(spec, args.block_size))
     _emit(
         {
             "command": "series",
             "order": args.order,
             "coefficients": _series_doc(bundles["fixed_point"].gv),
-            "cross_check": report.to_json_doc(),
+            "cross_check": report,
         },
         args.out,
     )

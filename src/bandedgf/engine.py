@@ -48,30 +48,28 @@ from .walks import class_sums
 
 
 class GenFunBundle:
-    """Everything one route produces: the matrix sums and the scalar corner series."""
+    """The matrix sums one route produces; ``gv`` is the corner series read off G*."""
 
-    __slots__ = (
-        "route", "field", "s", "order", "gw", "gwstar", "m0", "m1", "mm1", "m0inv", "gv",
-    )
+    __slots__ = ("gw", "gwstar", "m0", "m1", "mm1", "m0inv")
 
-    def __init__(
-        self, route, field, s, order, gw, gwstar, gv,
-        m0=None, m1=None, mm1=None, m0inv=None,
-    ):
-        self.route = route
-        self.field = field
-        self.s = s
-        self.order = order
+    def __init__(self, gw, gwstar, m0=None, m1=None, mm1=None, m0inv=None):
         self.gw = gw
         self.gwstar = gwstar
-        self.gv = gv
         self.m0 = m0
         self.m1 = m1
         self.mm1 = mm1
         self.m0inv = m0inv
 
+    @property
+    def order(self) -> int:
+        return self.gw.order
+
+    @property
+    def gv(self) -> Series:
+        return self.gwstar.entry(0, 0)
+
     def __repr__(self):
-        return f"GenFunBundle(route={self.route!r}, s={self.s}, order={self.order})"
+        return f"GenFunBundle(s={self.gw.s}, order={self.order})"
 
     def unscaled(self, den: int) -> "GenFunBundle":
         """The bundle for w from this bundle for den·w: coefficient n over den^n.
@@ -81,13 +79,12 @@ class GenFunBundle:
         if den == 1:
             return self
         c = Fraction(1, den)
-        sums = {
-            name: getattr(self, name).scale_z(c)
-            for name in ("gw", "gwstar", "m0", "m1", "mm1", "m0inv")
-            if getattr(self, name) is not None
-        }
         return GenFunBundle(
-            self.route, self.field, self.s, self.order, gv=self.gv.scale_z(c), **sums
+            **{
+                name: getattr(self, name).scale_z(c)
+                for name in self.__slots__
+                if getattr(self, name) is not None
+            }
         )
 
 
@@ -191,25 +188,16 @@ def fixed_point_route(w: BlockWeights, order: int) -> GenFunBundle:
         g.append(sop(field, [(w.b, g[k - 1]), *zip(reversed(p), g)]))
         gstar.append(sop(field, [(w.d, gstar[k - 1]), *zip(reversed(p), gstar)]))
         p.append(sop(field, [(sop(field, [(w.c, g[k - 1])]), w.a)]))
-    gwstar = MatrixSeries(field, s, gstar)
-    return GenFunBundle(
-        "fixed_point", field, s, order, MatrixSeries(field, s, g), gwstar,
-        gwstar.entry(0, 0),
-    )
+    return GenFunBundle(MatrixSeries(field, s, g), MatrixSeries(field, s, gstar))
 
 
 def laurent_route(w: BlockWeights, order: int) -> GenFunBundle:
     """Transition sums from the trimmed stream of step-symbol powers, then
     G = M0 - M1 M0^-1 M-1 and G* = (I + G (B - D) z)^-1 G."""
-    field, s = w.field, w.s
-    m0, m1, mm1 = accumulate(field, w.a, w.b, w.c, order)
+    m0, m1, mm1 = accumulate(w.field, w.a, w.b, w.c, order)
     m0inv = m0.inverse()
     gw = m0 - (m1 * m0inv) * mm1
-    gwstar = _starred(w, gw)
-    return GenFunBundle(
-        "laurent", field, s, order, gw, gwstar, gwstar.entry(0, 0),
-        m0=m0, m1=m1, mm1=mm1, m0inv=m0inv,
-    )
+    return GenFunBundle(gw, _starred(w, gw), m0=m0, m1=m1, mm1=mm1, m0inv=m0inv)
 
 
 def _first_mismatch(a, b):
@@ -224,48 +212,18 @@ def _first_mismatch(a, b):
     return None
 
 
-def _first_matrix_mismatch(a: MatrixSeries, b: MatrixSeries):
-    i = _first_mismatch(a, b)
-    if i is None:
-        return None
-    ca, cb = a.coeffs[i], b.coeffs[i]
-    for r in range(a.s):
-        for c in range(a.s):
-            if ca[r][c] != cb[r][c]:
-                return i, (r + 1, c + 1)
-
-
-class CrossCheckReport:
-    """Successful route-agreement summary (failures raise RouteMismatchError)."""
-
-    def __init__(self, order, oracle_length, checks):
-        self.order = order
-        self.oracle_length = oracle_length
-        self.checks = checks  # list of (name, compared_order)
-
-    def to_json_doc(self):
-        return {
-            "order": self.order,
-            "oracle_length": self.oracle_length,
-            "checks": [
-                {"name": name, "orders_compared": through} for name, through in self.checks
-            ],
-            "status": "pass",
-        }
-
-
 def cross_check(
     spec: BandedSpec,
     order: int,
-    block_size: int | None = None,
-    oracle_length: int | None = None,
     weights: BlockWeights | None = None,
-) -> tuple[CrossCheckReport, dict]:
+    oracle_length: int | None = None,
+) -> tuple[dict, dict]:
     """Run every route and raise RouteMismatchError on the first disagreement.
 
-    Returns the report together with the bundles the block routes built,
-    keyed by route name ("fixed_point", "laurent"), so callers that need the
-    series again do not recompute it.
+    Returns the report document ``series`` prints, together with the bundles
+    the block routes built, keyed by route name ("fixed_point", "laurent"),
+    so callers that need the series again do not recompute it.  ``weights``
+    defaults to ``block_reduce(spec)``.
 
     The block routes and the oracle run on the integral weights L·w and are
     compared with each other there (a first disagreement sits at the same
@@ -277,7 +235,7 @@ def cross_check(
     ``oracle_length=0`` to reduce it to the trivial constant-term check.
     """
     if weights is None:
-        weights = block_reduce(spec, block_size)
+        weights = block_reduce(spec)
     den, weights = clear_denominators(weights)
     direct = direct_route(spec, order)
     fp = fixed_point_route(weights, order)
@@ -285,39 +243,37 @@ def cross_check(
     fp_out, lr_out = fp.unscaled(den), lr.unscaled(den)
     if oracle_length is None:
         oracle_length = min(order, 10)
+    sums = class_sums(weights, oracle_length)
+    pairs = [
+        ("direct_vs_fixed_point", direct, fp_out.gv),
+        ("direct_vs_laurent", direct, lr_out.gv),
+        ("fixed_point_vs_laurent_gw", fp.gw, lr.gw),
+        ("fixed_point_vs_laurent_gwstar", fp.gwstar, lr.gwstar),
+        ("oracle_vs_engine_gw", sums.gw, fp.gw),
+        ("oracle_vs_engine_gwstar", sums.gwstar, fp.gwstar),
+        ("oracle_vs_engine_m0", sums.m0, lr.m0),
+        ("oracle_vs_engine_m1", sums.m1, lr.m1),
+        ("oracle_vs_engine_mm1", sums.mm1, lr.mm1),
+    ]
     checks = []
-
-    def demand_scalar(name, a, b):
+    for name, a, b in pairs:
         bad = _first_mismatch(a, b)
         if bad is not None:
-            raise RouteMismatchError(
-                f"{name}: first disagreement at z^{bad}", order=bad
-            )
-        checks.append((name, min(a.order, b.order)))
-
-    def demand_matrix(name, a, b):
-        bad = _first_matrix_mismatch(a, b)
-        if bad is not None:
-            raise RouteMismatchError(
-                f"{name}: first disagreement at z^{bad[0]}, entry {bad[1]}",
-                order=bad[0],
-                entry=bad[1],
-            )
-        checks.append((name, min(a.order, b.order)))
-
-    demand_scalar("direct_vs_fixed_point", direct, fp_out.gv)
-    demand_scalar("direct_vs_laurent", direct, lr_out.gv)
-    demand_matrix("fixed_point_vs_laurent_gw", fp.gw, lr.gw)
-    demand_matrix("fixed_point_vs_laurent_gwstar", fp.gwstar, lr.gwstar)
-    sums = class_sums(weights, oracle_length)
-    demand_matrix("oracle_vs_engine_gw", sums.gw, fp.gw.truncate(oracle_length))
-    demand_matrix(
-        "oracle_vs_engine_gwstar", sums.gwstar, fp.gwstar.truncate(oracle_length)
-    )
-    demand_matrix("oracle_vs_engine_m0", sums.m0, lr.m0.truncate(oracle_length))
-    demand_matrix("oracle_vs_engine_m1", sums.m1, lr.m1.truncate(oracle_length))
-    demand_matrix("oracle_vs_engine_mm1", sums.mm1, lr.mm1.truncate(oracle_length))
-    report = CrossCheckReport(order, oracle_length, checks)
+            where = f"z^{bad}"
+            if isinstance(a, MatrixSeries):
+                ca, cb = a.coeffs[bad], b.coeffs[bad]
+                entry = next(
+                    (r + 1, c + 1)
+                    for r in range(a.s)
+                    for c in range(a.s)
+                    if ca[r][c] != cb[r][c]
+                )
+                where += f", entry {entry}"
+            raise RouteMismatchError(f"{name}: first disagreement at {where}", order=bad)
+        checks.append({"name": name, "orders_compared": min(a.order, b.order)})
+    report = {
+        "order": order, "oracle_length": oracle_length, "checks": checks, "status": "pass",
+    }
     return report, {"fixed_point": fp_out, "laurent": lr_out}
 
 

@@ -47,15 +47,12 @@ class InvalidBlockSizeError(BandedGFError):
 class RouteMismatchError(BandedGFError):
     """Two independent computations of the same series disagree.
 
-    ``order`` is the first differing z-order, ``entry`` the (row, col)
-    position inside the matrix coefficient (both may be None for scalar
-    comparisons).
+    ``order`` is the first differing z-order.
     """
 
-    def __init__(self, message, order=None, entry=None):
+    def __init__(self, message, order=None):
         super().__init__(message)
         self.order = order
-        self.entry = entry
 
 
 class InsufficientPrecisionError(BandedGFError):

@@ -32,7 +32,7 @@ from .annihilator import (
     verify,
 )
 from .banded import BandedSpec, block_reduce
-from .engine import _poly_mul, cross_check, symbol_determinant
+from .engine import cross_check, symbol_determinant
 from .errors import RouteMismatchError
 from .fields import QQ
 from .identities import CheckReport, IdentityCheck
@@ -150,9 +150,7 @@ def ex512_recursion() -> AffineRecursion:
 
 
 # (1 - 16z)(1 - 4z)(1 - 2z)^2, ascending: the readout series' denominator.
-EX512_READOUT_DEN = tuple(
-    _poly_mul(QQ, _poly_mul(QQ, [1, -16], [1, -4]), _poly_mul(QQ, [1, -2], [1, -2]))
-)
+EX512_READOUT_DEN = (1, -24, 148, -336, 256)
 
 
 def ex512_readout_closed_form() -> ClosedForm:

@@ -77,19 +77,15 @@ def _matrix_check(name, a, b):
     return IdentityCheck(name, None if bad is None else f"first disagreement at z^{bad}")
 
 
-def _shifted_const(field, s, mat, order):
+def _shifted_const(field, mat, order):
     """mat * z as a matrix series of the given order."""
-    coeffs = [cm.zeros(field, s)] * (order + 1)
-    if order >= 1:
-        coeffs = list(coeffs)
-        coeffs[1] = mat
-    return MatrixSeries(field, s, coeffs)
+    return MatrixSeries.from_const(field, mat, order).mul_z_pow(1).truncate(order)
 
 
 def _primitive_standard_sum(w: BlockWeights, gw: MatrixSeries, order: int) -> MatrixSeries:
     """H = B z + C G A z^2: a level step, or an up step, a standard loop, a down step."""
     above = gw.lmul_const(w.c).rmul_const(w.a).mul_z_pow(2).truncate(order)
-    return _shifted_const(w.field, w.s, w.b, order) + above
+    return _shifted_const(w.field, w.b, order) + above
 
 
 def _primitive_weight_sum(w: BlockWeights, gw: MatrixSeries, order: int) -> MatrixSeries:
@@ -197,7 +193,7 @@ def run_identity_suite(
     # the inverse.
     table = u_table(w, order)
     gstar_u = table.series(1)
-    shift = _shifted_const(field, s, cm.sub(field, w.b, w.d), order)
+    shift = _shifted_const(field, cm.sub(field, w.b, w.d), order)
     checks.append(
         _matrix_check(
             "floor_weight_shift", gstar_u.inverse() - fp.gw.inverse(), shift

@@ -229,9 +229,6 @@ class AffineRecursion:
     def s(self) -> int:
         return self.y_rules[0].s
 
-    def forcing_vector(self, index: int):
-        return tuple(rule.value(index) for rule in self.y_rules)
-
 
 def affine_pipeline(
     spec: BandedSpec, w: BlockWeights, rec: AffineRecursion, order: int

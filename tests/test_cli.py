@@ -173,6 +173,8 @@ def test_annihilate_builds_the_series_once(capsys, monkeypatch):
         (["check-identity", "--example", "ex5.12", "--order", "5",
           "--enum-length", "-1"], "--enum-length"),
         (["oracle", "--example", "ex5.12", "--length", "-1"], "--length"),
+        (["series", "--example", "ex4.1", "--order", "4", "--block-size", "-1"],
+         "--block-size"),
         (["weighted", "--example", "ex5.12", "--weights", "w.json",
           "--order", "-2"], "--order"),
         (["affine", "--example", "ex5.12", "--recursion", "r.json",

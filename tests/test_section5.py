@@ -333,7 +333,7 @@ def _reference_affine_pipeline(spec, rec, order):
             for i in range(1, s + 1):
                 v = u[i - 1][0]
                 if v != field.zero:
-                    yk = rec.forcing_vector(i + s * k)
+                    yk = [rule.value(i + s * k) for rule in rec.y_rules]
                     for coord in range(d):
                         nxt[coord] = nxt[coord] + v * yk[coord]
         y = [field.reduce(x) for x in nxt]
