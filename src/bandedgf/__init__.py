@@ -39,7 +39,6 @@ from .section5 import (
     AffineRecursion,
     EventuallyPolySeq,
     affine_pipeline,
-    g_star_r,
     weighted_series,
 )
 from .series import Series
@@ -71,7 +70,6 @@ __all__ = [
     "enumerate_sum",
     "fixed_point_route",
     "from_block_weights",
-    "g_star_r",
     "is_primitive",
     "is_standard",
     "laurent_route",

@@ -123,12 +123,12 @@ def _series_doc(series):
 
 def cmd_series(args) -> int:
     spec = _load_spec(args)
-    report, bundles = cross_check(spec, args.order, block_reduce(spec, args.block_size))
+    report, gv = cross_check(spec, args.order, block_reduce(spec, args.block_size))
     _emit(
         {
             "command": "series",
             "order": args.order,
-            "coefficients": _series_doc(bundles["fixed_point"].gv),
+            "coefficients": _series_doc(gv),
             "cross_check": report,
         },
         args.out,
@@ -139,7 +139,9 @@ def cmd_series(args) -> int:
 def cmd_annihilate(args) -> int:
     spec = _load_spec(args)
     den, weights = clear_denominators(block_reduce(spec, args.block_size))
-    deeper = fixed_point_route(weights, args.order + args.extra).unscaled(den).gv
+    deeper = fixed_point_route(weights, args.order + args.extra).gv.scale_z(
+        spec.field.inv(den)
+    )
     gv = deeper.truncate(args.order)
     poly = reconstruct(gv, args.degx, args.degz, guard=args.guard)
     doc = {

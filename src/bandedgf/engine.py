@@ -23,8 +23,8 @@ endpoints, O(L^2 s^3) to length L) and insists on exact agreement.
 
 Over Q the block routes and the oracle run on the integral weights L·w of
 :func:`~bandedgf.banded.clear_denominators`, whose z^n coefficients are L^n
-times those of w, so their arithmetic stays on Python ints; the bundles are
-divided back (z -> z / L) before they are returned.  The direct route is
+times those of w, so their arithmetic stays on Python ints; only their
+corner series are divided back (z -> z / L).  The direct route is
 deliberately left on the original Fraction spec: it shares neither the
 weights nor the rescale with the block routes, so ``direct_vs_fixed_point``
 and ``direct_vs_laurent`` check the rescale itself, and a wrong power of L
@@ -33,7 +33,6 @@ shows up as a mismatch.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations, repeat
 from operator import add, mul
 
@@ -70,22 +69,6 @@ class GenFunBundle:
 
     def __repr__(self):
         return f"GenFunBundle(s={self.gw.s}, order={self.order})"
-
-    def unscaled(self, den: int) -> "GenFunBundle":
-        """The bundle for w from this bundle for den·w: coefficient n over den^n.
-
-        With den = 1 the bundle itself is returned.
-        """
-        if den == 1:
-            return self
-        c = Fraction(1, den)
-        return GenFunBundle(
-            **{
-                name: getattr(self, name).scale_z(c)
-                for name in self.__slots__
-                if getattr(self, name) is not None
-            }
-        )
 
 
 def corner_first_columns(spec: BandedSpec, order: int, count: int = 1):
@@ -217,18 +200,17 @@ def cross_check(
     order: int,
     weights: BlockWeights | None = None,
     oracle_length: int | None = None,
-) -> tuple[dict, dict]:
+) -> tuple[dict, Series]:
     """Run every route and raise RouteMismatchError on the first disagreement.
 
-    Returns the report document ``series`` prints, together with the bundles
-    the block routes built, keyed by route name ("fixed_point", "laurent"),
-    so callers that need the series again do not recompute it.  ``weights``
-    defaults to ``block_reduce(spec)``.
+    Returns the report document ``series`` prints, together with the checked
+    corner series (the fixed-point route's), so callers that need it do not
+    recompute it.  ``weights`` defaults to ``block_reduce(spec)``.
 
     The block routes and the oracle run on the integral weights L·w and are
     compared with each other there (a first disagreement sits at the same
     z^n either way); the direct route, on the original spec, is compared with
-    their unscaled corner series, and the bundles come back unscaled.
+    their corner series divided back (z -> z / L).
 
     The oracle's depth defaults to min(order, 10), the ``oracle_length`` and
     ``orders_compared`` the report has always printed; pass
@@ -240,13 +222,14 @@ def cross_check(
     direct = direct_route(spec, order)
     fp = fixed_point_route(weights, order)
     lr = laurent_route(weights, order)
-    fp_out, lr_out = fp.unscaled(den), lr.unscaled(den)
+    c = weights.field.inv(den)
+    fp_gv, lr_gv = fp.gv.scale_z(c), lr.gv.scale_z(c)
     if oracle_length is None:
         oracle_length = min(order, 10)
     sums = class_sums(weights, oracle_length)
     pairs = [
-        ("direct_vs_fixed_point", direct, fp_out.gv),
-        ("direct_vs_laurent", direct, lr_out.gv),
+        ("direct_vs_fixed_point", direct, fp_gv),
+        ("direct_vs_laurent", direct, lr_gv),
         ("fixed_point_vs_laurent_gw", fp.gw, lr.gw),
         ("fixed_point_vs_laurent_gwstar", fp.gwstar, lr.gwstar),
         ("oracle_vs_engine_gw", sums.gw, fp.gw),
@@ -274,7 +257,7 @@ def cross_check(
     report = {
         "order": order, "oracle_length": oracle_length, "checks": checks, "status": "pass",
     }
-    return report, {"fixed_point": fp_out, "laurent": lr_out}
+    return report, fp_gv
 
 
 # -- the step symbol's characteristic polynomial -------------------------------

@@ -15,11 +15,19 @@ from fractions import Fraction
 
 from .errors import FieldMismatchError, NonUnitError, SpecFormatError
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to all 13 bases above (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+MR_PROVEN_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24 (covers 2**64)."""
+    """Deterministic Miller-Rabin on the prime bases 2..41.
+
+    Proven for all n < MR_PROVEN_BOUND (about 3.3e24, which covers 2**64);
+    at or past it the answer may be wrong, so :class:`PrimeField` refuses such
+    moduli.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -147,6 +155,10 @@ class PrimeField(Field):
     kind = "prime_field"
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= MR_PROVEN_BOUND:
+            raise SpecFormatError(
+                f"modulus {p} is too large: primality is proven only below {MR_PROVEN_BOUND}"
+            )
         if not isinstance(p, int) or not is_prime(p):
             raise SpecFormatError(f"modulus {p!r} is not prime")
         self.p = p

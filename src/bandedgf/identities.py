@@ -23,8 +23,7 @@ from .engine import _first_mismatch, corner_first_columns, fixed_point_route, la
 from .fields import Field
 from .laurent import trimmed_powers
 from .matseries import MatrixSeries
-from .section5 import _az_shift, check_descent_identities
-from .walks import class_sums, u_table
+from .walks import UTable, class_sums, u_table
 
 DEFAULT_ENUM_LENGTH = 8
 # The weighted ladder is checked for G*_0 .. G*_{LADDER_RMAX + 1}.
@@ -153,6 +152,32 @@ def _corner_table_failure(table, columns, s: int, order: int):
     return None
 
 
+def check_descent_identities(
+    table: UTable, gaz: MatrixSeries, gwstar: MatrixSeries, rmax: int
+):
+    """Verify the two ladder identities tying G*_r to the plain walk sums.
+
+    ``table`` is the walk table, ``gaz`` is G A z and ``gwstar`` the starred
+    sum G*, all to one order.  Checks (I - G A z) G*_0 = G* and
+    (I - G A z) G*_{r+1} = G A z G*_r for r = 0..rmax, on the ladder
+    ``table.binomial_sums(rmax + 1)``.  Returns the first identity that
+    fails, as text, or None when both hold; a failure means an
+    implementation bug.
+    """
+    ladder = table.binomial_sums(rmax + 1)
+    lead = MatrixSeries.identity(gaz.field, gaz.s, gaz.order) - gaz
+    if lead * ladder[0] != gwstar.truncate(gaz.order):
+        return "(I - G A z) G*_0 differs from the starred walk sum"
+    return next(
+        (
+            f"(I - G A z) G*_{r + 1} differs from G A z G*_{r}"
+            for r in range(rmax + 1)
+            if lead * ladder[r + 1] != gaz * ladder[r]
+        ),
+        None,
+    )
+
+
 def run_identity_suite(
     w: BlockWeights,
     order: int = 20,
@@ -233,7 +258,7 @@ def run_identity_suite(
     )
 
     # Descent factorization: walks from k peel off as G (A z) walks from k-1.
-    gaz = _az_shift(w, fp.gw, order)
+    gaz = fp.gw.rmul_const(w.a).mul_z_pow(1).truncate(order)
     descents = (
         (k, _first_mismatch(table.series(k + 1), gaz * table.series(k))) for k in range(1, 5)
     )
@@ -245,7 +270,9 @@ def run_identity_suite(
 
     # The binomially weighted ladder identities.
     checks.append(
-        IdentityCheck("weighted_ladder", check_descent_identities(w, LADDER_RMAX, table, fp))
+        IdentityCheck(
+            "weighted_ladder", check_descent_identities(table, gaz, fp.gwstar, LADDER_RMAX)
+        )
     )
 
     header = {"order": order, "enumeration_length": depth}

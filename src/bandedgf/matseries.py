@@ -43,23 +43,6 @@ class MatrixSeries:
         s = len(m)
         return cls(field, s, [cm.freeze(m)] + [cm.zeros(field, s)] * order)
 
-    @classmethod
-    def from_entries(cls, grid) -> "MatrixSeries":
-        """Build from an s-by-s grid of equal-order scalar Series."""
-        s = len(grid)
-        if any(len(row) != s for row in grid):
-            raise ShapeError("entry grid is not square")
-        field = grid[0][0].field
-        order = min(e.order for row in grid for e in row)
-        for row in grid:
-            for e in row:
-                require_same_field(field, e.field)
-        coeffs = [
-            tuple(tuple(grid[i][j].coeffs[n] for j in range(s)) for i in range(s))
-            for n in range(order + 1)
-        ]
-        return cls(field, s, coeffs)
-
     # -- queries ---------------------------------------------------------------
 
     @property
@@ -141,15 +124,6 @@ class MatrixSeries:
     def scale(self, scalar) -> "MatrixSeries":
         f = self.field
         return MatrixSeries(f, self.s, [cm.scale(f, c, scalar) for c in self.coeffs])
-
-    def scale_z(self, c) -> "MatrixSeries":
-        """The matrix series in c z: coefficient n times c^n."""
-        f = self.field
-        out, power = [], f.one
-        for x in self.coeffs:
-            out.append(cm.scale(f, x, power))
-            power = f.reduce(power * c)
-        return MatrixSeries(f, self.s, out)
 
     def mul_z_pow(self, k: int) -> "MatrixSeries":
         if k < 0:

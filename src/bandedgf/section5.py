@@ -1,10 +1,7 @@
-"""Weighted sums over standard walks and the affine transfer pipeline.
+"""Weighted corner sums and the affine transfer pipeline.
 
-Three layers extend the corner series:
+Two layers extend the corner series:
 
-* binomially weighted sums G*_r = sum over standard walks finishing at 0 of
-  C(start, r) * starred weight * z^length, computed directly from the
-  standard-walk table as the finite per-order sum over starting heights;
 * general weighted corner sums: given a scalar sequence a_1, a_2, ... that is
   eventually polynomial along every residue class mod s, the series
   sum_n (sum_k a_k (V^n)_{k,1}) z^n, read off the first column of V^n;
@@ -12,7 +9,11 @@ Three layers extend the corner series:
   linear readout, which reduces the transfer-operator series
   sum_n l(T^n E_1) z^n to the same first columns.
 
-Both of the last two reduce to the per-order sums sum_k (V^n)_{k,1} r(k)
+The binomially weighted standard-walk sums G*_r, which need whole blocks of
+the walk table rather than first columns, are
+:meth:`~bandedgf.walks.UTable.binomial_sums`.
+
+Both layers reduce to the per-order sums sum_k (V^n)_{k,1} r(k)
 for a few rules r, and :func:`_column_sums` is the one place that forms them:
 it sizes the column, reads the rule values, clears denominators and
 rescales.  Over Q it reads the first columns of L·V, L the lcm of the
@@ -29,83 +30,15 @@ Fraction spec.
 from __future__ import annotations
 
 from itertools import compress
-from math import comb, lcm
+from math import lcm
 from operator import mul
 
 from . import matrices as cm
 from .banded import BandedSpec, BlockWeights, clear_denominators
-from .engine import GenFunBundle, corner_first_columns
+from .engine import corner_first_columns
 from .errors import ShapeError, SpecFormatError
 from .fields import Field, is_json_int
-from .matseries import MatrixSeries
 from .series import Series
-from .walks import UTable, u_table
-
-
-def field_binomial(field: Field, k: int, r: int):
-    """C(k, r) as a field scalar: the integer binomial, reduced.
-
-    Pascal's rule holds mod p, so this is the binomial of every
-    characteristic, also where r! vanishes mod p.
-    """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    return field.from_int(comb(k, r))
-
-
-def g_star_r(w: BlockWeights, r: int, order: int, table: UTable | None = None) -> MatrixSeries:
-    """Binomially weighted standard-walk sum of index r, as a matrix series.
-
-    The z^n coefficient is sum_{k >= r} C(k, r) u_{k+1}^{(n)}; walks of
-    length n cannot start above n, so each sum is finite.
-    """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    field, s = w.field, w.s
-    if table is None or table.order < order:
-        table = u_table(w, order)
-    coeffs = []
-    for n in range(order + 1):
-        acc = cm.zeros(field, s)
-        for k in range(r, n + 1):
-            acc = cm.add(
-                field, acc, cm.scale(field, table.value(k + 1, n), field_binomial(field, k, r))
-            )
-        coeffs.append(acc)
-    return MatrixSeries(field, s, coeffs)
-
-
-def _az_shift(w: BlockWeights, g: MatrixSeries, order: int) -> MatrixSeries:
-    """G * (A z) truncated to the given order."""
-    return g.rmul_const(w.a).mul_z_pow(1).truncate(order)
-
-
-def check_descent_identities(
-    w: BlockWeights, rmax: int, table: UTable, bundle: GenFunBundle
-):
-    """Verify the two ladder identities tying G*_r to the plain walk sums.
-
-    ``table`` is ``u_table(w, order)`` and ``bundle`` is
-    ``fixed_point_route(w, order)``, passed in so a caller that already has
-    them does not build them again.  Checks (I - G A z) G*_0 = G* and
-    (I - G A z) G*_{r+1} = G A z G*_r for r = 0..rmax.  Returns the first
-    identity that fails, as text, or None when both hold; a failure means an
-    implementation bug.
-    """
-    field, s, order = w.field, w.s, bundle.order
-    gaz = _az_shift(w, bundle.gw, order)
-    lead = MatrixSeries.identity(field, s, order) - gaz
-    ladder = [g_star_r(w, r, order, table) for r in range(rmax + 2)]
-    if lead * ladder[0] != bundle.gwstar.truncate(order):
-        return "(I - G A z) G*_0 differs from the starred walk sum"
-    return next(
-        (
-            f"(I - G A z) G*_{r + 1} differs from G A z G*_{r}"
-            for r in range(rmax + 1)
-            if lead * ladder[r + 1] != gaz * ladder[r]
-        ),
-        None,
-    )
 
 
 class EventuallyPolySeq:

@@ -9,11 +9,14 @@ one forward pass over walk endpoints, polynomial in the length, written from
 these definitions alone.  :func:`enumerate_sum` lists every walk (3^length,
 capped) and is the brute-force reference the tests pin the oracle to.  The
 table of standard-walk sums (:func:`u_table`) keeps every s-by-s block
-u_k^(n) for the callers that read whole blocks: the binomially weighted
-ladder and the identity suite.
+u_k^(n) for the identity suite, which reads whole blocks, and computes from
+them the binomially weighted ladder G*_r (:meth:`UTable.binomial_sums`).
 """
 
 from __future__ import annotations
+
+from math import comb
+from operator import mul
 
 from . import matrices as cm
 from .banded import BlockWeights
@@ -276,6 +279,29 @@ class UTable:
         return MatrixSeries(
             self.field, self.s, [self.value(k, n) for n in range(self.order + 1)]
         )
+
+    def binomial_sums(self, rmax: int) -> list[MatrixSeries]:
+        """The binomially weighted ladder G*_0 .. G*_rmax, in one pass over the rows.
+
+        The z^n coefficient of G*_r is sum_{k >= r} C(k, r) u_{k+1}^(n), the
+        starred standard-walk sum from height k weighted by C(k, r); row n
+        stops at k = n, so each sum is finite.  The binomials are the integer
+        ones, reduced, so they hold in every characteristic.  Each entry is
+        summed in raw arithmetic and reduced once.
+        """
+        field, s, red = self.field, self.s, self.field.reduce
+        binoms = [
+            [field.from_int(comb(k, r)) for k in range(r, self.order + 1)]
+            for r in range(rmax + 1)
+        ]
+        coeffs = [[] for _ in binoms]
+        for row in self.rows:
+            # cells[e][k] is entry e, row-major, of u_{k+1}.
+            cells = list(zip(*([v for line in block for v in line] for block in row)))
+            for r, (binom, out) in enumerate(zip(binoms, coeffs)):
+                flat = [red(sum(map(mul, binom, cell[r:]))) for cell in cells]
+                out.append([flat[i : i + s] for i in range(0, s * s, s)])
+        return [MatrixSeries(field, s, c) for c in coeffs]
 
 
 def u_table(w: BlockWeights, order: int) -> UTable:

@@ -196,6 +196,34 @@ def test_band_values_not_a_list_exits_2(tmp_path, capsys):
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+# Strong pseudoprimes to the prime bases 2..37 (psi_12) and 2..41 (psi_13).
+PSI12 = 399165290221 * 798330580441
+PSI13 = 1287836182261 * 2575672364521
+
+
+@pytest.mark.parametrize("modulus", [PSI12, PSI13])
+def test_unproven_prime_moduli_exit_2(tmp_path, capsys, modulus):
+    flag = run_cli(
+        capsys, "series", "--example", "ex4.1", "--order", "5", "--field", f"p:{modulus}"
+    )
+    doc = {**IDENTITY_BAND_SPEC, "field": {"prime": modulus}}
+    in_spec = run_cli(capsys, "series", "--spec", write_spec(tmp_path, doc), "--order", "5")
+    for code, out, err in (flag, in_spec):
+        assert code == 2 and out == ""
+        assert err.startswith(f"input error: modulus {modulus} is")
+        assert err.count("\n") == 1
+
+
+def test_prime_modulus_between_the_pseudoprimes_is_accepted(capsys):
+    prime = 3317044064679887385961813  # the largest prime below psi_13
+    assert PSI12 < prime < PSI13
+    code, out, err = run_cli(
+        capsys, "series", "--example", "ex4.1", "--order", "5", "--field", f"p:{prime}"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["cross_check"]["status"] == "pass"
+
+
 def test_verify_example_pass(capsys):
     code, out, _ = run_cli(capsys, "verify-example", "ex5.12", "--order", "24")
     assert code == 0

@@ -18,6 +18,17 @@ def test_prime_field_rejects_composite_modulus():
         PrimeField(91)
 
 
+def test_strong_pseudoprimes_to_the_first_prime_bases_are_refused():
+    psi12 = 399165290221 * 798330580441  # passes the bases 2..37
+    psi13 = 1287836182261 * 2575672364521  # passes the bases 2..41
+    assert not is_prime(psi12)
+    for modulus in (psi12, psi13):
+        with pytest.raises(SpecFormatError):
+            PrimeField(modulus)
+    assert is_prime(3317044064679887385961813)  # the largest prime below psi13
+    assert PrimeField(3317044064679887385961813).p == 3317044064679887385961813
+
+
 def test_rational_canonical_form():
     assert QQ.reduce(Fraction(10, 2)) == 5
     assert isinstance(QQ.reduce(Fraction(10, 2)), int)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,13 +12,12 @@ from bandedgf.banded import BandedSpec, BlockWeights, block_reduce, from_block_w
 from bandedgf.engine import fixed_point_route
 from bandedgf.errors import ShapeError
 from bandedgf.fields import PrimeField, QQ
+from bandedgf.identities import check_descent_identities
+from bandedgf.matseries import MatrixSeries
 from bandedgf.section5 import (
     AffineRecursion,
     EventuallyPolySeq,
     affine_pipeline,
-    check_descent_identities,
-    field_binomial,
-    g_star_r,
     recursion_from_json_doc,
     weight_rules_from_json_doc,
     weighted_series,
@@ -32,34 +32,74 @@ def corner_loop_weights():
     return block_reduce(fixtures.ex512_spec(), 1)
 
 
-def test_field_binomial_matches_integers():
-    from math import comb
-
-    for k in range(8):
-        for r in range(5):
-            assert field_binomial(QQ, k, r) == comb(k, r)
-            assert field_binomial(F101, k, r) == comb(k, r) % 101
+def rung(w, r, order):
+    """G*_r to the given order, as the library computes it."""
+    return u_table(w, order).binomial_sums(r)[r]
 
 
-def test_field_binomial_small_characteristic_is_the_reduced_binomial():
-    from math import comb
+def reference_rung(w, r, order):
+    """G*_r by its definition, one rung and one block at a time."""
+    field, s = w.field, w.s
+    table = u_table(w, order)
+    coeffs = []
+    for n in range(order + 1):
+        acc = cm.zeros(field, s)
+        for k in range(r, n + 1):
+            acc = cm.add(
+                field, acc, cm.scale(field, table.value(k + 1, n), field.from_int(comb(k, r)))
+            )
+        coeffs.append(acc)
+    return MatrixSeries(field, s, coeffs)
 
-    for p in (2, 3, 5):
-        field = PrimeField(p)
+
+def descent_failure(w, rmax, order):
+    fp = fixed_point_route(w, order)
+    gaz = fp.gw.rmul_const(w.a).mul_z_pow(1).truncate(order)
+    return check_descent_identities(u_table(w, order), gaz, fp.gwstar, rmax)
+
+
+def test_binomial_sums_weight_each_start_by_the_reduced_binomial():
+    # With only down steps, the one standard walk of length n to 0 starts at
+    # height n, so the z^n coefficient of G*_r is C(n, r) in the field; the
+    # binomial exists also where r! vanishes mod p.
+    for field in (QQ, F101, PrimeField(2), PrimeField(3), PrimeField(5)):
+        p = field.characteristic
+        w = BlockWeights(field, 1, [[1]], [[0]], [[0]], [[0]])
+        ladder = u_table(w, 11).binomial_sums(12)
         for k in range(12):
             for r in range(k + 2):
-                assert field_binomial(field, k, r) == comb(k, r) % p
+                assert ladder[r].coeffs[k] == ((comb(k, r) % p if p else comb(k, r),),)
+
+
+@st.composite
+def _ladder_weights(draw):
+    """Block weights (s = 1..3) over Q with true fractions, F_2, F_3 or F_101."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), F101]))
+    s = draw(st.integers(1, 3))
+    if field is QQ:
+        value = st.builds(Fraction, st.integers(-5, 5), st.integers(2, 6)).map(QQ.reduce)
+    else:
+        value = st.integers(0, field.p - 1)
+    mat = st.lists(st.lists(value, min_size=s, max_size=s), min_size=s, max_size=s)
+    return BlockWeights(field, s, draw(mat), draw(mat), draw(mat), draw(mat))
+
+
+@settings(max_examples=80, deadline=None)
+@given(w=_ladder_weights(), order=st.integers(0, 12), rmax=st.integers(0, 4))
+def test_binomial_sums_match_the_per_rung_definition(w, order, rmax):
+    want = [reference_rung(w, r, order) for r in range(rmax + 1)]
+    assert u_table(w, order).binomial_sums(rmax) == want
 
 
 def test_weighted_ladder_base_series():
     w = corner_loop_weights()
-    g0 = g_star_r(w, 0, 10)
+    g0 = rung(w, 0, 10)
     assert g0.entry(0, 0).coeffs == tuple(2**n for n in range(11))
 
 
 def test_weighted_ladder_next_series():
     w = corner_loop_weights()
-    g1 = g_star_r(w, 1, 10)
+    g1 = rung(w, 1, 10)
     # (-1 + 2z + sqrt(1 - 4 z^2)) / (2 (1 - 2z)^2), expanded exactly.
     root = Series.from_ints(QQ, [1, 0, -4], order=10).sqrt()
     num = Series.from_ints(QQ, [-1, 2], order=10) + root
@@ -70,12 +110,12 @@ def test_weighted_ladder_next_series():
 def test_high_index_ladder_vanishes():
     w = corner_loop_weights()
     order = 6
-    assert g_star_r(w, order + 1, order).is_zero()
+    assert rung(w, order + 1, order).is_zero()
 
 
 def test_descent_identities_on_random_weights(weight_factory):
     w = weight_factory(2, seed=101)
-    assert check_descent_identities(w, 2, u_table(w, 12), fixed_point_route(w, 12)) is None
+    assert descent_failure(w, 2, 12) is None
 
 
 def test_descent_identities_degenerate_down_weight():
@@ -83,10 +123,10 @@ def test_descent_identities_degenerate_down_weight():
     # starred sum and every higher rung vanishes.
     f = QQ
     w = BlockWeights(f, 1, [[0]], [[1]], [[1]], [[1]])
-    assert check_descent_identities(w, 3, u_table(w, 10), fixed_point_route(w, 10)) is None
+    assert descent_failure(w, 3, 10) is None
     bundle = fixed_point_route(w, 10)
-    assert g_star_r(w, 0, 10) == bundle.gwstar
-    assert g_star_r(w, 1, 10).is_zero()
+    assert rung(w, 0, 10) == bundle.gwstar
+    assert rung(w, 1, 10).is_zero()
 
 
 def test_eventually_poly_accessor():
@@ -120,7 +160,7 @@ def test_weighted_series_linear_weight_matches_next_rung():
     spec = fixtures.ex512_spec()
     a = EventuallyPolySeq(QQ, 1, [((), (0, 1))])  # a_{1+k} = k
     out = weighted_series(spec, block_reduce(spec), a, 10)
-    g1 = g_star_r(block_reduce(spec, 1), 1, 10)
+    g1 = rung(block_reduce(spec, 1), 1, 10)
     assert out == g1.entry(0, 0)
 
 
@@ -251,8 +291,8 @@ def test_intermediate_square_root_identity():
     w = block_reduce(spec, 1)
     order = 18
     s_series = affine_pipeline(spec, corner_loop_weights(), fixtures.ex512_recursion(), order)
-    g0 = g_star_r(w, 0, order).entry(0, 0)
-    g1 = g_star_r(w, 1, order).entry(0, 0)
+    g0 = rung(w, 0, order).entry(0, 0)
+    g1 = rung(w, 1, order).entry(0, 0)
     gwstar = fixed_point_route(w, order).gwstar.entry(0, 0)
 
     def poly(cs):
