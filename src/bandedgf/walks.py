@@ -5,12 +5,13 @@ A walk is a tuple of integer heights with consecutive differences in
 level step, C for an up step; the weight of a walk is the ordered product of
 its step weights.  The starred weight replaces B by D on level steps taken at
 height 0.  :func:`class_sums` is the oracle the routes are checked against:
-one forward pass over walk endpoints, polynomial in the length, written from
-these definitions alone.  :func:`enumerate_sum` lists every walk (3^length,
-capped) and is the brute-force reference the tests pin the oracle to.  The
-table of standard-walk sums (:func:`u_table`) keeps every s-by-s block
-u_k^(n) for the identity suite, which reads whole blocks, and computes from
-them the binomially weighted ladder G*_r (:meth:`UTable.binomial_sums`).
+one forward pass over heights per walk class, polynomial in the length,
+written from these definitions alone.  :func:`enumerate_sum` lists every
+walk (3^length, capped) and is the brute-force reference the tests pin the
+oracle to.  The table of standard-walk sums (:func:`u_table`) keeps every
+s-by-s block u_k^(n) for the identity suite, which reads whole blocks, and
+computes from them the binomially weighted ladder G*_r
+(:meth:`UTable.binomial_sums`).
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def enumerate_sum(
 
 
 class WalkSums:
-    """Every class of walk sums needed by the identity suite, in one pass.
+    """Every class of walk sums needed by the identity suite.
 
     All walks start at height 0.  ``m0``/``m1``/``mm1`` are the unrestricted
     sums finishing at 0, -1 and +1; ``gw``/``gwstar`` the standard closed
@@ -172,72 +173,57 @@ class WalkSums:
             setattr(self, name, kw[name])
 
 
-def class_sums(w: BlockWeights, length: int) -> WalkSums:
-    """All WalkSums classes to the given length, by one forward pass over walks.
+def _class_pass(w, length, level0, standard=False, primitive=False):
+    """Sums over one class of walks from 0, by length and finishing height.
 
-    A walk from 0 is summarised by its endpoint state: the height, whether it
-    has dipped below 0 (then it is not standard), and whether it has
-    revisited 0 strictly inside (then it is not primitive).  Each state
-    carries the plain weight sum of the walks that reach it and, until it
-    dips, the starred sum; a step multiplies its weight on the right, in walk
-    order.  Heights stay in [-n, n] at length n, so the pass costs
-    O(length^2 s^3) time and O(length s^2) memory.
+    Row n maps each height h to the sum of the weights of the class's walks
+    of length n that finish at h; each step multiplies its weight on the
+    right, in walk order.  A standard walk stays at or above 0, a primitive
+    one stops at its first return to 0 (and has positive length), and a
+    level step at 0 weighs ``level0`` (B plain, D starred).  Only the
+    unrestricted class is read away from 0; every other class drops a walk
+    at |h| > length - n, which can no longer return to 0.
+    """
+    field = w.field
+    mul, add = cm.mul, cm.add
+    live = {0: cm.identity(field, w.s)}
+    rows = [{} if primitive else live]
+    for n in range(1, length + 1):
+        top = length - n if standard or primitive else n
+        bottom = 0 if standard else -top
+        row = {}
+        for h, acc in live.items():
+            for nh, u in ((h - 1, w.a), (h, level0 if h == 0 else w.b), (h + 1, w.c)):
+                if bottom <= nh <= top:
+                    v = mul(field, acc, u)
+                    row[nh] = add(field, row[nh], v) if nh in row else v
+        rows.append(row)
+        live = {h: v for h, v in row.items() if h} if primitive else row
+    return rows
+
+
+def class_sums(w: BlockWeights, length: int) -> WalkSums:
+    """All WalkSums classes to the given length, by one pass per walk class.
+
+    Heights stay in [-n, n] at length n, so each pass costs O(length^2 s^3)
+    time; ``by_finish`` keeps every endpoint block, O(length^2 s^2) memory.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
     field, s = w.field, w.s
-    mul, add = cm.mul, cm.add
-    zero, ident = cm.zeros(field, s), cm.identity(field, s)
-    closed = {n: [zero] * (length + 1) for n in ("gw", "gwstar", "hw", "hwstar", "j0")}
-    closed["gw"][0] = closed["gwstar"][0] = ident
-    by_finish = [{0: ident}]
-    # (height, dipped, zero_inside) -> [plain sum, starred sum or None once dipped]
-    states = {(0, False, False): [ident, ident]}
+    zero = cm.zeros(field, s)
 
-    def credit(name, lng, value):
-        closed[name][lng] = add(field, closed[name][lng], value)
+    def at(rows, k=0):
+        return MatrixSeries(field, s, [row.get(k, zero) for row in rows])
 
-    for lng in range(1, length + 1):
-        nxt = {}
-        for (h, dipped, zero_inside), (prod, sprod) in states.items():
-            child_zero = zero_inside or (lng > 1 and h == 0)
-            for step, u in ((-1, w.a), (0, w.b), (1, w.c)):
-                nh = h + step
-                nprod = mul(field, prod, u)
-                ndipped = dipped or nh < 0
-                nsprod = None
-                if not ndipped:
-                    us = w.d if step == 0 and h == 0 else u
-                    nsprod = mul(field, sprod, us)
-                acc = nxt.get((nh, ndipped, child_zero))
-                if acc is None:
-                    nxt[nh, ndipped, child_zero] = [nprod, nsprod]
-                else:
-                    acc[0] = add(field, acc[0], nprod)
-                    if nsprod is not None:
-                        acc[1] = add(field, acc[1], nsprod)
-        states = nxt
-        finish = {}
-        for (h, dipped, zero_inside), (prod, sprod) in states.items():
-            finish[h] = add(field, finish[h], prod) if h in finish else prod
-            if h != 0:
-                continue
-            if not zero_inside:
-                credit("j0", lng, prod)
-            if not dipped:
-                credit("gw", lng, prod)
-                credit("gwstar", lng, sprod)
-                if not zero_inside:
-                    credit("hw", lng, prod)
-                    credit("hwstar", lng, sprod)
-        by_finish.append(finish)
-
-    def transitions(k):
-        return MatrixSeries(field, s, [sums.get(k, zero) for sums in by_finish])
-
+    by_finish = _class_pass(w, length, w.b)
     return WalkSums(
-        m0=transitions(0), m1=transitions(-1), mm1=transitions(1),
-        **{name: MatrixSeries(field, s, sums) for name, sums in closed.items()},
+        m0=at(by_finish), m1=at(by_finish, -1), mm1=at(by_finish, 1),
+        gw=at(_class_pass(w, length, w.b, standard=True)),
+        gwstar=at(_class_pass(w, length, w.d, standard=True)),
+        hw=at(_class_pass(w, length, w.b, standard=True, primitive=True)),
+        hwstar=at(_class_pass(w, length, w.d, standard=True, primitive=True)),
+        j0=at(_class_pass(w, length, w.b, primitive=True)),
         by_finish=tuple(by_finish),
     )
 

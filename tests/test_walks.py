@@ -173,6 +173,11 @@ def test_class_sums_match_individual_enumerations(seed, s, prime, special, lengt
         w, length, 0, 0, "primitive_standard", mode="w_star"
     )
     assert sums.j0 == enumerate_sum(w, length, 0, 0, "primitive")
+    # Every endpoint of every length is present: callers index by_finish
+    # directly, so a dropped height must fail here, not read as zero.
+    assert [sorted(row) for row in sums.by_finish] == [
+        list(range(-n, n + 1)) for n in range(length + 1)
+    ]
     zero = cm.zeros(w.field, w.s)
     for k in range(-length, length + 1):
         by_length = [sums.by_finish[n].get(k, zero) for n in range(length + 1)]
@@ -229,7 +234,7 @@ def test_decomposition_identities_via_enumeration(weight_factory):
 
 
 def test_enumerated_identities_to_length_ten(weight_factory):
-    # All quantities from the one-pass oracle, identities checked to length
+    # All quantities from the walk-sum oracle, identities checked to length
     # 10: geometric inversion by the primitive parts, the primitive
     # decomposition of H, and the central analogue with the loop sum.
     w = weight_factory(2, seed=33)
