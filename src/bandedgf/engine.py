@@ -19,8 +19,8 @@ the target is the series whose z^n coefficient is the (1,1) entry of V^n.
 The reported scalar is always the (1,1) entry of the starred matrix G*,
 which is what the corner of V generates.  ``cross_check`` runs every route
 plus the walk-sum oracle of :mod:`bandedgf.walks` (one forward pass over
-heights per walk class, O(L^2 s^3) to length L) and insists on exact
-agreement.
+heights per walk class it reads, O(L^2 · s · nnz) to length L, nnz the
+nonzero entries of the step weights) and insists on exact agreement.
 
 Over Q the block routes and the oracle run on the integral weights L·w of
 :func:`~bandedgf.banded.clear_denominators`, whose z^n coefficients are L^n

@@ -8,7 +8,9 @@ height 0.  :func:`class_sums` is the oracle the routes are checked against:
 one forward pass over heights per walk class, polynomial in the length,
 written from these definitions alone.  :func:`enumerate_sum` lists every
 walk (3^length, capped) and is the brute-force reference the tests pin the
-oracle to.  The table of standard-walk sums (:func:`u_table`) keeps every
+oracle to; it and :func:`weight` multiply with the dense ``matrices.mul``,
+while the oracle and the walk table multiply through the step weights'
+nonzero entries.  The table of standard-walk sums (:func:`u_table`) keeps every
 s-by-s block u_k^(n) for the identity suite, which reads whole blocks, and
 computes from them the binomially weighted ladder G*_r
 (:meth:`UTable.binomial_sums`).
@@ -16,6 +18,7 @@ computes from them the binomially weighted ladder G*_r
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import comb
 from operator import mul
 
@@ -164,13 +167,71 @@ class WalkSums:
     primitive-standard parts; ``j0`` the primitive closed sum (which may dip
     below 0).  ``by_finish[n][k]`` is the unrestricted sum over walks of
     length n finishing at k, for every k in [-n, n].
+
+    ``by_finish``, ``m0``, ``m1`` and ``mm1`` come from the one unrestricted
+    pass made on construction.  ``gw``, ``gwstar``, ``hw``, ``hwstar`` and
+    ``j0`` each make their own pass on first read, so a caller pays only for
+    the classes it reads.  Every class is a plain attribute once computed and
+    may be reassigned.
     """
 
-    __slots__ = ("m0", "m1", "mm1", "gw", "gwstar", "hw", "hwstar", "j0", "by_finish")
+    def __init__(self, w: BlockWeights, length: int):
+        self._w, self._length = w, length
+        self.by_finish = tuple(_class_pass(w, length, w.b))
+        self.m0, self.m1, self.mm1 = (self._at(self.by_finish, k) for k in (0, -1, 1))
 
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
+    def _at(self, rows, k=0):
+        field, s = self._w.field, self._w.s
+        zero = cm.zeros(field, s)
+        return MatrixSeries(field, s, [row.get(k, zero) for row in rows])
+
+    def _closed(self, level0, **walk_class):
+        return self._at(_class_pass(self._w, self._length, level0, **walk_class))
+
+    @cached_property
+    def gw(self):
+        return self._closed(self._w.b, standard=True)
+
+    @cached_property
+    def gwstar(self):
+        return self._closed(self._w.d, standard=True)
+
+    @cached_property
+    def hw(self):
+        return self._closed(self._w.b, standard=True, primitive=True)
+
+    @cached_property
+    def hwstar(self):
+        return self._closed(self._w.d, standard=True, primitive=True)
+
+    @cached_property
+    def j0(self):
+        return self._closed(self._w.b, primitive=True)
+
+
+def _nonzeros(m):
+    """The nonzero entries (row, column, value) of a step weight, row by row."""
+    return [(t, j, v) for t, row in enumerate(m) for j, v in enumerate(row) if v]
+
+
+def _add_right_product(out, x, entries):
+    """out += x u in raw arithmetic, u given by its nonzero entries (t, j, v)."""
+    for xi, oi in zip(x, out):
+        for t, j, v in entries:
+            oi[j] += xi[t] * v
+
+
+def _add_left_product(out, entries, x):
+    """out += u x in raw arithmetic, u given by its nonzero entries (i, t, v)."""
+    for i, t, v in entries:
+        oi, xt = out[i], x[t]
+        for j, a in enumerate(xt):
+            oi[j] += v * a
+
+
+def _reduced(field, out):
+    red = field.reduce
+    return tuple(tuple(map(red, row)) for row in out)
 
 
 def _class_pass(w, length, level0, standard=False, primitive=False):
@@ -178,54 +239,46 @@ def _class_pass(w, length, level0, standard=False, primitive=False):
 
     Row n maps each height h to the sum of the weights of the class's walks
     of length n that finish at h; each step multiplies its weight on the
-    right, in walk order.  A standard walk stays at or above 0, a primitive
-    one stops at its first return to 0 (and has positive length), and a
-    level step at 0 weighs ``level0`` (B plain, D starred).  Only the
+    right, in walk order, through the weight's nonzero entries, and each
+    entry is reduced once per step.  A standard walk stays at or above 0, a
+    primitive one stops at its first return to 0 (and has positive length),
+    and a level step at 0 weighs ``level0`` (B plain, D starred).  Only the
     unrestricted class is read away from 0; every other class drops a walk
-    at |h| > length - n, which can no longer return to 0.
+    at |h| > length - n, which can no longer return to 0.  A height within
+    reach gets its block even when every step into it weighs zero.
     """
-    field = w.field
-    mul, add = cm.mul, cm.add
-    live = {0: cm.identity(field, w.s)}
+    field, s = w.field, w.s
+    down, level, up, floor = (_nonzeros(m) for m in (w.a, w.b, w.c, level0))
+    live = {0: cm.identity(field, s)}
     rows = [{} if primitive else live]
     for n in range(1, length + 1):
         top = length - n if standard or primitive else n
         bottom = 0 if standard else -top
-        row = {}
+        raw = {}
         for h, acc in live.items():
-            for nh, u in ((h - 1, w.a), (h, level0 if h == 0 else w.b), (h + 1, w.c)):
+            for nh, entries in ((h - 1, down), (h, floor if h == 0 else level), (h + 1, up)):
                 if bottom <= nh <= top:
-                    v = mul(field, acc, u)
-                    row[nh] = add(field, row[nh], v) if nh in row else v
+                    if nh not in raw:
+                        raw[nh] = [[0] * s for _ in range(s)]
+                    _add_right_product(raw[nh], acc, entries)
+        row = {h: _reduced(field, out) for h, out in raw.items()}
         rows.append(row)
         live = {h: v for h, v in row.items() if h} if primitive else row
     return rows
 
 
 def class_sums(w: BlockWeights, length: int) -> WalkSums:
-    """All WalkSums classes to the given length, by one pass per walk class.
+    """All WalkSums classes to the given length, by one pass per walk class
+    (the unrestricted pass now, each other pass when its class is first read).
 
-    Heights stay in [-n, n] at length n, so each pass costs O(length^2 s^3)
-    time; ``by_finish`` keeps every endpoint block, O(length^2 s^2) memory.
+    Heights stay in [-n, n] at length n and each step touches only the
+    nonzero entries of its weight, so each pass costs O(length^2 · s · nnz)
+    time, nnz the number of nonzero entries of A, B and C (or D);
+    ``by_finish`` keeps every endpoint block, O(length^2 s^2) memory.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    field, s = w.field, w.s
-    zero = cm.zeros(field, s)
-
-    def at(rows, k=0):
-        return MatrixSeries(field, s, [row.get(k, zero) for row in rows])
-
-    by_finish = _class_pass(w, length, w.b)
-    return WalkSums(
-        m0=at(by_finish), m1=at(by_finish, -1), mm1=at(by_finish, 1),
-        gw=at(_class_pass(w, length, w.b, standard=True)),
-        gwstar=at(_class_pass(w, length, w.d, standard=True)),
-        hw=at(_class_pass(w, length, w.b, standard=True, primitive=True)),
-        hwstar=at(_class_pass(w, length, w.d, standard=True, primitive=True)),
-        j0=at(_class_pass(w, length, w.b, primitive=True)),
-        by_finish=tuple(by_finish),
-    )
+    return WalkSums(w, length)
 
 
 class UTable:
@@ -291,20 +344,28 @@ class UTable:
 
 
 def u_table(w: BlockWeights, order: int) -> UTable:
+    """The standard-walk table to the given order, each block by one raw sum.
+
+    Each step weight multiplies on the left through its nonzero entries, and
+    each entry of a new block is reduced once.
+    """
     field, s = w.field, w.s
+    down, level, up, floor = (_nonzeros(m) for m in (w.a, w.b, w.c, w.d))
     zero = cm.zeros(field, s)
     rows = [(cm.identity(field, s),)]
     for _ in range(order):
-        # Row n holds u_1..u_{n+1} (prev[k-1] is u_k); two zero blocks stand in
-        # for u_{n+2} and u_{n+3}.
+        # Row n holds u_1..u_{n+1} (prev[k] is u_{k+1}); two zero blocks stand
+        # in for u_{n+2} and u_{n+3}.
         prev = rows[-1] + (zero, zero)
-        nxt = [
-            cm.add(field, cm.mul(field, w.d, prev[0]), cm.mul(field, w.c, prev[1]))
-        ]
-        for k in range(2, len(prev)):
-            acc = cm.mul(field, w.a, prev[k - 2])
-            acc = cm.add(field, acc, cm.mul(field, w.b, prev[k - 1]))
-            acc = cm.add(field, acc, cm.mul(field, w.c, prev[k]))
-            nxt.append(acc)
+        nxt = []
+        for k in range(len(prev) - 1):
+            if k == 0:
+                terms = ((floor, prev[0]), (up, prev[1]))
+            else:
+                terms = ((down, prev[k - 1]), (level, prev[k]), (up, prev[k + 1]))
+            out = [[0] * s for _ in range(s)]
+            for entries, x in terms:
+                _add_left_product(out, entries, x)
+            nxt.append(_reduced(field, out))
         rows.append(tuple(nxt))
     return UTable(field, s, tuple(rows))

@@ -1,11 +1,12 @@
 """Which matrix product each layer uses, read from the sources.
 
 The block routes and ``MatrixSeries`` multiply through
-``matrices.sum_of_products``; the walk oracle and the identity suite's own
-step product use the dense ``matrices.mul``.  The oracle checks the routes,
-so it must never share their kernel.  The sources are parsed with ``ast``,
-never imported, so a refactor that moves a layer onto the other product
-fails here.
+``matrices.sum_of_products``; the walk enumeration and the identity suite's
+own step product use the dense ``matrices.mul``, and the walk passes and the
+walk table their own product through the step weights' nonzero entries.
+The oracle checks the routes, so it must never share their kernel.  The
+sources are parsed with ``ast``, never imported, so a refactor that moves a
+layer onto the other product fails here.
 """
 
 import ast
@@ -48,6 +49,37 @@ def test_the_oracle_never_uses_the_route_kernel():
     for used in (walks, step):
         assert "sum_of_products" not in used
         assert "cm.mul" in used
+
+
+def _reached(tree, names):
+    """Every name used under the named functions of ``tree`` and under the
+    functions of the same module that they call, transitively."""
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    todo, seen, used = list(names), set(), set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            found = _names(functions[name])
+            used |= found
+            todo.extend(found & functions.keys())
+    return used
+
+
+def test_the_walk_passes_share_nothing_with_the_routes():
+    used = _reached(_tree("walks"), ["_class_pass", "u_table"])
+    routes = ("matseries", "engine", "laurent")
+    route_names = {
+        node.name
+        for module in routes
+        for node in _tree(module).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert "sum_of_products" not in used
+    assert not used & (route_names | set(routes))
+    assert {"_add_right_product", "_add_left_product"} <= used
 
 
 @pytest.mark.parametrize("module", ["matseries", "laurent", "engine"])

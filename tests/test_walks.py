@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bandedgf import matrices as cm
-from bandedgf.banded import BlockWeights
+from bandedgf.banded import BlockWeights, block_reduce
+from bandedgf.engine import cross_check
 from bandedgf.errors import MalformedWalkError, ResourceLimitError
 from bandedgf.fields import PrimeField, QQ
+from bandedgf.fixtures import example_spec
+from bandedgf.identities import oracle_comparison, run_identity_suite
 from bandedgf.matseries import MatrixSeries
 from bandedgf.walks import (
     class_sums,
@@ -33,12 +36,13 @@ def motzkin_weights():
 
 
 def rand_weights(rng, s, field=F101, special=None):
-    """Random block weights, entries mod 101 over F_101 and true fractions
-    over Q; ``special`` is None, "zero_a", "zero_c" or "b_is_d"."""
+    """Random block weights, residues of 0..100 over a prime field and true
+    fractions over Q; ``special`` is None, "zero_a", "zero_c", "zero_d" or
+    "b_is_d"."""
     def mat():
         if field is QQ:
             return [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(s)] for _ in range(s)]
-        return [[rng.randrange(101) for _ in range(s)] for _ in range(s)]
+        return [[field.from_int(rng.randrange(101)) for _ in range(s)] for _ in range(s)]
 
     a, b, c, d = mat(), mat(), mat(), mat()
     zero = [[0] * s for _ in range(s)]
@@ -46,6 +50,8 @@ def rand_weights(rng, s, field=F101, special=None):
         a = zero
     elif special == "zero_c":
         c = zero
+    elif special == "zero_d":
+        d = zero
     elif special == "b_is_d":
         d = b
     return BlockWeights(field, s, a, b, c, d)
@@ -155,12 +161,21 @@ def test_primitive_filter_needs_matching_endpoints(weight_factory):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
-    s=st.integers(1, 3),
+    s=st.integers(1, 4),
     prime=st.booleans(),
-    special=st.one_of(st.none(), st.sampled_from(["zero_a", "zero_c", "b_is_d"])),
-    length=st.integers(0, 7),
+    special=st.one_of(st.none(), st.sampled_from(["zero_a", "zero_c", "zero_d", "b_is_d"])),
+    length=st.integers(0, 9),
 )
+# The largest sizes the cost bounds admit, which the search seldom draws.
+@example(seed=1, s=4, prime=True, special="zero_a", length=7)
+@example(seed=2, s=3, prime=False, special="zero_c", length=7)
+@example(seed=3, s=2, prime=True, special="zero_d", length=9)
+@example(seed=4, s=4, prime=False, special="b_is_d", length=6)
 def test_class_sums_match_individual_enumerations(seed, s, prime, special, length):
+    # Each enumeration costs about s^3 3^length products, several times
+    # dearer over Q: keep an example within the cost of s = 2 at length 9
+    # over F_101, and of s = 3 at length 7 over Q.
+    assume(s**3 * 3**length <= (8 * 3**9 if prime else 27 * 3**7))
     w = rand_weights(random.Random(seed), s, F101 if prime else QQ, special)
     sums = class_sums(w, length)
     assert sums.m0 == enumerate_sum(w, length, 0, 0, "all")
@@ -182,6 +197,76 @@ def test_class_sums_match_individual_enumerations(seed, s, prime, special, lengt
     for k in range(-length, length + 1):
         by_length = [sums.by_finish[n].get(k, zero) for n in range(length + 1)]
         assert by_length == list(enumerate_sum(w, length, 0, k, "all").coeffs)
+
+
+def test_each_caller_makes_only_the_class_passes_it_reads(monkeypatch):
+    import bandedgf.walks as walks
+
+    passes = []
+    real = walks._class_pass
+
+    def counted(*args, **kwargs):
+        passes.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(walks, "_class_pass", counted)
+    spec = example_spec("ex4.2")
+    w = block_reduce(spec)
+    # cross_check reads gw, gwstar and the unrestricted sums; the identity
+    # suite reads by_finish and j0; the oracle comparison reads every class.
+    for run, want in (
+        (lambda: cross_check(spec, 9), 3),
+        (lambda: run_identity_suite(w, order=9, enum_length=6), 2),
+        (lambda: oracle_comparison(w, 6), 6),
+    ):
+        passes.clear()
+        run()
+        assert len(passes) == want
+
+
+def test_class_sums_are_assignable():
+    sums = class_sums(scalar_weights(1, 1, 1, 1), 3)
+    for name in ("m0", "m1", "mm1", "gw", "gwstar", "hw", "hwstar", "j0"):
+        replacement = sums.m0.truncate(2)
+        setattr(sums, name, replacement)
+        assert getattr(sums, name) is replacement
+
+
+def dense_u_table_rows(w, order):
+    """The standard-walk table by the dense recurrence, block by block:
+    u_1 <- D u_1 + C u_2 and u_k <- A u_{k-1} + B u_k + C u_{k+1}."""
+    field, s = w.field, w.s
+    zero = cm.zeros(field, s)
+    rows = [(cm.identity(field, s),)]
+    for _ in range(order):
+        prev = rows[-1] + (zero, zero)  # prev[k - 1] is u_k
+        nxt = [cm.add(field, cm.mul(field, w.d, prev[0]), cm.mul(field, w.c, prev[1]))]
+        for k in range(2, len(prev)):
+            acc = cm.mul(field, w.a, prev[k - 2])
+            acc = cm.add(field, acc, cm.mul(field, w.b, prev[k - 1]))
+            acc = cm.add(field, acc, cm.mul(field, w.c, prev[k]))
+            nxt.append(acc)
+        rows.append(tuple(nxt))
+    return tuple(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    s=st.integers(1, 4),
+    field=st.sampled_from([QQ, PrimeField(2), F101]),
+    special=st.one_of(st.none(), st.sampled_from(["zero_a", "zero_c", "zero_d", "b_is_d"])),
+    order=st.integers(0, 15),
+)
+@example(seed=4, s=4, field=QQ, special="zero_a", order=15)
+@example(seed=5, s=3, field=PrimeField(2), special="zero_c", order=15)
+def test_u_table_matches_the_dense_recurrence(seed, s, field, special, order):
+    w = rand_weights(random.Random(seed), s, field, special)
+    rows = u_table(w, order).rows
+    want = dense_u_table_rows(w, order)
+    assert rows == want
+    # The repr tells an int from an equal Fraction: entries stay canonical.
+    assert repr(rows) == repr(want)
 
 
 def test_u_table_base_row(weight_factory):
