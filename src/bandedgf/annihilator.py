@@ -4,13 +4,10 @@ Given a series g known to high order, search for a nonzero bivariate
 polynomial P(z, x) with P(z, g(z)) = 0 through every known order.  The
 search is linear algebra: coefficients c_{i,j} of z^j x^i are unknowns and
 each z-order of sum c_{i,j} z^j g^i contributes one homogeneous equation.
-The system is built once, at the largest bounds, and a single elimination
-(fraction-free over Q, mod p over F_p) runs over its columns in a chosen
-order up to the first column that depends on the ones before it.  The
-columns of every smaller bound are a prefix of that order, and whether a
-column is a pivot depends only on the columns before it, so that first
-dependent column answers every smaller bound at once: three such passes find
-the least x-degree, the least z-degree, and the solution itself.
+The system is built once, at the largest bounds, and eliminated once
+(fraction-free over Q, mod p over F_p) into a basis of its nullspace; three
+reads of that small basis find the least x-degree, the least z-degree, and
+the solution itself.
 The returned polynomial is made canonical (degree-minimal within the given
 bounds, integer content 1 over the rationals, deterministic sign/scaling) so
 reruns and golden-file comparisons are stable.  Verification re-evaluates
@@ -21,6 +18,7 @@ exact expansion.
 
 from __future__ import annotations
 
+from bisect import bisect
 from math import gcd, lcm
 
 from .errors import (
@@ -179,6 +177,14 @@ def _canonical_scale(field: Field, grid):
 # -- reconstruction ---------------------------------------------------------------
 
 
+def require_order(order: int, dx: int, dz: int, guard: int) -> None:
+    """Refuse an order below (dx+1)(dz+1) + guard, the least ``reconstruct`` takes."""
+    if order < (needed := (dx + 1) * (dz + 1) + guard):
+        raise InsufficientPrecisionError(
+            f"series order {order} is too small for bounds ({dx},{dz}); need at least {needed}"
+        )
+
+
 def reconstruct(
     g: Series, dx: int, dz: int, guard: int = DEFAULT_GUARD
 ) -> AnnihilatorPoly | None:
@@ -190,45 +196,39 @@ def reconstruct(
     minimization is lexicographic: smallest x-degree admitting a solution,
     then smallest z-degree at that x-degree.
 
-    The system is built once, at (dx, dz), and eliminated three times, each
-    time up to the first column that depends on the columns before it:
+    The system is built once, at (dx, dz), and eliminated once, into a basis
+    of its nullspace.  Three reads of that basis each find the first column,
+    in some order, that depends on the columns before it:
 
     1. in (i, j) order: that column's i is the least x-degree dx';
     2. in (j, i) order at dx': that column's j is the least z-degree dz';
     3. in (i, j) order at (dx', dz'): its dependency is the solution.
 
-    For every smaller bound the columns form a prefix of the order taken, so
-    a bound admits a solution exactly when the first dependent column lies
-    inside it.  Pass 2 finds a solution at (dx', dz') but in another column
-    order; pass 3 returns the one a scan of the bounds in (i, j) order finds
-    (the first free column at 1, the later ones at 0), which fixes the
-    polynomial even when the solutions at (dx', dz') are not all proportional.
+    Every smaller bound's columns are a prefix of the order read, so a bound
+    admits a solution exactly when the first dependent column lies inside it.
+    Read 3 fixes the polynomial even when the solutions at (dx', dz') are not
+    all proportional: it is the one a scan of the bounds in (i, j) order finds.
     """
     if dx < 1 or dz < 0:
         raise ValueError("need dx >= 1 and dz >= 0")
-    needed = (dx + 1) * (dz + 1) + guard
-    if g.order < needed:
-        raise InsufficientPrecisionError(
-            f"series order {g.order} is too small for bounds ({dx},{dz}); "
-            f"need at least {needed}"
-        )
+    require_order(g.order, dx, dz, guard)
     field = g.field
     powers = [Series.one(field, g.order)]
     for _ in range(dx):
         powers.append(powers[-1] * g)
-    rows = _system(field, powers, dz)
     width = dz + 1
+    basis = _nullspace(field, _system(field, powers, dz), (dx + 1) * width)
 
     def by_x(bx, bz):
         return [i * width + j for i in range(bx + 1) for j in range(bz + 1)]
 
-    first = _first_dependency(field, rows, by_x(dx, dz))
+    first = _first_dependent(field, basis, by_x(dx, dz))
     if first is None:
         return None
     found_dx = first[0] // width
     by_z = [i * width + j for j in range(width) for i in range(found_dx + 1)]
-    found_dz = by_z[_first_dependency(field, rows, by_z)[0]] % width
-    _, sol = _first_dependency(field, rows, by_x(found_dx, found_dz))
+    found_dz = by_z[_first_dependent(field, basis, by_z)[0]] % width
+    _, sol = _first_dependent(field, basis, by_x(found_dx, found_dz))
     w = found_dz + 1
     grid = [sol[i * w:(i + 1) * w] for i in range(found_dx + 1)]
     return AnnihilatorPoly(field, grid)
@@ -251,45 +251,69 @@ def _system(field: Field, powers, dz: int):
     return rows
 
 
-def _first_dependency(field: Field, rows, cols):
-    """The first of ``cols`` that depends on the ones before it, or None.
+def _nullspace(field: Field, rows, ncols: int):
+    """Nullspace basis of ``rows``: per free column f, the vector that is 1 at
+    f, 0 at the other free columns, and at the pivots by back-substitution.
 
-    Returns (k, x): ``cols[k]`` is that column, and x, indexed like ``cols``,
-    is its dependency: x[k] = 1, the later entries 0, and the earlier ones,
-    which are all pivots, by back-substitution.  Elimination runs only up to
-    column k; whether a column is a pivot depends only on the columns before
-    it, so stopping there changes nothing.  Rows are integers over Q, reduced
-    mod p over F_p.  Over Q the update is fraction-free (Bareiss), and every
-    row below the pivot is rescaled, zero multiplier or not: that is what
-    keeps the later divisions by the previous pivot exact.  Over F_p a row
-    with a zero multiplier would only be rescaled by the nonzero pivot, which
-    changes neither the pivot choice nor the back-substitution, so it is
-    skipped.
+    One elimination in natural column order, of integer rows over Q (Bareiss:
+    every row below the pivot is rescaled, zero multiplier or not, which keeps
+    the divisions by the previous pivot exact) or rows reduced mod p over F_p
+    (a zero multiplier would only rescale the row, so it is skipped).
     """
     p = field.characteristic
-    m = [[row[c] for c in cols] for row in rows]
+    m = [list(row) for row in rows]
+    pivots = []
     prev = 1
-    for k in range(len(cols)):
-        pr = next((i for i in range(k, len(m)) if m[i][k]), None)
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
-            x = [0] * len(cols)
-            x[k] = 1
-            for r in range(k - 1, -1, -1):
-                acc = sum(m[r][j] * x[j] for j in range(r + 1, k + 1))
-                x[r] = field.div(-acc, m[r][r])
-            return k, x
-        m[k], m[pr] = m[pr], m[k]
-        top = m[k][k:]
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        top = m[r][c:]
         pivot = top[0]
-        for row in m[k + 1:]:
-            mult = row[k]
+        for row in m[r + 1:]:
+            mult = row[c]
             if p:
-                if not mult:
-                    continue
-                row[k:] = [(a * pivot - mult * b) % p for a, b in zip(row[k:], top)]
+                if mult:
+                    row[c:] = [(a * pivot - mult * b) % p for a, b in zip(row[c:], top)]
             else:
-                row[k:] = [(a * pivot - mult * b) // prev for a, b in zip(row[k:], top)]
+                row[c:] = [(a * pivot - mult * b) // prev for a, b in zip(row[c:], top)]
         prev = pivot
+        pivots.append(c)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        x = [field.zero] * ncols
+        x[f] = field.one
+        for r in reversed(range(bisect(pivots, f))):
+            acc = sum(m[r][j] * x[j] for j in range(pivots[r] + 1, f + 1))
+            x[pivots[r]] = field.div(-acc, m[r][pivots[r]])
+        basis.append(x)
+    return basis
+
+
+def _first_dependent(field: Field, basis, cols):
+    """(k, x) for ``cols[k]``, the first of ``cols`` depending on those before it.
+
+    x, indexed like ``cols``, is the dependency: x[k] = 1, later entries 0.  It
+    is the vector spanned by ``basis`` whose last nonzero entry, with the
+    columns off ``cols`` placed after them, comes first; echelonizing the
+    basis by last position, from the end, leaves it last.  None if there is none.
+    """
+    inside = set(cols)
+    vecs = [[v[c] for c in cols] + [a for c, a in enumerate(v) if c not in inside]
+            for v in basis]
+    for t in reversed(range(len(basis[0]) if basis else 0)):
+        live = [v for v in vecs if v[t]]
+        if not live:
+            continue
+        top = live[0]
+        if len(vecs) == 1:
+            return (t, [field.div(a, top[t]) for a in top[:len(cols)]]) if t < len(cols) else None
+        for v in live[1:]:
+            f = field.div(v[t], top[t])
+            v[:] = [field.reduce(a - f * b) for a, b in zip(v, top)]
+        vecs.remove(top)
     return None
 
 

@@ -21,7 +21,7 @@ import json
 import sys
 
 from . import fixtures
-from .annihilator import DEFAULT_GUARD, AnnihilatorPoly, reconstruct, verify
+from .annihilator import DEFAULT_GUARD, AnnihilatorPoly, reconstruct, require_order, verify
 from .banded import BandedSpec, block_reduce, clear_denominators
 from .engine import cross_check, fixed_point_route
 from .errors import (
@@ -138,7 +138,9 @@ def cmd_series(args) -> int:
 
 def cmd_annihilate(args) -> int:
     spec = _load_spec(args)
-    den, weights = clear_denominators(block_reduce(spec, args.block_size))
+    weights = block_reduce(spec, args.block_size)
+    require_order(args.order, args.degx, args.degz, args.guard)
+    den, weights = clear_denominators(weights)
     deeper = fixed_point_route(weights, args.order + args.extra).gv.scale_z(
         spec.field.inv(den)
     )

@@ -13,7 +13,8 @@ from bandedgf.annihilator import (
     check_closed_form_sqrt,
     reconstruct,
     verify,
-    _first_dependency,
+    _first_dependent,
+    _nullspace,
 )
 from bandedgf.banded import BlockWeights, block_reduce
 from bandedgf.engine import fixed_point_route
@@ -142,8 +143,9 @@ def test_soundness_on_corpus_with_extended_order():
         assert verify(golden, g)
 
 
-def reference_nullspace(field, rows, ncols):
-    """Gauss-Jordan with the field's own operations (Fractions over Q)."""
+def reference_pivots(field, rows, ncols):
+    """Gauss-Jordan with the field's own operations (Fractions over Q): the
+    reduced rows and the pivot columns."""
     m = [[field.reduce(c) for c in row] for row in rows]
     nrows = len(m)
     piv_cols = []
@@ -160,6 +162,12 @@ def reference_nullspace(field, rows, ncols):
                 m[i] = [field.reduce(a - f * b) for a, b in zip(m[i], m[r])]
         piv_cols.append(c)
         r += 1
+    return m, piv_cols
+
+
+def reference_nullspace(field, rows, ncols):
+    """First free column of Gauss-Jordan and its dependency, or None."""
+    m, piv_cols = reference_pivots(field, rows, ncols)
     free = [c for c in range(ncols) if c not in piv_cols]
     if not free:
         return None
@@ -172,7 +180,7 @@ def reference_nullspace(field, rows, ncols):
 
 
 def integral_rows(field, rows):
-    """Rows as ``_first_dependency`` takes them: over Q, each times its lcm."""
+    """Rows as ``_nullspace`` takes them: over Q, each times its lcm."""
     if field.characteristic:
         return rows
     out = []
@@ -183,8 +191,11 @@ def integral_rows(field, rows):
 
 
 def test_nullspace_rational_against_fraction_reference():
-    # The single elimination, over Q and F_p and in a random column order,
-    # against plain Gauss-Jordan: same first free column, same dependency.
+    # One elimination, over Q and F_p, against plain Gauss-Jordan: the basis
+    # annihilates every row, has one vector per free column (1 there, 0 at
+    # the other free columns), and a read in a random column order, of all
+    # columns or some, gives the first free column and dependency of a
+    # Gauss-Jordan run on the columns permuted into that order.
     rng = random.Random(55)
     for field in (QQ, PrimeField(2), PrimeField(3), PrimeField(101)):
         for trial in range(40):
@@ -199,15 +210,18 @@ def test_nullspace_rational_against_fraction_reference():
                 ]
             if rng.random() < 0.5 and nrows >= 2:
                 rows[-1] = [field.reduce(2 * v) for v in rows[0]]
-            cols = list(range(ncols))
-            rng.shuffle(cols)
+            basis = _nullspace(field, integral_rows(field, rows), ncols)
+            free = [c for c in range(ncols) if c not in reference_pivots(field, rows, ncols)[1]]
+            assert len(basis) == len(free)
+            for f, v in zip(free, basis):
+                assert [v[c] for c in free] == [int(c == f) for c in free]
+                for row in rows:
+                    assert field.reduce(sum(c * x for c, x in zip(row, v))) == 0
+            cols = rng.sample(range(ncols), rng.choice((ncols, rng.randrange(1, ncols + 1))))
             permuted = [[row[c] for c in cols] for row in rows]
-            got = _first_dependency(field, integral_rows(field, rows), cols)
-            want = reference_nullspace(field, permuted, ncols)
-            assert got == want
-            if got is not None:
-                for row in permuted:
-                    assert field.reduce(sum(c * x for c, x in zip(row, got[1]))) == 0
+            assert _first_dependent(field, basis, cols) == reference_nullspace(
+                field, permuted, len(cols)
+            )
 
 
 # The per-bound scan that reconstruct replaced, kept as its reference: each
@@ -336,7 +350,7 @@ def reconstruction_cases(draw):
             return draw(st.integers(0, field.p - 1))
         return field.reduce(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))))
 
-    kind = draw(st.sampled_from(("route", "polynomial", "prefix")))
+    kind = draw(st.sampled_from(("route", "polynomial", "prefix", "periodic", "rational")))
     if kind == "route":
         s = draw(st.integers(1, 2))
         blocks = [[[scalar() for _ in range(s)] for _ in range(s)] for _ in range(4)]
@@ -344,9 +358,19 @@ def reconstruction_cases(draw):
     elif kind == "polynomial":
         coeffs = [scalar() for _ in range(draw(st.integers(1, 4)))]
         g = Series(field, (coeffs + [0] * order)[: order + 1])
-    else:
+    elif kind == "prefix":
         valuation = draw(st.integers(0, 3))
         g = Series(field, [0] * valuation + [scalar() for _ in range(order + 1 - valuation)])
+    elif kind == "periodic":
+        # P(z) / (1 - z^q): relations at several degrees, so nullspaces of
+        # dimension two or more whenever the bounds leave room.
+        period = [scalar() for _ in range(draw(st.integers(1, 3)))]
+        g = Series(field, (period * (order + 1))[: order + 1])
+    else:
+        # 1 / (1 - c z^k).
+        c, k = scalar(), draw(st.integers(1, 3))
+        g = Series(field, [field.reduce(c ** (n // k)) if n % k == 0 else 0
+                           for n in range(order + 1)])
     return g, dx, dz, guard
 
 
@@ -383,21 +407,23 @@ def test_reconstruct_keeps_the_scan_choice_among_several_solutions():
         assert reconstruct(g, 4, 5, guard=0) == want == reference_reconstruct(g, 4, 5)
 
 
-def test_reconstruct_runs_at_most_three_eliminations(monkeypatch):
+def test_reconstruct_runs_one_elimination(monkeypatch):
+    # The (n+1)-row system is eliminated exactly once per call, whether a
+    # polynomial is found or not; the degree searches only read the basis.
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return _first_dependency(*args)
+    def counting(field, rows, ncols):
+        calls.append(len(rows))
+        return _nullspace(field, rows, ncols)
 
-    monkeypatch.setattr(annihilator, "_first_dependency", counting)
+    monkeypatch.setattr(annihilator, "_nullspace", counting)
     g = motzkin_series(60)
     assert reconstruct(g, 4, 6) == AnnihilatorPoly(QQ, [[1], [-1, 1], [0, 0, 1]])
-    assert len(calls) == 3
+    assert calls == [61]
     calls.clear()
     prefix = Series.from_ints(QQ, [math.factorial(n) for n in range(46)])
     assert reconstruct(prefix, 2, 3) is None
-    assert len(calls) == 1
+    assert calls == [46]
 
 
 def test_closed_form_plain_rational():

@@ -107,6 +107,21 @@ def test_annihilate_insufficient_order_exits_2(capsys):
     assert "input error" in err
 
 
+def test_annihilate_refuses_a_short_order_before_the_route(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the route ran on an order too short for the bounds")
+
+    monkeypatch.setattr(cli, "fixed_point_route", never)
+    code, out, err = run_cli(
+        capsys, "annihilate", "--example", "ex4.1", "--order", "300",
+        "--degx", "18", "--degz", "16",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "input error: series order 300 is too small for bounds (18,16); need at least 343\n"
+    )
+
+
 def test_annihilate_none_found_exits_1(tmp_path, capsys):
     # 1/(1-z) admits no relation c1*g + c0 = 0, so degree bounds (1, 0)
     # leave an empty nullspace.
