@@ -20,7 +20,6 @@ from .banded import (
     block_reduce,
     choose_block_size,
     from_block_weights,
-    validate_reduction,
     verify_block_size,
 )
 from .engine import (
@@ -42,7 +41,7 @@ from .section5 import (
     weighted_series,
 )
 from .series import Series
-from .walks import class_sums, enumerate_sum, is_primitive, is_standard, u_table, weight
+from .walks import class_sums, enumerate_sum, u_table, weight
 
 __version__ = "0.1.0"
 
@@ -70,15 +69,12 @@ __all__ = [
     "enumerate_sum",
     "fixed_point_route",
     "from_block_weights",
-    "is_primitive",
-    "is_standard",
     "laurent_route",
     "oracle_comparison",
     "reconstruct",
     "run_identity_suite",
     "symbol_determinant",
     "u_table",
-    "validate_reduction",
     "verify",
     "verify_block_size",
     "weight",

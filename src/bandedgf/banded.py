@@ -41,7 +41,6 @@ from .fields import (
     field_from_json,
     field_to_json,
     is_json_int,
-    require_same_field,
     scalar_to_json,
 )
 
@@ -288,54 +287,6 @@ def clear_denominators(w: BlockWeights) -> tuple[int, BlockWeights]:
     return den, BlockWeights(
         w.field, w.s, *([[red(v * den) for v in row] for row in m] for m in blocks)
     )
-
-
-class ReductionReport:
-    """Outcome of validate_reduction; falsy when a mismatch was found."""
-
-    def __init__(self, mismatch=None):
-        self.mismatch = mismatch  # (i, j, rebuilt, expected) or None
-
-    @property
-    def ok(self) -> bool:
-        return self.mismatch is None
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return "ReductionReport(ok)"
-        i, j, got, want = self.mismatch
-        return f"ReductionReport(mismatch at ({i},{j}): rebuilt {got!r} != {want!r})"
-
-
-def _block_pattern_entry(w: BlockWeights, i: int, j: int):
-    """Entry (i, j) of the infinite block matrix D,B on the diagonal, A below, C above."""
-    s = w.s
-    bi, bj = (i - 1) // s, (j - 1) // s
-    r, c = (i - 1) % s, (j - 1) % s
-    if bi == bj:
-        return w.d[r][c] if bi == 0 else w.b[r][c]
-    if bi == bj + 1:
-        return w.a[r][c]
-    if bj == bi + 1:
-        return w.c[r][c]
-    return w.field.zero
-
-
-def validate_reduction(spec: BandedSpec, w: BlockWeights, k: int) -> ReductionReport:
-    """Compare the rebuilt block pattern against the spec on the K-by-K corner."""
-    require_same_field(spec.field, w.field)
-    if k < 2 * w.s:
-        raise ValueError(f"validation window {k} is smaller than 2s = {2 * w.s}")
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            got = _block_pattern_entry(w, i, j)
-            want = spec.entry(i, j)
-            if got != want:
-                return ReductionReport((i, j, got, want))
-    return ReductionReport()
 
 
 def from_block_weights(w: BlockWeights) -> BandedSpec:

@@ -8,7 +8,9 @@ the target is the series whose z^n coefficient is the (1,1) entry of V^n.
   G = I + z B G + z^2 C G A G for the standard-walk sum G over the block
   weights, and the first-return equation G* = I + (z D + z^2 C G A) G* for
   the starred sum, both online (one coefficient at a time from the ones
-  already known), in O(n^2 s^3) through order n;
+  already known) on per-entry coefficient lists, in O(n^2 · |supp CGA| · s)
+  multiplies through order n, |supp CGA| the rows where C has a nonzero
+  entry times the columns where A has one;
 * the Laurent route reads the transition sums M_0, M_1, M_-1 off the x^0,
   x^{+-1} coefficients of the powers of the step symbol A x + B + C x^-1
   (streamed one z-term at a time, each trimmed to the x-degrees that still
@@ -144,6 +146,17 @@ def _starred(w: BlockWeights, gw: MatrixSeries) -> MatrixSeries:
     return (MatrixSeries.identity(field, s, order) + shift).inverse() * gw
 
 
+def _row_entries(m):
+    """Row by row, the nonzero entries (column, value) of a constant matrix."""
+    return [[(t, v) for t, v in enumerate(row) if v] for row in m]
+
+
+def _entry_major(field: Field, s: int, entries) -> MatrixSeries:
+    """The matrix series whose (r, c) entry has the coefficients entries[r][c]."""
+    rows = [list(zip(*row)) for row in entries]
+    return MatrixSeries(field, s, zip(*rows))
+
+
 def fixed_point_route(w: BlockWeights, order: int) -> GenFunBundle:
     """Solve G = I + z B G + z^2 C G A G and its floor-corrected form online.
 
@@ -154,25 +167,54 @@ def fixed_point_route(w: BlockWeights, order: int) -> GenFunBundle:
         G*_k = D G*_{k-1} + sum_{i+j=k-2} P_i G*_j,
 
     the second being the first-return decomposition G* = I + (z D + z^2 C G A) G*
-    of walks at the floor.  Every coefficient is one call to
-    :func:`~bandedgf.matrices.sum_of_products`, and so is each factor of P_i,
-    so the route costs O(order^2 s^3) and takes no series product or inverse.
-    The kernel skips the zero entries of its left factors, which pays on the
-    mostly-zero step weights and on P_i.  The oracle the route is checked
-    against multiplies with the dense :func:`~bandedgf.matrices.mul` instead.
-    Only the Laurent route uses the floor-weight shift G*^-1 = G^-1 + (B - D) z,
-    so the two routes reach G* by different formulas.
+    of walks at the floor.  G and G* are kept entry-major, one growing list
+    of coefficients per entry (t, c), and P only on its support: the rows
+    where C has a nonzero entry times the columns where A has one, one list
+    per entry (r, t) there.  Each convolution term sum_i P_i[r][t] G_j[t][c]
+    is then one C-level dot product of the reversed P list against the G
+    list, and the level step B G_{k-1} (D G*_{k-1}) runs over the nonzero
+    entries of B (D).  Each new entry is reduced once.  Through order n the
+    route costs O(n^2 · |supp CGA| · s) multiplies at C speed plus
+    O(n · nnz(B, D) · s) for the level steps, holds O(n s^2) coefficients,
+    and takes no matrix product, series product or inverse, so it shares no
+    product with the Laurent route or the oracle.  Only the Laurent route
+    uses the floor-weight shift G*^-1 = G^-1 + (B - D) z, so the two routes
+    reach G* by different formulas.
     """
     field, s = w.field, w.s
-    sop = cm.sum_of_products
-    ident = cm.identity(field, s)
-    g, gstar, p = [ident], [ident], []
+    red, rng, zero_row = field.reduce, range(s), [field.zero] * s
+    g = [[[v] for v in row] for row in cm.identity(field, s)]
+    gstar = [[[v] for v in row] for row in cm.identity(field, s)]
+    c_rows = _row_entries(w.c)
+    # Column t of A as its nonzero entries (v, A[v][t]).
+    a_cols = [[(v, row[t]) for v, row in enumerate(w.a) if row[t]] for t in rng]
+    mids = sorted({u for row in c_rows for u, _ in row})
+    cols = [t for t in rng if a_cols[t]]
+    # p[r]: the pairs (t, [P_0[r][t], P_1[r][t], ...]) over the support's row r.
+    p = [[(t, []) for t in cols] if c_rows[r] else [] for r in rng]
+    steps = ((g, _row_entries(w.b)), (gstar, _row_entries(w.d)))
     for k in range(1, order + 1):
-        # p holds P_0 .. P_{k-2}; reversed, it pairs P_{k-2-j} with G_j.
-        g.append(sop(field, [(w.b, g[k - 1]), *zip(reversed(p), g)]))
-        gstar.append(sop(field, [(w.d, gstar[k - 1]), *zip(reversed(p), gstar)]))
-        p.append(sop(field, [(sop(field, [(w.c, g[k - 1])]), w.a)]))
-    return GenFunBundle(MatrixSeries(field, s, g), MatrixSeries(field, s, gstar))
+        for x, level in steps:
+            # Each P list holds P_0 .. P_{k-2}; reversed, map pairs P_{k-2-j}
+            # with G_j and stops at G_{k-2}.
+            new = []
+            for r in rng:
+                terms = [[v * e[k - 1] for e in x[t]] for t, v in level[r]]
+                terms += [
+                    [sum(map(mul, reversed(p_rt), e)) for e in x[t]] for t, p_rt in p[r]
+                ]
+                new.append([red(sum(col)) for col in zip(*terms)] if terms else zero_row)
+            for row, new_row in zip(x, new):
+                for entry, v in zip(row, new_row):
+                    entry.append(v)
+        # P_{k-1} = C (G_{k-1} A), G_{k-1} A only on the rows C reads.
+        ga = {
+            (u, t): sum(g[u][v][k - 1] * a for v, a in a_cols[t]) for u in mids for t in cols
+        }
+        for r in rng:
+            for t, p_rt in p[r]:
+                p_rt.append(red(sum(cv * ga[u, t] for u, cv in c_rows[r])))
+    return GenFunBundle(_entry_major(field, s, g), _entry_major(field, s, gstar))
 
 
 def laurent_route(w: BlockWeights, order: int) -> GenFunBundle:

@@ -2,12 +2,14 @@
 
 Scalars are raw field values (see :mod:`bandedgf.fields`), so entries
 combine with plain ``+``/``*`` and are reduced per result entry.
-:func:`sum_of_products` is the one block-product kernel: ``MatrixSeries``,
-the Laurent stream and the fixed-point route multiply only through it.  The
-dense :func:`mul` is the brute-force side's product (walk weights, the walk
-enumeration, the identity suite's own step product); the walk oracle and the
-walk table multiply through the step weights' nonzero entries in
-:mod:`bandedgf.walks`.  Neither shares the kernel it checks.
+:func:`sum_of_products` is the one block-product kernel: ``MatrixSeries``
+and the Laurent stream multiply only through it.  The fixed-point route
+multiplies through its own per-entry convolutions in :mod:`bandedgf.engine`,
+so the two block routes share no product.  The dense :func:`mul` is the
+brute-force side's product (walk weights, the walk enumeration, the identity
+suite's own step product); the walk oracle and the walk table multiply
+through the step weights' nonzero entries in :mod:`bandedgf.walks`.  Neither
+shares the kernel it checks.
 """
 
 from __future__ import annotations

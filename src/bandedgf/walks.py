@@ -40,29 +40,6 @@ def check_walk(points) -> None:
             raise MalformedWalkError(f"step {a} -> {b} is not in {{-1, 0, 1}}")
 
 
-def concat(alpha, beta):
-    """Concatenate two walks, translating beta to start at alpha's finish."""
-    check_walk(alpha)
-    check_walk(beta)
-    base = alpha[-1] - beta[0]
-    return tuple(alpha) + tuple(p + base for p in beta[1:])
-
-
-def is_standard(points) -> bool:
-    """Every point is at least the final point."""
-    check_walk(points)
-    last = points[-1]
-    return all(p >= last for p in points)
-
-
-def is_primitive(points) -> bool:
-    """Positive length, closed, and the start level is not revisited inside."""
-    check_walk(points)
-    if len(points) < 2 or points[0] != points[-1]:
-        return False
-    return all(p != points[0] for p in points[1:-1])
-
-
 def weight(w: BlockWeights, points, mode: str = "w"):
     """Ordered product of step weights; the empty walk weighs the identity."""
     check_walk(points)

@@ -1,0 +1,80 @@
+"""Test-only checks: the block-pattern round trip of a reduction, and the
+walk predicates the tests state the paper's definitions with.
+
+None of this is used by the package itself.
+"""
+
+from bandedgf.banded import BandedSpec, BlockWeights
+from bandedgf.fields import require_same_field
+from bandedgf.walks import check_walk
+
+
+class ReductionReport:
+    """Outcome of validate_reduction; falsy when a mismatch was found."""
+
+    def __init__(self, mismatch=None):
+        self.mismatch = mismatch  # (i, j, rebuilt, expected) or None
+
+    @property
+    def ok(self) -> bool:
+        return self.mismatch is None
+
+    def __bool__(self):
+        return self.ok
+
+    def __repr__(self):
+        if self.ok:
+            return "ReductionReport(ok)"
+        i, j, got, want = self.mismatch
+        return f"ReductionReport(mismatch at ({i},{j}): rebuilt {got!r} != {want!r})"
+
+
+def _block_pattern_entry(w: BlockWeights, i: int, j: int):
+    """Entry (i, j) of the infinite block matrix D,B on the diagonal, A below, C above."""
+    s = w.s
+    bi, bj = (i - 1) // s, (j - 1) // s
+    r, c = (i - 1) % s, (j - 1) % s
+    if bi == bj:
+        return w.d[r][c] if bi == 0 else w.b[r][c]
+    if bi == bj + 1:
+        return w.a[r][c]
+    if bj == bi + 1:
+        return w.c[r][c]
+    return w.field.zero
+
+
+def validate_reduction(spec: BandedSpec, w: BlockWeights, k: int) -> ReductionReport:
+    """Compare the rebuilt block pattern against the spec on the K-by-K corner."""
+    require_same_field(spec.field, w.field)
+    if k < 2 * w.s:
+        raise ValueError(f"validation window {k} is smaller than 2s = {2 * w.s}")
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            got = _block_pattern_entry(w, i, j)
+            want = spec.entry(i, j)
+            if got != want:
+                return ReductionReport((i, j, got, want))
+    return ReductionReport()
+
+
+def concat(alpha, beta):
+    """Concatenate two walks, translating beta to start at alpha's finish."""
+    check_walk(alpha)
+    check_walk(beta)
+    base = alpha[-1] - beta[0]
+    return tuple(alpha) + tuple(p + base for p in beta[1:])
+
+
+def is_standard(points) -> bool:
+    """Every point is at least the final point."""
+    check_walk(points)
+    last = points[-1]
+    return all(p >= last for p in points)
+
+
+def is_primitive(points) -> bool:
+    """Positive length, closed, and the start level is not revisited inside."""
+    check_walk(points)
+    if len(points) < 2 or points[0] != points[-1]:
+        return False
+    return all(p != points[0] for p in points[1:-1])

@@ -11,11 +11,12 @@ from bandedgf.banded import (
     choose_block_size,
     from_block_weights,
     is_valid_block_size,
-    validate_reduction,
     verify_block_size,
 )
 from bandedgf.errors import InvalidBlockSizeError, SpecFormatError
 from bandedgf.fields import PrimeField, QQ
+
+from helpers import validate_reduction
 
 
 def ones(s):

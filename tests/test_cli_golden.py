@@ -1,9 +1,10 @@
 """Default CLI output, pinned byte for byte.
 
 ``data/cli_golden.json`` holds about seventy argvs, covering every command
-on the four built-in examples over Q and F_101, ``weighted`` and ``affine``
-on a fractional spec with fractional and integral rules over Q and
-F_(2^61-1), and ``verify-example --poly`` with the ex4.1 golden cubic and a
+on the four built-in examples over Q and F_101, ``annihilate`` on them over
+F_(2^61-1) and F_(2^31-1) (the primes of the certify benchmark),
+``weighted`` and ``affine`` on a fractional spec with fractional and
+integral rules over Q and F_(2^61-1), and ``verify-example --poly`` with the ex4.1 golden cubic and a
 one-coefficient perturbation of it (passing and failing checks), with the
 stdout, stderr and exit code that ``cli.main`` gave for each.  Documents
 named in an argv as ``{key}`` are written to files first, from the file's

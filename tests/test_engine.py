@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bandedgf import fixtures
@@ -281,6 +283,94 @@ def test_online_route_matches_cubic_reference_on_random_weights(
         w.b if b_is_d else w.d,
     )
     _assert_matches_reference(w, order)
+
+
+# -- the entry-major route against the block-product route it replaced --------
+
+
+def _block_product_route(w, order):
+    """The earlier online route: every coefficient of G and G*, and each
+    factor of P_i = C G_i A, one call to ``matrices.sum_of_products``."""
+    field, s = w.field, w.s
+    sop = cm.sum_of_products
+    ident = cm.identity(field, s)
+    g, gstar, p = [ident], [ident], []
+    for k in range(1, order + 1):
+        g.append(sop(field, [(w.b, g[k - 1]), *zip(reversed(p), g)]))
+        gstar.append(sop(field, [(w.d, gstar[k - 1]), *zip(reversed(p), gstar)]))
+        p.append(sop(field, [(sop(field, [(w.c, g[k - 1])]), w.a)]))
+    return MatrixSeries(field, s, g), MatrixSeries(field, s, gstar)
+
+
+_ROUTE_SPECIALS = (
+    None, "zero_a", "zero_c", "zero_c_row", "zero_a_column", "b_is_d", "all_zero",
+)
+
+
+@st.composite
+def _route_weights(draw):
+    """Block weights of size 1..6 over Q (true fractions, not cleared), F_2,
+    F_101 or F_(2^61-1), zero entries frequent, with one optional special
+    that empties part of the support of C G A or ties D to B."""
+    s = draw(st.integers(1, 6))
+    field = draw(st.sampled_from([QQ, PrimeField(2), F101, F_MERSENNE]))
+    scalar = _WIDE_FRACTIONS if field == QQ else st.integers(0, field.p - 1)
+    scalar = st.sampled_from([0, 0, 1]) | scalar
+    mat = st.lists(st.lists(scalar, min_size=s, max_size=s), min_size=s, max_size=s)
+    a, b, c, d = (draw(mat) for _ in range(4))
+    special = draw(st.sampled_from(_ROUTE_SPECIALS))
+    zero = [[0] * s for _ in range(s)]
+    if special in ("zero_a", "all_zero"):
+        a = zero
+    if special in ("zero_c", "all_zero"):
+        c = zero
+    if special == "zero_c_row":
+        c[draw(st.integers(0, s - 1))] = [0] * s
+    if special == "zero_a_column":
+        j = draw(st.integers(0, s - 1))
+        for row in a:
+            row[j] = 0
+    if special == "b_is_d":
+        d = b
+    if special == "all_zero":
+        b = d = zero
+    return BlockWeights(field, s, a, b, c, d)
+
+
+def _assert_matches_block_product_route(w, order):
+    bundle = fixed_point_route(w, order)
+    gw, gwstar = _block_product_route(w, order)
+    assert bundle.order == order
+    assert bundle.gw.coeffs == gw.coeffs
+    assert bundle.gwstar.coeffs == gwstar.coeffs
+    # Equal values spelled alike: an int, never an integral Fraction.
+    assert repr(bundle.gw.coeffs) == repr(gw.coeffs)
+    assert repr(bundle.gwstar.coeffs) == repr(gwstar.coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(w=_route_weights(), order=st.integers(0, 40))
+def test_entry_major_route_matches_the_block_product_route(w, order):
+    # Fraction products cost many times more than residue products, so over
+    # Q the size is bounded: s = 2 reaches order 40, s = 3 order 21, s = 6 order 9.
+    if w.field == QQ:
+        assume(w.s**3 * order**2 <= 8 * 40**2)
+    _assert_matches_block_product_route(w, order)
+
+
+@pytest.mark.parametrize("field", [QQ, F_MERSENNE], ids=["QQ", "F_2^61-1"])
+def test_entry_major_route_matches_the_block_product_route_at_full_size(field):
+    """Dense weights at the largest size each field draws."""
+    rng = random.Random(2061)
+    s, order = (3, 21) if field == QQ else (6, 40)
+
+    def scalar():
+        if field == QQ:
+            return QQ.parse(f"{rng.randint(-5, 5)}/{rng.randint(1, 6)}")
+        return rng.randrange(field.p)
+
+    mats = [[[scalar() for _ in range(s)] for _ in range(s)] for _ in range(4)]
+    _assert_matches_block_product_route(BlockWeights(field, s, *mats), order)
 
 
 @st.composite

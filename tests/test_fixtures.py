@@ -1,7 +1,9 @@
 import pytest
 
 from bandedgf import fixtures
-from bandedgf.banded import block_reduce, validate_reduction
+from bandedgf.banded import block_reduce
+
+from helpers import validate_reduction
 
 
 def test_example_names_resolve():

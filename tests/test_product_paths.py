@@ -1,7 +1,8 @@
 """Which matrix product each layer uses, read from the sources.
 
-The block routes and ``MatrixSeries`` multiply through
-``matrices.sum_of_products``; the walk enumeration and the identity suite's
+The Laurent route and ``MatrixSeries`` multiply through
+``matrices.sum_of_products``, the fixed-point route through its own
+per-entry convolutions; the walk enumeration and the identity suite's
 own step product use the dense ``matrices.mul``, and the walk passes and the
 walk table their own product through the step weights' nonzero entries.
 The oracle checks the routes, so it must never share their kernel.  The
@@ -87,7 +88,16 @@ def test_the_block_routes_never_use_the_dense_product(module):
     tree = _tree(module)
     used = _names(tree)
     assert "cm.mul" not in used
-    assert "sum_of_products" in used
+    if module == "engine":
+        # The fixed-point route multiplies through its own per-entry
+        # convolutions: no block product, and nothing of the oracle's.
+        route = _reached(tree, ["fixed_point_route"])
+        walks = {n.name for n in _tree("walks").body if isinstance(n, ast.FunctionDef)}
+        assert {"_add_right_product", "_add_left_product", "_nonzeros", "_class_pass"} <= walks
+        assert "cm.mul" not in route
+        assert not route & walks
+    else:
+        assert "sum_of_products" in used
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "matrices":
             assert "mul" not in {alias.name for alias in node.names}

@@ -13,15 +13,9 @@ from bandedgf.fields import PrimeField, QQ
 from bandedgf.fixtures import example_spec
 from bandedgf.identities import oracle_comparison, run_identity_suite
 from bandedgf.matseries import MatrixSeries
-from bandedgf.walks import (
-    class_sums,
-    concat,
-    enumerate_sum,
-    is_primitive,
-    is_standard,
-    u_table,
-    weight,
-)
+from bandedgf.walks import class_sums, enumerate_sum, u_table, weight
+
+from helpers import concat, is_primitive, is_standard
 
 F101 = PrimeField(101)
 
