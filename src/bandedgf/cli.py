@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import fixtures
 from .annihilator import DEFAULT_GUARD, AnnihilatorPoly, reconstruct, require_order, verify
@@ -240,7 +241,13 @@ def _add_spec_args(p, with_order=True):
     p.add_argument("--out", help="write the JSON result here instead of stdout")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing leaves the parser as it was (each call fills a new namespace),
+    so in-process callers of :func:`main` pay for the tree once.
+    """
     parser = argparse.ArgumentParser(
         prog="bandedgf",
         description=(

@@ -13,10 +13,12 @@ the target is the series whose z^n coefficient is the (1,1) entry of V^n.
   entry times the columns where A has one;
 * the Laurent route reads the transition sums M_0, M_1, M_-1 off the x^0,
   x^{+-1} coefficients of the powers of the step symbol A x + B + C x^-1
-  (streamed one z-term at a time, each trimmed to the x-degrees that still
-  reach those three), combines them as G = M_0 - M_1 M_0^-1 M_-1, and
-  converts to the starred sum via the floor-weight shift
-  G*^-1 = G^-1 + (B - D) z, taken as G* = (I + G (B - D) z)^-1 G.
+  (streamed one z-term at a time by row slices, each trimmed to the
+  x-degrees that still reach those three), combines them as
+  G = M_0 - M_1 X with X = M_0 \\ M_-1, and converts to the starred sum via
+  the floor-weight shift G*^-1 = G^-1 + (B - D) z, taken as
+  G* = (I + G (B - D) z) \\ G: two online left solves and one product,
+  no series inverse.
 
 The reported scalar is always the (1,1) entry of the starred matrix G*,
 which is what the corner of V generates.  ``cross_check`` runs every route
@@ -52,15 +54,14 @@ from .walks import class_sums
 class GenFunBundle:
     """The matrix sums one route produces; ``gv`` is the corner series read off G*."""
 
-    __slots__ = ("gw", "gwstar", "m0", "m1", "mm1", "m0inv")
+    __slots__ = ("gw", "gwstar", "m0", "m1", "mm1")
 
-    def __init__(self, gw, gwstar, m0=None, m1=None, mm1=None, m0inv=None):
+    def __init__(self, gw, gwstar, m0=None, m1=None, mm1=None):
         self.gw = gw
         self.gwstar = gwstar
         self.m0 = m0
         self.m1 = m1
         self.mm1 = mm1
-        self.m0inv = m0inv
 
     @property
     def order(self) -> int:
@@ -139,11 +140,11 @@ def _starred(w: BlockWeights, gw: MatrixSeries) -> MatrixSeries:
     """Starred sum from the plain one (Laurent route).
 
     The floor-weight shift G*^-1 = G^-1 + (B - D) z, solved for G* as
-    G* = (I + G (B - D) z)^-1 G: one series inverse and one product.
+    (I + G (B - D) z) G* = G: one online left solve.
     """
     field, s, order = w.field, w.s, gw.order
     shift = gw.rmul_const(cm.sub(field, w.b, w.d)).mul_z_pow(1).truncate(order)
-    return (MatrixSeries.identity(field, s, order) + shift).inverse() * gw
+    return (MatrixSeries.identity(field, s, order) + shift).solve(gw)
 
 
 def _row_entries(m):
@@ -154,7 +155,7 @@ def _row_entries(m):
 def _entry_major(field: Field, s: int, entries) -> MatrixSeries:
     """The matrix series whose (r, c) entry has the coefficients entries[r][c]."""
     rows = [list(zip(*row)) for row in entries]
-    return MatrixSeries(field, s, zip(*rows))
+    return MatrixSeries._trusted(field, s, tuple(zip(*rows)))
 
 
 def fixed_point_route(w: BlockWeights, order: int) -> GenFunBundle:
@@ -219,11 +220,10 @@ def fixed_point_route(w: BlockWeights, order: int) -> GenFunBundle:
 
 def laurent_route(w: BlockWeights, order: int) -> GenFunBundle:
     """Transition sums from the trimmed stream of step-symbol powers, then
-    G = M0 - M1 M0^-1 M-1 and G* = (I + G (B - D) z)^-1 G."""
+    G = M0 - M1 X with M0 X = M-1, and G* from (I + G (B - D) z) G* = G."""
     m0, m1, mm1 = accumulate(w.field, w.a, w.b, w.c, order)
-    m0inv = m0.inverse()
-    gw = m0 - (m1 * m0inv) * mm1
-    return GenFunBundle(gw, _starred(w, gw), m0=m0, m1=m1, mm1=mm1, m0inv=m0inv)
+    gw = m0 - m1 * m0.solve(mm1)
+    return GenFunBundle(gw, _starred(w, gw), m0=m0, m1=m1, mm1=mm1)
 
 
 def _first_mismatch(a, b):

@@ -3,13 +3,15 @@
 Scalars are raw field values (see :mod:`bandedgf.fields`), so entries
 combine with plain ``+``/``*`` and are reduced per result entry.
 :func:`sum_of_products` is the one block-product kernel: ``MatrixSeries``
-and the Laurent stream multiply only through it.  The fixed-point route
-multiplies through its own per-entry convolutions in :mod:`bandedgf.engine`,
-so the two block routes share no product.  The dense :func:`mul` is the
-brute-force side's product (walk weights, the walk enumeration, the identity
-suite's own step product); the walk oracle and the walk table multiply
-through the step weights' nonzero entries in :mod:`bandedgf.walks`.  Neither
-shares the kernel it checks.
+multiplies and solves only through it.  The Laurent stream moves row slices
+through the step weights' nonzero entries in :mod:`bandedgf.laurent`, and the
+fixed-point route multiplies through its own per-entry convolutions in
+:mod:`bandedgf.engine`, so the two block routes share no product.  The dense
+:func:`mul` is the brute-force side's product (walk weights, the walk
+enumeration); the walk oracle and the walk table multiply through the step
+weights' nonzero entries in :mod:`bandedgf.walks`, and the identity suite's
+reference step through them with its own loop.  None shares the kernel it
+checks.
 """
 
 from __future__ import annotations

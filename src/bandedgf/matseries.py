@@ -3,6 +3,8 @@
 Stored as a sequence of constant-matrix coefficients: ``coeffs[n]`` is the
 s-by-s matrix multiplying z^n.  This makes products against constant step
 matrices cheap, which is what the generating-function routes do most.
+Division is one online left solve, :meth:`MatrixSeries.solve`; the inverse
+is the solve against the identity.
 """
 
 from __future__ import annotations
@@ -29,14 +31,24 @@ class MatrixSeries:
     # -- construction ----------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, field: Field, s: int, coeffs: tuple) -> "MatrixSeries":
+        """A series on a nonempty tuple of s-by-s tuple matrices the caller
+        has just built; nothing is copied or checked."""
+        self = object.__new__(cls)
+        self.field = field
+        self.s = s
+        self.coeffs = coeffs
+        return self
+
+    @classmethod
     def identity(cls, field: Field, s: int, order: int) -> "MatrixSeries":
-        return cls(
-            field, s, [cm.identity(field, s)] + [cm.zeros(field, s)] * order
+        return cls._trusted(
+            field, s, (cm.identity(field, s),) + (cm.zeros(field, s),) * order
         )
 
     @classmethod
     def zero(cls, field: Field, s: int, order: int) -> "MatrixSeries":
-        return cls(field, s, [cm.zeros(field, s)] * (order + 1))
+        return cls._trusted(field, s, (cm.zeros(field, s),) * (order + 1))
 
     @classmethod
     def from_const(cls, field: Field, m, order: int) -> "MatrixSeries":
@@ -70,7 +82,7 @@ class MatrixSeries:
     def truncate(self, order: int) -> "MatrixSeries":
         if order >= self.order:
             return self
-        return MatrixSeries(self.field, self.s, self.coeffs[: order + 1])
+        return MatrixSeries._trusted(self.field, self.s, self.coeffs[: order + 1])
 
     def _common(self, other: "MatrixSeries") -> int:
         require_same_field(self.field, other.field)
@@ -83,63 +95,74 @@ class MatrixSeries:
     def __add__(self, other: "MatrixSeries") -> "MatrixSeries":
         n = self._common(other)
         f = self.field
-        return MatrixSeries(
+        return MatrixSeries._trusted(
             f, self.s,
-            [cm.add(f, self.coeffs[k], other.coeffs[k]) for k in range(n + 1)],
+            tuple(cm.add(f, self.coeffs[k], other.coeffs[k]) for k in range(n + 1)),
         )
 
     def __sub__(self, other: "MatrixSeries") -> "MatrixSeries":
         n = self._common(other)
         f = self.field
-        return MatrixSeries(
+        return MatrixSeries._trusted(
             f, self.s,
-            [cm.sub(f, self.coeffs[k], other.coeffs[k]) for k in range(n + 1)],
+            tuple(cm.sub(f, self.coeffs[k], other.coeffs[k]) for k in range(n + 1)),
         )
 
     def __neg__(self) -> "MatrixSeries":
         f = self.field
-        return MatrixSeries(f, self.s, [cm.neg(f, c) for c in self.coeffs])
+        return MatrixSeries._trusted(f, self.s, tuple(cm.neg(f, c) for c in self.coeffs))
 
     def __mul__(self, other: "MatrixSeries") -> "MatrixSeries":
         n = self._common(other)
         f, sop = self.field, cm.sum_of_products
         a, b = self.coeffs, other.coeffs
-        return MatrixSeries(
+        return MatrixSeries._trusted(
             f, self.s,
-            [sop(f, [(a[k], b[m - k]) for k in range(m + 1)]) for m in range(n + 1)],
+            tuple(sop(f, [(a[k], b[m - k]) for k in range(m + 1)]) for m in range(n + 1)),
         )
 
     def lmul_const(self, m) -> "MatrixSeries":
         """Left-multiply by a constant matrix."""
         cm.check_square(m, self.s)
         f, sop = self.field, cm.sum_of_products
-        return MatrixSeries(f, self.s, [sop(f, [(m, c)]) for c in self.coeffs])
+        return MatrixSeries._trusted(f, self.s, tuple(sop(f, [(m, c)]) for c in self.coeffs))
 
     def rmul_const(self, m) -> "MatrixSeries":
         """Right-multiply by a constant matrix."""
         cm.check_square(m, self.s)
         f, sop = self.field, cm.sum_of_products
-        return MatrixSeries(f, self.s, [sop(f, [(c, m)]) for c in self.coeffs])
+        return MatrixSeries._trusted(f, self.s, tuple(sop(f, [(c, m)]) for c in self.coeffs))
 
     def scale(self, scalar) -> "MatrixSeries":
         f = self.field
-        return MatrixSeries(f, self.s, [cm.scale(f, c, scalar) for c in self.coeffs])
+        return MatrixSeries._trusted(
+            f, self.s, tuple(cm.scale(f, c, scalar) for c in self.coeffs)
+        )
 
     def mul_z_pow(self, k: int) -> "MatrixSeries":
         if k < 0:
             raise ValueError("negative shift")
         pad = (cm.zeros(self.field, self.s),) * k
-        return MatrixSeries(self.field, self.s, pad + self.coeffs)
+        return MatrixSeries._trusted(self.field, self.s, pad + self.coeffs)
+
+    def solve(self, rhs: "MatrixSeries") -> "MatrixSeries":
+        """The series X with self X = rhs, found online, one coefficient at a
+        time; the constant term of self must be invertible over F.
+
+        X_n = -a_0^-1 (a_1 X_(n-1) + ... + a_n X_0 - rhs_n): one constant
+        inverse, then two sums of products per coefficient.
+        """
+        n = self._common(rhs)
+        f, a, b, sop = self.field, self.coeffs, rhs.coeffs, cm.sum_of_products
+        c0 = cm.inverse(f, a[0])
+        neg_c0, neg_one = cm.neg(f, c0), cm.neg(f, cm.identity(f, self.s))
+        out = [sop(f, [(c0, b[0])])]
+        for m in range(1, n + 1):
+            # a_1 X_(m-1) + ... + a_m X_0 - rhs_m, reduced once.
+            acc = sop(f, [(neg_one, b[m]), *((a[k], out[m - k]) for k in range(1, m + 1))])
+            out.append(sop(f, [(neg_c0, acc)]))
+        return MatrixSeries._trusted(f, self.s, tuple(out))
 
     def inverse(self) -> "MatrixSeries":
         """Order-by-order inverse; the constant term must be invertible over F."""
-        f, s = self.field, self.s
-        a, sop = self.coeffs, cm.sum_of_products
-        c0 = cm.inverse(f, a[0])
-        neg_c0 = cm.neg(f, c0)
-        out = [c0]
-        for n in range(1, self.order + 1):
-            # out[n] = -c0 (a[1] out[n-1] + ... + a[n] out[0]).
-            acc = sop(f, [(a[k], out[n - k]) for k in range(1, n + 1)])
-            out.append(sop(f, [(neg_c0, acc)]))
-        return MatrixSeries(f, s, out)
+        return self.solve(MatrixSeries.identity(self.field, self.s, self.order))

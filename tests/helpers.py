@@ -1,9 +1,12 @@
-"""Test-only checks: the block-pattern round trip of a reduction, and the
-walk predicates the tests state the paper's definitions with.
+"""Test-only checks: the block-pattern round trip of a reduction, the walk
+predicates the tests state the paper's definitions with, and the symbol-power
+stream formed through whole block products, the reference for the library's
+row-slice stream.
 
 None of this is used by the package itself.
 """
 
+from bandedgf import matrices as cm
 from bandedgf.banded import BandedSpec, BlockWeights
 from bandedgf.fields import require_same_field
 from bandedgf.walks import check_walk
@@ -78,3 +81,23 @@ def is_primitive(points) -> bool:
     if len(points) < 2 or points[0] != points[-1]:
         return False
     return all(p != points[0] for p in points[1:-1])
+
+
+def reference_trimmed_powers(field, a, b, c, order):
+    """The trimmed z^n terms of sum_n (A x + B + C x^-1)^n z^n, as
+    ``laurent.trimmed_powers`` yields them, each x^d coefficient one
+    ``matrices.sum_of_products`` of the step matrices and the previous term."""
+    term, r = (cm.identity(field, len(a)),), 0
+    yield term
+    for n in range(1, order + 1):
+        nr = min(n, order - n + 1)
+        term = tuple(
+            cm.sum_of_products(field, [
+                (step, term[e + r])
+                for step, e in ((a, d - 1), (b, d), (c, d + 1))
+                if -r <= e <= r
+            ])
+            for d in range(-nr, nr + 1)
+        )
+        r = nr
+        yield term

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -43,6 +47,39 @@ def test_series_output_is_deterministic(tmp_path, capsys):
     assert first == second
     assert '"' in first  # exact strings, never floats
     assert "e-" not in first and "." not in first.replace('"..."', "")
+
+
+def _fresh_process(argv):
+    """exit code, stdout and stderr of ``argv`` in a new interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "bandedgf.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_calls_in_one_process_match_fresh_processes(capsys):
+    """main keeps one parser for the process; no parsed flag or default
+    carries from one call to the next, also after argparse exits on a
+    malformed argv."""
+    runs = [
+        ["series", "--example", "ex4.1", "--order", "nine"],
+        ["series", "--example", "ex4.1", "--order", "9"],
+        [
+            "annihilate", "--example", "ex4.2", "--order", "30", "--degx", "2",
+            "--degz", "3", "--guard", "2", "--extra", "5", "--field", "p:101",
+        ],
+        ["annihilate", "--example", "ex4.1", "--order", "60", "--degx", "3", "--degz", "7"],
+    ]
+    for argv in runs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh_process(argv), argv
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_series_writes_output_file(tmp_path, capsys):

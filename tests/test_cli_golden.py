@@ -1,10 +1,13 @@
 """Default CLI output, pinned byte for byte.
 
-``data/cli_golden.json`` holds about seventy argvs, covering every command
+``data/cli_golden.json`` holds about eighty argvs, covering every command
 on the four built-in examples over Q and F_101, ``annihilate`` on them over
 F_(2^61-1) and F_(2^31-1) (the primes of the certify benchmark),
-``weighted`` and ``affine`` on a fractional spec with fractional and
-integral rules over Q and F_(2^61-1), and ``verify-example --poly`` with the ex4.1 golden cubic and a
+``series --order 200`` on each example (and on ex4.2 over F_(2^61-1)) and
+``check-identity --order 60`` on ex4.2 and ex4.3, so the block routes are
+pinned past small orders, ``weighted`` and ``affine`` on a fractional spec
+with fractional and integral rules over Q and F_(2^61-1), and
+``verify-example --poly`` with the ex4.1 golden cubic and a
 one-coefficient perturbation of it (passing and failing checks), with the
 stdout, stderr and exit code that ``cli.main`` gave for each.  Documents
 named in an argv as ``{key}`` are written to files first, from the file's

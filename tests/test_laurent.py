@@ -1,13 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandedgf import matrices as cm
 from bandedgf.fields import PrimeField, QQ
 from bandedgf.identities import _independent_step_multiply
 from bandedgf.laurent import accumulate, trimmed_powers
+from helpers import reference_trimmed_powers
 
 F101 = PrimeField(101)
+FIELDS = [QQ, PrimeField(2), F101, PrimeField(2**61 - 1)]
 
 
 def scalar_powers(a, b, c, order):
@@ -64,7 +68,7 @@ def test_step_recursion_holds():
         r = min(n, order - n + 1)
         assert len(term) == 2 * r + 1
         assert term == full[n - r : n + r + 1]
-        full = _independent_step_multiply(F101, a, b, c, full)
+        full = _independent_step_multiply(F101, a, b, c, full, n + 1)
 
 
 def test_x_support_within_band():
@@ -72,3 +76,43 @@ def test_x_support_within_band():
     # degrees that still reach x^0 or x^{+-1} by z^N.
     radii = [len(t) // 2 for t in trimmed_powers(QQ, ((1,),), ((1,),), ((1,),), 6)]
     assert radii == [0, 1, 2, 3, 3, 2, 1]
+
+
+@st.composite
+def _step_symbols(draw):
+    """A field (Q with true fractions, F_2, F_101, F_(2^61-1)), and step
+    matrices A, B, C of size 1..6 with frequent zero entries and rows."""
+    field = draw(st.sampled_from(FIELDS))
+    s = draw(st.integers(1, 6))
+    if field == QQ:
+        scalar = st.builds(
+            QQ.parse, st.builds("{}/{}".format, st.integers(-5, 5), st.integers(1, 6))
+        )
+    else:
+        scalar = st.integers(0, field.p - 1)
+    row = st.lists(st.sampled_from([0, 0, 1]) | scalar, min_size=s, max_size=s)
+    row = row | st.just([0] * s)
+    mats = [cm.freeze(draw(st.lists(row, min_size=s, max_size=s))) for _ in range(3)]
+    return field, mats
+
+
+@settings(max_examples=60, deadline=None)
+@given(symbol=_step_symbols(), order=st.integers(0, 14))
+def test_stream_matches_the_block_product_stream(symbol, order):
+    """Every trimmed term, and the three transition sums read off the
+    stream, equal those of the block-product reference, spelled alike."""
+    field, (a, b, c) = symbol
+    want = list(reference_trimmed_powers(field, a, b, c, order))
+    got = list(trimmed_powers(field, a, b, c, order))
+    assert len(got) == order + 1
+    for n, (term, ref) in enumerate(zip(got, want)):
+        assert term == ref, n
+        assert repr(term) == repr(ref), n
+    zero = cm.zeros(field, len(a))
+    sums = accumulate(field, a, b, c, order)
+    for shift, series in zip((0, 1, -1), sums):
+        ref = tuple(
+            t[len(t) // 2 + shift] if len(t) > 1 or not shift else zero for t in want
+        )
+        assert series.coeffs == ref
+        assert repr(series.coeffs) == repr(ref)

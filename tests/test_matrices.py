@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandedgf import matrices as cm
 from bandedgf.errors import NonUnitError, ShapeError
@@ -152,6 +154,70 @@ def test_invert_one_minus_z_t():
     assert inv.entry(0, 1).coeffs == (0, 4, 80)
     assert inv.entry(1, 0).coeffs == (0, 0, 0)
     assert inv.entry(1, 1).coeffs == (1, 4, 16)
+
+
+def reference_inverse(a: MatrixSeries) -> MatrixSeries:
+    """The order-by-order inverse MatrixSeries.inverse ran before it became a
+    solve against the identity: out_n = -c0 (a_1 out_(n-1) + ... + a_n out_0)."""
+    f, sop = a.field, cm.sum_of_products
+    c0 = cm.inverse(f, a.coeffs[0])
+    neg_c0 = cm.neg(f, c0)
+    out = [c0]
+    for n in range(1, a.order + 1):
+        acc = sop(f, [(a.coeffs[k], out[n - k]) for k in range(1, n + 1)])
+        out.append(sop(f, [(neg_c0, acc)]))
+    return MatrixSeries(f, a.s, out)
+
+
+@st.composite
+def _series_pairs(draw):
+    """Two matrix series of size 1..6 over Q (true fractions), F_2, F_101 or
+    F_(2^61-1), zero entries frequent; the constant term of the first is
+    drawn at random (often singular) or triangular with a unit diagonal."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), F101, PrimeField(2**61 - 1)]))
+    s = draw(st.integers(1, 6))
+    if field == QQ:
+        unit = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7))
+        scalar = st.just(0) | st.integers(-5, 5) | unit
+    else:
+        unit = st.integers(1, field.p - 1)
+        scalar = st.just(0) | st.just(0) | unit
+    scalar = scalar.map(field.reduce)
+    mat = st.lists(st.lists(scalar, min_size=s, max_size=s), min_size=s, max_size=s)
+    order = draw(st.integers(0, 8 if field == QQ and s > 3 else 14))
+    a = [draw(mat) for _ in range(order + 1)]
+    if draw(st.booleans()):
+        a[0] = [
+            [field.reduce(draw(unit)) if i == j else v if j < i else field.zero
+             for j, v in enumerate(row)]
+            for i, row in enumerate(a[0])
+        ]
+    b = [draw(mat) for _ in range(draw(st.integers(0, order + 2)) + 1)]
+    return MatrixSeries(field, s, a), MatrixSeries(field, s, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_series_pairs())
+def test_solve_matches_inverse_then_multiply(pair):
+    """a X = b, coefficient for coefficient, equals a^-1 b from the previous
+    inverse loop, spelled alike; inverse() equals that loop; a singular
+    constant term raises the same NonUnitError from all three."""
+    a, b = pair
+    try:
+        inv = reference_inverse(a)
+    except NonUnitError as exc:
+        for call in (lambda: a.solve(b), a.inverse):
+            with pytest.raises(NonUnitError, match=str(exc)):
+                call()
+        return
+    x = a.solve(b)
+    want = inv * b
+    assert x.order == min(a.order, b.order)
+    assert x.coeffs == want.coeffs
+    assert repr(x.coeffs) == repr(want.coeffs)
+    assert (a * x).coeffs == b.truncate(x.order).coeffs
+    assert a.inverse().coeffs == inv.coeffs
+    assert repr(a.inverse().coeffs) == repr(inv.coeffs)
 
 
 def test_invert_rejects_singular_constant_term():

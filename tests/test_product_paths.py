@@ -1,13 +1,14 @@
 """Which matrix product each layer uses, read from the sources.
 
-The Laurent route and ``MatrixSeries`` multiply through
-``matrices.sum_of_products``, the fixed-point route through its own
-per-entry convolutions; the walk enumeration and the identity suite's
-own step product use the dense ``matrices.mul``, and the walk passes and the
-walk table their own product through the step weights' nonzero entries.
-The oracle checks the routes, so it must never share their kernel.  The
-sources are parsed with ``ast``, never imported, so a refactor that moves a
-layer onto the other product fails here.
+``MatrixSeries`` multiplies through ``matrices.sum_of_products``, the
+fixed-point route through its own per-entry convolutions, and the Laurent
+stream by row slices through the step weights' nonzero entries; the walk
+enumeration uses the dense ``matrices.mul``, the walk passes and the walk
+table their own product through the step weights' nonzero entries, and the
+identity suite's reference step its own loop over those entries.  The
+oracle and the reference step check the routes, so they must never share
+their kernels.  The sources are parsed with ``ast``, never imported, so a
+refactor that moves a layer onto another layer's product fails here.
 """
 
 import ast
@@ -44,12 +45,26 @@ def _names(node):
     return found
 
 
+def _defined(module):
+    """The functions and classes defined at the top of ``module``."""
+    return {
+        node.name
+        for node in _tree(module).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
 def test_the_oracle_never_uses_the_route_kernel():
     walks = _names(_tree("walks"))
-    step = _names(_function(_tree("identities"), "_independent_step_multiply"))
-    for used in (walks, step):
-        assert "sum_of_products" not in used
-        assert "cm.mul" in used
+    assert "sum_of_products" not in walks
+    assert "cm.mul" in walks
+    # The suite's reference step multiplies through the step weights' nonzero
+    # entries with its own loop: nothing of the stream it checks, nor of the
+    # oracle's passes.
+    step = _reached(_tree("identities"), ["_independent_step_multiply"])
+    assert {"_row_stream", "_add_left_product"} <= _defined("laurent") | _defined("walks")
+    assert "sum_of_products" not in step
+    assert not step & (_defined("laurent") | _defined("walks"))
 
 
 def _reached(tree, names):
@@ -72,12 +87,7 @@ def _reached(tree, names):
 def test_the_walk_passes_share_nothing_with_the_routes():
     used = _reached(_tree("walks"), ["_class_pass", "u_table"])
     routes = ("matseries", "engine", "laurent")
-    route_names = {
-        node.name
-        for module in routes
-        for node in _tree(module).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-    }
+    route_names = set().union(*map(_defined, routes))
     assert "sum_of_products" not in used
     assert not used & (route_names | set(routes))
     assert {"_add_right_product", "_add_left_product"} <= used
@@ -96,6 +106,15 @@ def test_the_block_routes_never_use_the_dense_product(module):
         assert {"_add_right_product", "_add_left_product", "_nonzeros", "_class_pass"} <= walks
         assert "cm.mul" not in route
         assert not route & walks
+    elif module == "laurent":
+        # The stream moves row slices through the step weights' nonzero
+        # entries: no block product, and nothing of the oracle's or of the
+        # identity suite's reference step.
+        stream = _reached(tree, ["trimmed_powers", "accumulate"])
+        assert "_independent_step_multiply" in _defined("identities")
+        assert "_row_stream" in stream
+        assert not stream & {"sum_of_products", "cm.mul"}
+        assert not stream & (_defined("walks") | _defined("identities"))
     else:
         assert "sum_of_products" in used
     for node in ast.walk(tree):
