@@ -79,27 +79,33 @@ def corner_first_columns(spec: BandedSpec, order: int, count: int = 1):
     """First ``count`` entries of the first column of V^n, yielded for n = 0..order.
 
     Works on a finite corner of V sized to contain every index reachable from
-    column 1 within ``order`` steps (order * bandwidth plus the exceptional
-    square), so the truncation is exact.  A negative ``order`` raises at the call.
+    column 1 within ``order`` steps (order * d plus the exceptional square, d
+    the downward reach below), so the truncation is exact.  A negative
+    ``order`` raises at the call.
 
-    Step t computes only rows 1..f_t, f_t = max(exceptional_bound, 1) +
-    t * bandwidth, and leaves the rest zero.  This is exact: V^0 e_1 = e_1
-    lives in row 1, and a nonzero v_{i,j} lies on a band (i <= j + bandwidth)
-    or in the exceptional square (i <= exceptional_bound), so if V^(t-1) e_1
-    vanishes below row f_(t-1) then V^t e_1 vanishes below row f_t.
+    Row i of V x reads x_{i+r} for the band offsets r = j - i, so a step moves
+    the column down by at most d = max(0, -r) over the bands with a nonzero
+    value.  Step t computes only rows 1..f_t, f_t = max(exceptional_bound, 1)
+    + t * d, and leaves the rest zero.  This is exact: V^0 e_1 = e_1 lives in
+    row 1, and a nonzero v_{i,j} lies on a band with a nonzero value
+    (i <= j + d) or in the exceptional square (i <= exceptional_bound), so if
+    V^(t-1) e_1 vanishes below row f_(t-1) then V^t e_1 vanishes below row
+    f_t.
 
     Rows 1..m, m = exceptional_bound, are summed one by one.  Below them row i
     is sum_r values_r[(i-1) mod p] x_{i+r}, so each band r and residue q adds
     v times a stride-p slice of V^(t-1) e_1 (the slice itself when v = 1),
     which by the frontier stops where its source passes f_(t-1): at most
-    #bands · p slice operations per step.  Each entry is reduced once.
+    #bands · p slice operations per step.  Each step reduces its column once,
+    with one :meth:`~bandedgf.fields.Field.reduce_all`.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     field = spec.field
-    m, p, bw = spec.exceptional_bound, spec.period, spec.bandwidth
+    m, p = spec.exceptional_bound, spec.period
+    down = max([0, *(-r for r, vals in spec.bands.items() if any(vals))])
     reach = max(m, 1)
-    k = max(order * bw + reach, count)
+    k = max(order * down + reach, count)
     rows = []
     for i in range(1, m + 1):
         cols = {i + r for r in spec.bands if 1 <= i + r <= k}
@@ -112,19 +118,19 @@ def corner_first_columns(spec: BandedSpec, order: int, count: int = 1):
     for r, vals in spec.bands.items():
         lo = max(m, -r)
         slices += [(r, lo + (q - lo) % p, v) for q, v in enumerate(vals) if v]
-    zero, red = field.zero, field.reduce
+    zero, red_all = field.zero, field.reduce_all
 
     def columns():
         x = [field.one] + [zero] * (k - 1)
         yield tuple(x[:count])
         for t in range(1, order + 1):
-            prev, hi = reach + (t - 1) * bw, reach + t * bw
+            prev, hi = reach + (t - 1) * down, reach + t * down
             nx = [sum(v * x[j] for j, v in row) for row in rows] + [zero] * (hi - m)
             for r, a, v in slices:
                 b = max(a, prev - r)
                 src = x[a + r : b + r : p]
                 nx[a:b:p] = map(add, nx[a:b:p], src if v == 1 else map(mul, repeat(v), src))
-            x = list(map(red, nx)) + [zero] * (k - hi)
+            x = red_all(nx) + [zero] * (k - hi)
             yield tuple(x[:count])
 
     return columns()

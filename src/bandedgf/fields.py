@@ -6,12 +6,15 @@ fields F_p (scalars are ints in ``[0, p)``).  Scalars are raw Python values,
 not wrapper objects; the field object supplies the operations that are not
 plain ``+``/``*`` (reduction, inversion, parsing, printing).  Sums and
 products of raw scalars stay exact under native arithmetic, so hot loops may
-accumulate with operators and call :meth:`Field.reduce` once per result.
+accumulate with operators and call :meth:`Field.reduce` once per result, or
+:meth:`Field.reduce_all` once per list of results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from operator import mod
 
 from .errors import FieldMismatchError, NonUnitError, SpecFormatError
 
@@ -63,6 +66,10 @@ class Field:
     def reduce(self, x):
         """Canonicalize a raw arithmetic result into a field scalar."""
         raise NotImplementedError
+
+    def reduce_all(self, xs):
+        """:meth:`reduce` on every item of the list ``xs``, as a list."""
+        return list(map(self.reduce, xs))
 
     # 0 and 1 are already canonical in both fields (ints, and p >= 2).
     zero = 0
@@ -117,6 +124,12 @@ class RationalField(Field):
             return x.numerator if x.denominator == 1 else x
         raise TypeError(f"not an exact rational: {x!r}")
 
+    def reduce_all(self, xs):
+        """A list of ints is canonical as it is and comes back unchanged."""
+        if set(map(type, xs)) <= {int}:
+            return xs
+        return list(map(self.reduce, xs))
+
     def from_int(self, n: int):
         return n
 
@@ -169,6 +182,9 @@ class PrimeField(Field):
 
     def reduce(self, x):
         return x % self.p
+
+    def reduce_all(self, xs):
+        return list(map(mod, xs, repeat(self.p)))
 
     def from_int(self, n: int):
         return n % self.p

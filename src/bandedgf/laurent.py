@@ -46,7 +46,7 @@ def _row_stream(field: Field, a, b, c, order: int):
         for t, v in enumerate(row)
         if v
     ]
-    red, rng = field.reduce, range(s)
+    red_all, rng = field.reduce_all, range(s)
     rows, r = [list(row) for row in cm.identity(field, s)], 0
     yield r, rows
     for n in range(1, order + 1):
@@ -59,7 +59,7 @@ def _row_stream(field: Field, a, b, c, order: int):
             src = rows[t][(lo - k + r) * s : (hi - k + r + 1) * s]
             out = acc[i]
             out[dst] = map(add, out[dst], src if v == 1 else map(mul, repeat(v), src))
-        rows, r = [list(map(red, row)) for row in acc], nr
+        rows, r = [red_all(row) for row in acc], nr
         yield r, rows
 
 

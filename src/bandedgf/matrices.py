@@ -99,11 +99,6 @@ def scale(field: Field, x, scalar):
     return tuple(tuple(red(a * scalar) for a in row) for row in x)
 
 
-def mat_vec(field: Field, x, v):
-    red = field.reduce
-    return tuple(red(sum(a * b for a, b in zip(row, v))) for row in x)
-
-
 def is_zero(field: Field, x) -> bool:
     zero = field.zero
     return all(a == zero for row in x for a in row)

@@ -14,14 +14,17 @@ the walk table rather than first columns, are
 :meth:`~bandedgf.walks.UTable.binomial_sums`.
 
 Both layers reduce to the per-order sums sum_k (V^n)_{k,1} r(k)
-for a few rules r, and :func:`_column_sums` is the one place that forms them:
-it sizes the column, reads the rule values, clears denominators and
-rescales.  Over Q it reads the first columns of L·V, L the lcm of the
-denominators of the block weights
+for a few rules r, and :func:`_column_sums` is the one place that forms them,
+on integers from end to end.  Over Q it reads the first columns of L·V, L the
+lcm of the denominators of the block weights
 (:func:`~bandedgf.banded.clear_denominators`), whose n-th power is L^n V^n
-and stays on Python ints; the rule values are cleared the same way, by M the
-lcm of their denominators, and by linearity the sum for order n is divided
-once, by M L^n.  Over F_p, L = M = 1.
+and stays on Python ints, and it tabulates the rule values cleared by M, the
+lcm of the denominators of every rule's initial values and polynomial
+coefficients, once per residue class as ints.  Each integral sum S_n is
+L^n M times the true one.  ``weighted_series`` divides S_n once, by M L^n;
+``affine_pipeline`` keeps the integral state u_n = M (L K)^(n-1) y^(n), K the
+lcm of the denominators of T, and divides once per coefficient.  Over F_p,
+L = M = K = 1 and every value is reduced mod p.
 :func:`~bandedgf.engine.corner_first_columns` itself is not rescaled, so the
 direct route that shares it stays an independent computation on the original
 Fraction spec.
@@ -29,9 +32,9 @@ Fraction spec.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, islice, repeat
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from . import matrices as cm
 from .banded import BandedSpec, BlockWeights, clear_denominators
@@ -88,35 +91,66 @@ class EventuallyPolySeq:
         return self.value_by_residue(i, k)
 
 
+def _cleared(v, den: int) -> int:
+    """den · v as an int, for a scalar v whose denominator divides ``den``."""
+    return v.numerator * (den // v.denominator)
+
+
+def _rule_tables(field: Field, rules, count: int):
+    """(M, tables): M the lcm of the denominators of every rule's initial
+    values and polynomial coefficients, and per rule the list of M·a_k for
+    k = 1..count as ints (reduced over F_p).
+
+    Along residue class i the values are the cleared initial ones, then the
+    cleared polynomial at k = len(initial), ..., evaluated by Horner on all of
+    those k at once: deg passes of int operations per class.
+    """
+    den = lcm(
+        *(v.denominator for rule in rules for pair in rule.rules for terms in pair for v in terms)
+    )
+    tables = []
+    for rule in rules:
+        vals = [0] * count
+        for i, (initial, poly) in enumerate(rule.rules):
+            ks = range(len(initial), len(range(i, count, rule.s)))
+            acc = [0] * len(ks)
+            for c in reversed(poly):
+                acc = list(map(add, map(mul, acc, ks), repeat(_cleared(c, den))))
+            vals[i :: rule.s] = [_cleared(v, den) for v in initial[: ks.stop]] + acc
+        tables.append(field.reduce_all(vals))
+    return den, tables
+
+
 def _column_sums(spec: BandedSpec, w: BlockWeights, rules, order: int):
-    """Tuples (sum_k (V^n)_{k,1} r(k) for r in ``rules``), yielded for n = 0..order.
+    """(M, L, sums): ``sums`` yields for n = 0..order the integral sums
+    S_n = (sum_k (L^n V^n)_{k,1} M r(k) for r in ``rules``), a list of ints
+    (reduced over F_p), which the caller divides back by M L^n.
 
     ``rules`` are EventuallyPolySeq over the residues mod ``w.s``, and ``w``
     is the block form of ``spec``, whose entries are exactly the nonzero
     entries of V.  A walk of length n cannot descend more than n block
     levels, so (V^n)_{k,1} vanishes for k > s (n + 1) and each sum is finite.
-    The sums run on the first columns of L·V and the rule values times M, and
-    the one for order n is divided by M L^n (see the module docstring).
+    The sums run on the first columns of L·V and the rule values times M (see
+    the module docstring).
     """
     field = spec.field
-    red = field.reduce
     count = w.s * (order + 1)
-    values = [[rule.value(k) for k in range(1, count + 1)] for rule in rules]
-    den = lcm(*(v.denominator for vals in values for v in vals))
-    values = [[red(v * den) for v in vals] for vals in values]
+    den, tables = _rule_tables(field, rules, count)
     lden, _ = clear_denominators(w)
     scaled = BandedSpec(
         field,
         spec.period,
-        {r: [red(v * lden) for v in vals] for r, vals in spec.bands.items()},
-        [(i, j, red(v * lden)) for (i, j), v in spec.exceptional.items()],
+        {r: [_cleared(v, lden) for v in vals] for r, vals in spec.bands.items()},
+        [(i, j, _cleared(v, lden)) for (i, j), v in spec.exceptional.items()],
         spec.block_size,
     )
-    c, step = field.inv(den), field.inv(lden)
-    for col in corner_first_columns(scaled, order, count):
-        live = list(compress(col, col))
-        yield tuple(red(sum(map(mul, live, compress(vals, col))) * c) for vals in values)
-        c = red(c * step)
+
+    def sums():
+        for col in corner_first_columns(scaled, order, count):
+            live = list(compress(col, col))
+            yield field.reduce_all([sum(map(mul, live, compress(vals, col))) for vals in tables])
+
+    return den, lden, sums()
 
 
 def weighted_series(
@@ -131,7 +165,14 @@ def weighted_series(
         raise ShapeError(
             f"weight rules cover residues mod {a.s} but the block size is {w.s}"
         )
-    return Series(w.field, [f for (f,) in _column_sums(spec, w, (a,), order)])
+    field = w.field
+    red = field.reduce
+    den, lden, sums = _column_sums(spec, w, (a,), order)
+    c, step, coeffs = field.inv(den), field.inv(lden), []
+    for (f,) in sums:
+        coeffs.append(red(f * c))
+        c = red(c * step)
+    return Series(field, coeffs)
 
 
 class AffineRecursion:
@@ -169,19 +210,31 @@ def affine_pipeline(
     """Readout series of y^(n+1) = T y^(n) + sum_k (V^n)_{k,1} y_k from y^(0) = 0.
 
     ``w`` is ``block_reduce(spec, s)``, whose block size s must match the
-    residue count of the forcing rules.
+    residue count of the forcing rules.  The state is the integral
+    u_n = M (L K)^(n-1) y^(n), with M, L from :func:`_column_sums` and K the
+    lcm of the denominators of T: u_(n+1) = L (K T) u_n + K^n S_n, and the
+    z^n coefficient is (l' · u_n) / (J M (L K)^(n-1)), l' = J l cleared of
+    its denominators.
     """
     if rec.s != w.s:
         raise ShapeError(
             f"forcing rules cover residues mod {rec.s} but the block size is {w.s}"
         )
     field = w.field
-    red = field.reduce
-    y = [field.zero] * rec.dim_y
-    coeffs = []
-    for force in _column_sums(spec, w, rec.y_rules, order):
-        coeffs.append(red(sum(a * b for a, b in zip(rec.l, y))))
-        y = [red(x + f) for x, f in zip(cm.mat_vec(field, rec.t, y), force)]
+    red, red_all = field.reduce, field.reduce_all
+    den, lden, sums = _column_sums(spec, w, rec.y_rules, order)
+    tden = lcm(*(v.denominator for row in rec.t for v in row))
+    rden = lcm(*(v.denominator for v in rec.l))
+    t = [[_cleared(v, tden) * lden for v in row] for row in rec.t]
+    l = [_cleared(v, rden) for v in rec.l]
+    u, tpow = [0] * rec.dim_y, 1
+    coeffs, c, step = [field.zero], field.inv(rden * den), field.inv(lden * tden)
+    # S_order would only feed y^(order + 1), so it is never computed.
+    for force in islice(sums, order):
+        u = red_all([sum(map(mul, row, u)) + tpow * f for row, f in zip(t, force)])
+        tpow *= tden
+        coeffs.append(red(sum(map(mul, l, u)) * c))
+        c = red(c * step)
     return Series(field, coeffs)
 
 

@@ -127,4 +127,4 @@ def test_the_first_column_layer_stays_scalar():
     # from the block-matrix code the routes it checks are built on.
     used = _names(_function(_tree("engine"), "corner_first_columns"))
     assert not used & {"sum_of_products", "cm.mul", "BlockWeights", "block_reduce"}
-    assert "reduce" in used
+    assert "reduce_all" in used

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +17,7 @@ from bandedgf.matseries import MatrixSeries
 from bandedgf.section5 import (
     AffineRecursion,
     EventuallyPolySeq,
+    _rule_tables,
     affine_pipeline,
     recursion_from_json_doc,
     weight_rules_from_json_doc,
@@ -139,6 +140,57 @@ def test_eventually_poly_accessor():
     assert seq.value(6) == 4      # i=2, k=2 -> k^2
     with pytest.raises(ValueError):
         seq.value(0)
+
+
+# k(k+1)/2: integer values whose coefficients clear only with 2.
+TRIANGULAR = ((), (0, Fraction(1, 2), Fraction(1, 2)))
+
+
+@st.composite
+def _rule_sets(draw):
+    """A few rule sets over one field, order n and residue count s: Q with
+    true fractions, F_2, F_101 or F_(2^61-1); initial lists up to n + 3 long
+    (past n + 1, where they cover every index the sums read), empty
+    polynomials, and the triangular rule k(k+1)/2 where 2 is invertible."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), F101, PrimeField(2**61 - 1)]))
+    if field == QQ:
+        value = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)).map(QQ.reduce)
+    else:
+        value = st.integers(0, field.p - 1)
+    order, s = draw(st.integers(0, 12)), draw(st.integers(1, 4))
+    rule = st.tuples(st.lists(value, max_size=order + 3), st.lists(value, max_size=4))
+    if field.characteristic != 2:
+        half = field.inv(2)
+        rule |= st.just(((), (0, half, half)))
+    rules = st.lists(rule, min_size=s, max_size=s).map(
+        lambda rs: EventuallyPolySeq(field, s, rs)
+    )
+    return field, order, s, draw(st.lists(rules, min_size=1, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_rule_sets())
+def test_cleared_rule_tables_equal_m_times_the_accessor(data):
+    field, order, s, rules = data
+    count = s * (order + 1)
+    den, tables = _rule_tables(field, rules, count)
+    coeffs = [v for rule in rules for initial, poly in rule.rules for v in initial + poly]
+    if field == QQ:
+        assert den == lcm(*(Fraction(v).denominator for v in coeffs))
+    else:
+        assert den == 1
+    for rule, table in zip(rules, tables):
+        assert len(table) == count
+        for index in range(1, count + 1):
+            assert type(table[index - 1]) is int
+            assert table[index - 1] == field.reduce(den * rule.value(index))
+
+
+def test_cleared_rule_tables_keep_the_coefficients_lcm():
+    # k(k+1)/2 takes integer values, but M is the lcm of the coefficients.
+    den, (table,) = _rule_tables(QQ, [EventuallyPolySeq(QQ, 1, [TRIANGULAR])], 6)
+    assert den == 2
+    assert table == [2 * k * (k + 1) // 2 for k in range(6)]
 
 
 def test_weighted_series_constant_weights_match_ladder_base():
@@ -367,7 +419,7 @@ def _reference_affine_pipeline(spec, rec, order):
         coeffs.append(field.reduce(sum(a * b for a, b in zip(rec.l, y))))
         if n == order:
             break
-        nxt = list(cm.mat_vec(field, rec.t, y))
+        nxt = [sum(a * b for a, b in zip(row, y)) for row in rec.t]
         for k in range(n + 1):
             u = table.value(k + 1, n)
             for i in range(1, s + 1):
