@@ -75,26 +75,23 @@ class GenFunBundle:
         return f"GenFunBundle(s={self.gw.s}, order={self.order})"
 
 
-def corner_first_columns(spec: BandedSpec, order: int, count: int = 1):
-    """First ``count`` entries of the first column of V^n, yielded for n = 0..order.
+def corner_first_columns(spec: BandedSpec, order: int):
+    """V^t e_1 for t = 0..order, each yielded as its rows 1..f_t.
 
-    Works on a finite corner of V sized to contain every index reachable from
-    column 1 within ``order`` steps (order * d plus the exceptional square, d
-    the downward reach below), so the truncation is exact.  A negative
-    ``order`` raises at the call.
-
-    Row i of V x reads x_{i+r} for the band offsets r = j - i, so a step moves
-    the column down by at most d = max(0, -r) over the bands with a nonzero
-    value.  Step t computes only rows 1..f_t, f_t = max(exceptional_bound, 1)
-    + t * d, and leaves the rest zero.  This is exact: V^0 e_1 = e_1 lives in
+    Here f_t = max(m, 1) + t * d, m = exceptional_bound and d the downward
+    reach: row i of V x reads x_{i+r} for the band offsets r = j - i, so a
+    step moves the column down by at most d = max(0, -r) over the bands with
+    a nonzero value.  No row past f_t can be nonzero: V^0 e_1 = e_1 lives in
     row 1, and a nonzero v_{i,j} lies on a band with a nonzero value
-    (i <= j + d) or in the exceptional square (i <= exceptional_bound), so if
-    V^(t-1) e_1 vanishes below row f_(t-1) then V^t e_1 vanishes below row
-    f_t.
+    (i <= j + d) or in the exceptional square (i <= m), so if V^(t-1) e_1
+    vanishes below row f_(t-1) then V^t e_1 vanishes below row f_t.  Callers
+    read the rows past a column's length as zero.  A negative ``order``
+    raises at the call.
 
-    Rows 1..m, m = exceptional_bound, are summed one by one.  Below them row i
-    is sum_r values_r[(i-1) mod p] x_{i+r}, so each band r and residue q adds
-    v times a stride-p slice of V^(t-1) e_1 (the slice itself when v = 1),
+    Rows 1..m are summed one by one, over their entries in the rows
+    1..f_(t-1) of V^(t-1) e_1.  Below them row i is
+    sum_r values_r[(i-1) mod p] x_{i+r}, so each band r and residue q adds v
+    times a stride-p slice of V^(t-1) e_1 (the slice itself when v = 1),
     which by the frontier stops where its source passes f_(t-1): at most
     #bands · p slice operations per step.  Each step reduces its column once,
     with one :meth:`~bandedgf.fields.Field.reduce_all`.
@@ -105,11 +102,10 @@ def corner_first_columns(spec: BandedSpec, order: int, count: int = 1):
     m, p = spec.exceptional_bound, spec.period
     down = max([0, *(-r for r, vals in spec.bands.items() if any(vals))])
     reach = max(m, 1)
-    k = max(order * down + reach, count)
     rows = []
     for i in range(1, m + 1):
-        cols = {i + r for r in spec.bands if 1 <= i + r <= k}
-        cols.update(j for (ei, j) in spec.exceptional if ei == i and j <= k)
+        cols = {i + r for r in spec.bands if i + r >= 1}
+        cols.update(j for (ei, j) in spec.exceptional if ei == i)
         row = [(j - 1, spec.entry(i, j)) for j in sorted(cols)]
         rows.append([(j, v) for j, v in row if v])
     # (r, a, v): band r adds v x[a + r], v x[a + r + p], ... to the 0-based rows
@@ -121,25 +117,24 @@ def corner_first_columns(spec: BandedSpec, order: int, count: int = 1):
     zero, red_all = field.zero, field.reduce_all
 
     def columns():
-        x = [field.one] + [zero] * (k - 1)
-        yield tuple(x[:count])
+        x = [field.one] + [zero] * (reach - 1)
+        yield x
         for t in range(1, order + 1):
-            prev, hi = reach + (t - 1) * down, reach + t * down
-            nx = [sum(v * x[j] for j, v in row) for row in rows] + [zero] * (hi - m)
+            prev, hi = len(x), reach + t * down
+            nx = [sum(v * x[j] for j, v in row if j < prev) for row in rows] + [zero] * (hi - m)
             for r, a, v in slices:
                 b = max(a, prev - r)
                 src = x[a + r : b + r : p]
                 nx[a:b:p] = map(add, nx[a:b:p], src if v == 1 else map(mul, repeat(v), src))
-            x = red_all(nx) + [zero] * (k - hi)
-            yield tuple(x[:count])
+            x = red_all(nx)
+            yield x
 
     return columns()
 
 
 def direct_route(spec: BandedSpec, order: int) -> Series:
     """Power a finite corner of V and collect its (1,1) entries."""
-    cols = corner_first_columns(spec, order, 1)
-    return Series(spec.field, [c[0] for c in cols])
+    return Series(spec.field, [col[0] for col in corner_first_columns(spec, order)])
 
 
 def _starred(w: BlockWeights, gw: MatrixSeries) -> MatrixSeries:

@@ -22,6 +22,8 @@ same reports as on the Fraction weights.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 from . import matrices as cm
 from .banded import BlockWeights, clear_denominators, from_block_weights
 from .engine import _first_mismatch, corner_first_columns, fixed_point_route, laurent_route
@@ -162,12 +164,14 @@ def _step_recursion_failure(field: Field, w: BlockWeights, order: int):
 
 
 def _corner_table_failure(table, columns, s: int, order: int):
-    """The first columns of the corner powers, streamed, against the walk table."""
+    """The first columns of the corner powers, streamed, against the walk
+    table's rows 1..s(order + 2); rows past a column's frontier count as zero."""
     for n, column in enumerate(columns):
+        entries = chain(column, repeat(table.field.zero))
         for k in range(order + 2):
             u = table.value(k + 1, n)
-            for i in range(s):
-                if column[i + s * k] != u[i][0]:
+            for i, v in zip(range(s), entries):
+                if v != u[i][0]:
                     return f"entry ({i + s * k + 1},1) of power {n} differs"
     return None
 
@@ -268,9 +272,7 @@ def run_identity_suite(
     checks.append(_matrix_check("primitive_loop_enumeration", sums.j0, j0.truncate(depth)))
 
     # The walk-sum table against scalar corner powers of the block pattern.
-    spec = from_block_weights(w)
-    count = s * (order + 2)
-    columns = corner_first_columns(spec, order, count)
+    columns = corner_first_columns(from_block_weights(w), order)
     checks.append(
         IdentityCheck(
             "walk_table_matches_corner_powers", _corner_table_failure(table, columns, s, order)

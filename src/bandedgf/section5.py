@@ -1,38 +1,41 @@
 """Weighted corner sums and the affine transfer pipeline.
 
-Two layers extend the corner series:
+Both read the first columns of the powers of V:
 
-* general weighted corner sums: given a scalar sequence a_1, a_2, ... that is
-  eventually polynomial along every residue class mod s, the series
-  sum_n (sum_k a_k (V^n)_{k,1}) z^n, read off the first column of V^n;
 * the affine recursion y^(n+1) = T y^(n) + sum_k (V^n)_{k,1} y_k with a
   linear readout, which reduces the transfer-operator series
-  sum_n l(T^n E_1) z^n to the same first columns.
+  sum_n l(T^n E_1) z^n to those first columns;
+* general weighted corner sums: given a scalar sequence a_1, a_2, ... that is
+  eventually polynomial along every residue class mod s, the series
+  sum_n (sum_k a_k (V^n)_{k,1}) z^n.  This is the affine recursion with
+  T = 0, readout 1 and forcing a, whose y^(n+1) is the z^n sum, so
+  ``weighted_series`` is ``affine_pipeline`` read one order later.
 
 The binomially weighted standard-walk sums G*_r, which need whole blocks of
 the walk table rather than first columns, are
 :meth:`~bandedgf.walks.UTable.binomial_sums`.
 
-Both layers reduce to the per-order sums sum_k (V^n)_{k,1} r(k)
-for a few rules r, and :func:`_column_sums` is the one place that forms them,
-on integers from end to end.  Over Q it reads the first columns of L·V, L the
+``affine_pipeline`` forms the per-order sums S_n = sum_k (V^n)_{k,1} y_k on
+integers from end to end.  Over Q it reads the first columns of L·V, L the
 lcm of the denominators of the block weights
 (:func:`~bandedgf.banded.clear_denominators`), whose n-th power is L^n V^n
-and stays on Python ints, and it tabulates the rule values cleared by M, the
-lcm of the denominators of every rule's initial values and polynomial
-coefficients, once per residue class as ints.  Each integral sum S_n is
-L^n M times the true one.  ``weighted_series`` divides S_n once, by M L^n;
-``affine_pipeline`` keeps the integral state u_n = M (L K)^(n-1) y^(n), K the
-lcm of the denominators of T, and divides once per coefficient.  Over F_p,
-L = M = K = 1 and every value is reduced mod p.
-:func:`~bandedgf.engine.corner_first_columns` itself is not rescaled, so the
-direct route that shares it stays an independent computation on the original
-Fraction spec.
+and stays on Python ints, and it tabulates the forcing values cleared by M,
+the lcm of the denominators of every rule's initial values and polynomial
+coefficients, once per residue class as ints; each integral sum is L^n M
+times the true one.  A column holds only its rows up to the frontier of
+:func:`~bandedgf.engine.corner_first_columns` and a table only the s·order
+indices any sum reads, and the entries past either are zero, so each sum is
+one dot product over the shorter of the two.  The state is the integral
+u_n = M (L K)^(n-1) y^(n), K the lcm of the denominators of T, divided back
+once per coefficient.  Over F_p, L = M = K = 1 and every value is reduced
+mod p.  :func:`~bandedgf.engine.corner_first_columns` itself is not
+rescaled, so the direct route that shares it stays an independent
+computation on the original Fraction spec.
 """
 
 from __future__ import annotations
 
-from itertools import compress, islice, repeat
+from itertools import islice, repeat
 from math import lcm
 from operator import add, mul
 
@@ -69,8 +72,13 @@ class EventuallyPolySeq:
     def constant(cls, field: Field, s: int, value) -> "EventuallyPolySeq":
         return cls(field, s, [((), (value,))] * s)
 
-    def value_by_residue(self, i: int, k: int):
-        initial, poly = self.rules[i - 1]
+    def value(self, index: int):
+        """a_index for a 1-based index: value k of residue class i, for
+        index = i + s·k with i in 1..s."""
+        if index < 1:
+            raise ValueError("sequence indices start at 1")
+        k, i = divmod(index - 1, self.s)
+        initial, poly = self.rules[i]
         if k < len(initial):
             return initial[k]
         field = self.field
@@ -81,14 +89,6 @@ class EventuallyPolySeq:
             acc = field.reduce(acc + c * power)
             power = field.reduce(power * kval)
         return acc
-
-    def value(self, index: int):
-        """a_index for a 1-based index."""
-        if index < 1:
-            raise ValueError("sequence indices start at 1")
-        i = (index - 1) % self.s + 1
-        k = (index - i) // self.s
-        return self.value_by_residue(i, k)
 
 
 def _cleared(v, den: int) -> int:
@@ -119,60 +119,6 @@ def _rule_tables(field: Field, rules, count: int):
             vals[i :: rule.s] = [_cleared(v, den) for v in initial[: ks.stop]] + acc
         tables.append(field.reduce_all(vals))
     return den, tables
-
-
-def _column_sums(spec: BandedSpec, w: BlockWeights, rules, order: int):
-    """(M, L, sums): ``sums`` yields for n = 0..order the integral sums
-    S_n = (sum_k (L^n V^n)_{k,1} M r(k) for r in ``rules``), a list of ints
-    (reduced over F_p), which the caller divides back by M L^n.
-
-    ``rules`` are EventuallyPolySeq over the residues mod ``w.s``, and ``w``
-    is the block form of ``spec``, whose entries are exactly the nonzero
-    entries of V.  A walk of length n cannot descend more than n block
-    levels, so (V^n)_{k,1} vanishes for k > s (n + 1) and each sum is finite.
-    The sums run on the first columns of L·V and the rule values times M (see
-    the module docstring).
-    """
-    field = spec.field
-    count = w.s * (order + 1)
-    den, tables = _rule_tables(field, rules, count)
-    lden, _ = clear_denominators(w)
-    scaled = BandedSpec(
-        field,
-        spec.period,
-        {r: [_cleared(v, lden) for v in vals] for r, vals in spec.bands.items()},
-        [(i, j, _cleared(v, lden)) for (i, j), v in spec.exceptional.items()],
-        spec.block_size,
-    )
-
-    def sums():
-        for col in corner_first_columns(scaled, order, count):
-            live = list(compress(col, col))
-            yield field.reduce_all([sum(map(mul, live, compress(vals, col))) for vals in tables])
-
-    return den, lden, sums()
-
-
-def weighted_series(
-    spec: BandedSpec, w: BlockWeights, a: EventuallyPolySeq, order: int
-) -> Series:
-    """sum_n (sum_k a_k (V^n)_{k,1}) z^n, from the first column of each V^n.
-
-    ``w`` is ``block_reduce(spec, s)``: the block size s fixes the residue
-    classes of the weight rules.
-    """
-    if a.s != w.s:
-        raise ShapeError(
-            f"weight rules cover residues mod {a.s} but the block size is {w.s}"
-        )
-    field = w.field
-    red = field.reduce
-    den, lden, sums = _column_sums(spec, w, (a,), order)
-    c, step, coeffs = field.inv(den), field.inv(lden), []
-    for (f,) in sums:
-        coeffs.append(red(f * c))
-        c = red(c * step)
-    return Series(field, coeffs)
 
 
 class AffineRecursion:
@@ -210,11 +156,11 @@ def affine_pipeline(
     """Readout series of y^(n+1) = T y^(n) + sum_k (V^n)_{k,1} y_k from y^(0) = 0.
 
     ``w`` is ``block_reduce(spec, s)``, whose block size s must match the
-    residue count of the forcing rules.  The state is the integral
-    u_n = M (L K)^(n-1) y^(n), with M, L from :func:`_column_sums` and K the
-    lcm of the denominators of T: u_(n+1) = L (K T) u_n + K^n S_n, and the
-    z^n coefficient is (l' · u_n) / (J M (L K)^(n-1)), l' = J l cleared of
-    its denominators.
+    residue count of the forcing rules.  The sums run on the first columns of
+    L·V against the rule values times M, and the state is the integral
+    u_n = M (L K)^(n-1) y^(n) (see the module docstring):
+    u_(n+1) = L (K T) u_n + K^n S_n, and the z^n coefficient is
+    (l' · u_n) / (J M (L K)^(n-1)), l' = J l cleared of its denominators.
     """
     if rec.s != w.s:
         raise ShapeError(
@@ -222,20 +168,47 @@ def affine_pipeline(
         )
     field = w.field
     red, red_all = field.reduce, field.reduce_all
-    den, lden, sums = _column_sums(spec, w, rec.y_rules, order)
+    lden, _ = clear_denominators(w)
+    scaled = BandedSpec(
+        field,
+        spec.period,
+        {r: [_cleared(v, lden) for v in vals] for r, vals in spec.bands.items()},
+        [(i, j, _cleared(v, lden)) for (i, j), v in spec.exceptional.items()],
+        spec.block_size,
+    )
+    columns = corner_first_columns(scaled, order)
+    # S_n reads a_k only for k <= s (n + 1): a walk of length n cannot
+    # descend more than n block levels.  Only S_0 .. S_(order-1) feed the
+    # readout, so the tables stop at s·order and the sums at their length.
+    den, tables = _rule_tables(field, rec.y_rules, w.s * order)
     tden = lcm(*(v.denominator for row in rec.t for v in row))
     rden = lcm(*(v.denominator for v in rec.l))
     t = [[_cleared(v, tden) * lden for v in row] for row in rec.t]
     l = [_cleared(v, rden) for v in rec.l]
     u, tpow = [0] * rec.dim_y, 1
     coeffs, c, step = [field.zero], field.inv(rden * den), field.inv(lden * tden)
-    # S_order would only feed y^(order + 1), so it is never computed.
-    for force in islice(sums, order):
+    for col in islice(columns, order):
+        force = [sum(map(mul, col, vals)) for vals in tables]
         u = red_all([sum(map(mul, row, u)) + tpow * f for row, f in zip(t, force)])
         tpow *= tden
         coeffs.append(red(sum(map(mul, l, u)) * c))
         c = red(c * step)
     return Series(field, coeffs)
+
+
+def weighted_series(
+    spec: BandedSpec, w: BlockWeights, a: EventuallyPolySeq, order: int
+) -> Series:
+    """sum_n (sum_k a_k (V^n)_{k,1}) z^n: the affine readout with T = 0,
+    l = 1 and forcing ``a``, whose y^(n+1) is the z^n sum, one order later.
+
+    ``w`` is ``block_reduce(spec, s)``: the block size s fixes the residue
+    classes of the weight rules.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    rec = AffineRecursion(w.field, 1, [[0]], [1], [a])
+    return affine_pipeline(spec, w, rec, order + 1).div_z_pow(1)
 
 
 # -- JSON input formats ---------------------------------------------------------

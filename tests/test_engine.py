@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from bandedgf import fixtures
@@ -628,10 +628,10 @@ def test_identity_and_oracle_reports_do_not_see_the_rescale(w, order, enum_lengt
 # -- the first-column frontier against the untrimmed corner loop ------------------
 
 
-def _untrimmed_first_columns(spec, order, count):
+def _untrimmed_first_columns(spec, order):
     """Every step computes all k rows of the corner, as before the frontier."""
     field = spec.field
-    k = max(order * spec.bandwidth + max(spec.exceptional_bound, 1), count)
+    k = order * spec.bandwidth + max(spec.exceptional_bound, 1)
     rows = []
     for i in range(1, k + 1):
         cols = {i + r for r in spec.bands if 1 <= i + r <= k}
@@ -640,13 +640,13 @@ def _untrimmed_first_columns(spec, order, count):
         rows.append([(j, v) for j, v in row if v != field.zero])
     x = [field.zero] * k
     x[0] = field.one
-    out = [tuple(x[:count])]
+    out = [x]
     for _ in range(order):
         x = [
             field.reduce(sum(v * x[j] for j, v in row)) if row else field.zero
             for row in rows
         ]
-        out.append(tuple(x[:count]))
+        out.append(x)
     return out
 
 
@@ -674,13 +674,22 @@ def _frontier_specs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(spec=_frontier_specs(), order=st.integers(0, 25), data=st.data())
-def test_first_column_frontier_matches_untrimmed_corner_loop(spec, order, data):
-    s = max(spec.bandwidth, spec.exceptional_bound, 1)
-    count = data.draw(st.integers(1, s * (order + 1)))
-    got = list(corner_first_columns(spec, order, count))
-    assert got == _untrimmed_first_columns(spec, order, count)
-    assert all(len(col) == count for col in got)
+@given(spec=_frontier_specs(), order=st.integers(0, 25))
+# Row 1 of the exceptional square reads row 3, the last row of V e_1's frontier.
+@example(spec=BandedSpec(QQ, 1, {-2: [1], 2: [1]}, [(1, 1, 1)]), order=3)
+def test_first_column_frontier_matches_untrimmed_corner_loop(spec, order):
+    """Column t holds exactly the rows 1..max(m, 1) + t·d, d the downward
+    reach of the bands with a nonzero value; there it equals the untrimmed
+    loop's column, and below them the loop's column is zero."""
+    down = max([0, *(-r for r, vals in spec.bands.items() if any(vals))])
+    got = list(corner_first_columns(spec, order))
+    full = _untrimmed_first_columns(spec, order)
+    assert len(got) == len(full) == order + 1
+    for t, (col, ref) in enumerate(zip(got, full)):
+        f = max(spec.exceptional_bound, 1) + t * down
+        assert len(col) == f
+        assert col == ref[:f]
+        assert not any(ref[f:])
     # Canonical scalars: ints over Q unless truly fractional, residues in [0, p).
     if spec.field == QQ:
         assert all(type(v) is int or v.denominator > 1 for col in got for v in col)

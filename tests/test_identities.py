@@ -1,5 +1,7 @@
 from bandedgf import fixtures
-from bandedgf.banded import block_reduce
+from bandedgf import matrices as cm
+from bandedgf.banded import block_reduce, from_block_weights
+from bandedgf.engine import corner_first_columns
 from bandedgf.identities import oracle_comparison, run_identity_suite
 
 SUITE_NAMES = {
@@ -54,6 +56,32 @@ def test_suite_catches_an_inconsistent_engine(weight_factory, monkeypatch):
     assert not report.ok
     failed = {c.name for c in report.failures()}
     assert "floor_weight_shift" in failed or "starred_table_agreement" in failed
+
+
+def test_corner_check_reads_the_table_past_the_column_frontier(monkeypatch):
+    # A corner column stops at its frontier; a nonzero table entry below it
+    # must still fail the check, as if the column held a zero there.
+    import bandedgf.identities as identities
+    from bandedgf.walks import u_table as real_u_table
+
+    w = block_reduce(fixtures.ex41_spec())
+    order, s = 6, w.s
+    bottom = s * (order + 1)  # the last row the table stores for power ``order``
+    column = list(corner_first_columns(from_block_weights(w), order))[order]
+    assert len(column) < bottom
+
+    def corrupt_u_table(weights, n):
+        table = real_u_table(weights, n)
+        rows = list(table.rows)
+        blocks = [[list(r) for r in block] for block in rows[order]]
+        blocks[order][s - 1][0] += 1
+        rows[order] = tuple(cm.freeze(block) for block in blocks)
+        return type(table)(table.field, table.s, tuple(rows))
+
+    monkeypatch.setattr(identities, "u_table", corrupt_u_table)
+    report = run_identity_suite(w, order=order, enum_length=4)
+    detail = {c.name: c.detail for c in report.checks}["walk_table_matches_corner_powers"]
+    assert detail == f"entry ({bottom},1) of power {order} differs"
 
 
 def test_report_json_shape(weight_factory):

@@ -309,6 +309,17 @@ def test_affine_pipeline_one_step_memory_reduces_to_weighted_sum():
     assert out.coeffs == (0,) + base.coeffs
 
 
+def test_pipelines_refuse_a_negative_order():
+    # ValueError, as the first-column layer raises it, and not a precision error
+    # from reading the affine readout one order later.
+    spec = fixtures.ex512_spec()
+    w = block_reduce(spec)
+    with pytest.raises(ValueError):
+        weighted_series(spec, w, EventuallyPolySeq.constant(QQ, 1, 1), -1)
+    with pytest.raises(ValueError):
+        affine_pipeline(spec, w, fixtures.ex512_recursion(), -1)
+
+
 def test_affine_pipeline_shape_checks():
     spec = fixtures.ex512_spec()
     with pytest.raises(ShapeError):
@@ -403,7 +414,7 @@ def _reference_weighted_series(spec, a, order):
             for i in range(1, s + 1):
                 v = u[i - 1][0]
                 if v != field.zero:
-                    acc = acc + a.value_by_residue(i, k) * v
+                    acc = acc + a.value(i + s * k) * v
         coeffs.append(field.reduce(acc))
     return Series(field, coeffs)
 
