@@ -25,6 +25,7 @@ from .banded import (
 from .engine import (
     cross_check,
     direct_route,
+    first_difference,
     fixed_point_route,
     laurent_route,
     symbol_determinant,
@@ -67,6 +68,7 @@ __all__ = [
     "cross_check",
     "direct_route",
     "enumerate_sum",
+    "first_difference",
     "fixed_point_route",
     "from_block_weights",
     "laurent_route",

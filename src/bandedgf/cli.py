@@ -23,7 +23,7 @@ from functools import cache
 
 from . import fixtures
 from .annihilator import DEFAULT_GUARD, AnnihilatorPoly, reconstruct, require_order, verify
-from .banded import BandedSpec, block_reduce, clear_denominators
+from .banded import BandedSpec, BlockWeights, block_reduce, clear_denominators
 from .engine import cross_check, fixed_point_route
 from .errors import (
     BandedGFError,
@@ -72,7 +72,8 @@ def _read_document(path, what):
         raise SpecFormatError(f"invalid JSON in {what} file: {exc}") from exc
 
 
-def _load_spec(args) -> BandedSpec:
+def _load_spec(args) -> tuple[BandedSpec, BlockWeights]:
+    """The spec the arguments name, and its block weights at ``--block-size``."""
     if getattr(args, "example", None):
         if getattr(args, "spec", None):
             raise SpecFormatError("give either --spec or --example, not both")
@@ -87,7 +88,7 @@ def _load_spec(args) -> BandedSpec:
             doc = spec.to_json_doc()
             doc["field"] = field_to_json(override)
             spec = BandedSpec.from_json_doc(doc)
-    return spec
+    return spec, block_reduce(spec, args.block_size)
 
 
 # Least accepted value of each integer flag, for the commands that have it.
@@ -123,8 +124,8 @@ def _series_doc(series):
 
 
 def cmd_series(args) -> int:
-    spec = _load_spec(args)
-    report, gv = cross_check(spec, args.order, block_reduce(spec, args.block_size))
+    spec, weights = _load_spec(args)
+    report, gv = cross_check(spec, args.order, weights)
     _emit(
         {
             "command": "series",
@@ -138,8 +139,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_annihilate(args) -> int:
-    spec = _load_spec(args)
-    weights = block_reduce(spec, args.block_size)
+    spec, weights = _load_spec(args)
     require_order(args.order, args.degx, args.degz, args.guard)
     den, weights = clear_denominators(weights)
     deeper = fixed_point_route(weights, args.order + args.extra).gv.scale_z(
@@ -186,22 +186,19 @@ def cmd_verify_example(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    spec = _load_spec(args)
-    weights = block_reduce(spec, args.block_size)
+    _, weights = _load_spec(args)
     return _report_command(args, oracle_comparison(weights, args.length))
 
 
 def cmd_check_identity(args) -> int:
-    spec = _load_spec(args)
-    weights = block_reduce(spec, args.block_size)
+    _, weights = _load_spec(args)
     report = run_identity_suite(weights, order=args.order, enum_length=args.enum_length)
     return _report_command(args, report)
 
 
 def _section5_command(args, path, what, decode, pipeline) -> int:
     """Run a Section 5 ``pipeline`` on the document at ``path``, read by ``decode``."""
-    spec = _load_spec(args)
-    weights = block_reduce(spec, args.block_size)
+    spec, weights = _load_spec(args)
     data = decode(_read_document(path, what), spec.field, weights.s)
     series = pipeline(spec, weights, data, args.order)
     _emit(

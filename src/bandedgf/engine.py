@@ -38,7 +38,8 @@ shows up as a mismatch.
 
 from __future__ import annotations
 
-from itertools import permutations, repeat
+from collections import defaultdict
+from itertools import repeat
 from operator import add, mul
 
 from . import matrices as cm
@@ -181,8 +182,10 @@ def fixed_point_route(w: BlockWeights, order: int) -> GenFunBundle:
     and takes no matrix product, series product or inverse, so it shares no
     product with the Laurent route or the oracle.  Only the Laurent route
     uses the floor-weight shift G*^-1 = G^-1 + (B - D) z, so the two routes
-    reach G* by different formulas.
+    reach G* by different formulas.  A negative ``order`` raises.
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     field, s = w.field, w.s
     red, rng, zero_row = field.reduce, range(s), [field.zero] * s
     g = [[[v] for v in row] for row in cm.identity(field, s)]
@@ -227,15 +230,20 @@ def laurent_route(w: BlockWeights, order: int) -> GenFunBundle:
     return GenFunBundle(gw, _starred(w, gw), m0=m0, m1=m1, mm1=mm1)
 
 
-def _first_mismatch(a, b):
-    """Index of the first differing coefficient of two (matrix) series, or None.
+def first_difference(a, b):
+    """Where two series first differ, comparing through the smaller order.
 
-    Compares through the smaller of the two orders.
+    None when they agree there; otherwise ``(n, entry)`` with n the least
+    differing z-degree and, for matrix series, ``entry`` the 1-based
+    ``(row, col)`` of the first differing entry of z^n in row-major order
+    (None for scalar series).
     """
-    n = min(a.order, b.order)
-    for i in range(n + 1):
-        if a.coeffs[i] != b.coeffs[i]:
-            return i
+    for n, (x, y) in enumerate(zip(a.coeffs, b.coeffs)):
+        if x != y:
+            if isinstance(a, Series):
+                return n, None
+            cells = ((r, c) for r in range(a.s) for c in range(a.s))
+            return n, next((r + 1, c + 1) for r, c in cells if x[r][c] != y[r][c])
     return None
 
 
@@ -284,19 +292,11 @@ def cross_check(
     ]
     checks = []
     for name, a, b in pairs:
-        bad = _first_mismatch(a, b)
+        bad = first_difference(a, b)
         if bad is not None:
-            where = f"z^{bad}"
-            if isinstance(a, MatrixSeries):
-                ca, cb = a.coeffs[bad], b.coeffs[bad]
-                entry = next(
-                    (r + 1, c + 1)
-                    for r in range(a.s)
-                    for c in range(a.s)
-                    if ca[r][c] != cb[r][c]
-                )
-                where += f", entry {entry}"
-            raise RouteMismatchError(f"{name}: first disagreement at {where}", order=bad)
+            n, entry = bad
+            where = f"z^{n}" if entry is None else f"z^{n}, entry {entry}"
+            raise RouteMismatchError(f"{name}: first disagreement at {where}", order=n)
         checks.append({"name": name, "orders_compared": min(a.order, b.order)})
     report = {
         "order": order, "oracle_length": oracle_length, "checks": checks, "status": "pass",
@@ -307,42 +307,35 @@ def cross_check(
 # -- the step symbol's characteristic polynomial -------------------------------
 
 
-def _poly_mul(field: Field, p, q):
-    out = [field.zero] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == field.zero:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = field.reduce(out[i + j] + a * b)
-    return out
-
-
 def symbol_determinant(w: BlockWeights, z0):
     """Coefficients (by x-degree) of det(x I - z0 (A x^2 + B x + C)) at z = z0.
 
-    Leibniz expansion over permutations; fine for the small block sizes this
-    package targets.
+    The Leibniz sum over permutations, each term a product of s entries taken
+    as :class:`~bandedgf.series.Series` in x to order 2s, which is exact:
+    each entry has x-degree at most 2.  The terms are built row by row, and
+    the signed partial terms that leave the same columns free are summed
+    before the next row multiplies them (taking the k-th free column adds k
+    inversions), so there are s 2^(s-1) products, not s · s!, and a zero
+    entry is skipped.
     """
     field, s = w.field, w.s
     z0 = field.reduce(z0)
-    entries = []
-    for i in range(s):
-        row = []
-        for j in range(s):
-            c0 = field.reduce(-z0 * w.c[i][j])
-            c1 = field.reduce((field.one if i == j else field.zero) - z0 * w.b[i][j])
-            c2 = field.reduce(-z0 * w.a[i][j])
-            row.append([c0, c1, c2])
-        entries.append(row)
-    total = [field.zero] * (2 * s + 1)
-    for perm in permutations(range(s)):
-        inversions = sum(
-            1 for i in range(s) for j in range(i + 1, s) if perm[i] > perm[j]
-        )
-        term = [field.one]
-        for i in range(s):
-            term = _poly_mul(field, term, entries[i][perm[i]])
-        sign = field.one if inversions % 2 == 0 else field.neg(field.one)
-        for d, c in enumerate(term):
-            total[d] = field.reduce(total[d] + sign * c)
-    return tuple(total)
+    pad = [field.zero] * (2 * s - 2)
+
+    def entry(i, j):
+        level = (field.one if i == j else field.zero) - z0 * w.b[i][j]
+        return Series(field, [-z0 * w.c[i][j], level, -z0 * w.a[i][j], *pad])
+
+    entries = [[entry(i, j) for j in range(s)] for i in range(s)]
+    # sums[free]: the signed sum of the products over the rows above whose
+    # columns leave ``free`` (ascending) for the rows below.
+    sums = {tuple(range(s)): Series.one(field, 2 * s)}
+    for row in entries:
+        below = defaultdict(lambda: Series.zero(field, 2 * s))
+        for free, term in sums.items():
+            for k, j in enumerate(free):
+                if not row[j].is_zero():
+                    p = term * row[j]
+                    below[free[:k] + free[k + 1 :]] += -p if k % 2 else p
+        sums = below
+    return sums[()].coeffs

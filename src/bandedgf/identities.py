@@ -26,7 +26,7 @@ from itertools import chain, repeat
 
 from . import matrices as cm
 from .banded import BlockWeights, clear_denominators, from_block_weights
-from .engine import _first_mismatch, corner_first_columns, fixed_point_route, laurent_route
+from .engine import corner_first_columns, first_difference, fixed_point_route, laurent_route
 from .fields import Field
 from .laurent import trimmed_powers
 from .matseries import MatrixSeries
@@ -79,8 +79,8 @@ class CheckReport:
 
 
 def _matrix_check(name, a, b):
-    bad = _first_mismatch(a, b)
-    return IdentityCheck(name, None if bad is None else f"first disagreement at z^{bad}")
+    bad = first_difference(a, b)
+    return IdentityCheck(name, None if bad is None else f"first disagreement at z^{bad[0]}")
 
 
 def _shifted_const(field, mat, order):
@@ -94,18 +94,19 @@ def _primitive_standard_sum(w: BlockWeights, gw: MatrixSeries, order: int) -> Ma
     return _shifted_const(w.field, w.b, order) + above
 
 
-def _primitive_weight_sum(w: BlockWeights, gw: MatrixSeries, order: int) -> MatrixSeries:
+def _primitive_weight_sum(w: BlockWeights, h: MatrixSeries, order: int) -> MatrixSeries:
     """First-return decomposition of the closed-walk primitive sum.
 
-    A primitive closed walk is a lone level step, or an excursion strictly
-    above its level (up step, translated standard loop, down step), or the
-    mirror excursion strictly below, whose loop is the standard sum with the
-    up and down weights swapped (reflection flips every step).
+    A primitive closed walk is a lone level step or an excursion strictly
+    above its level (up step, translated standard loop, down step), which
+    together make the primitive standard sum ``h``, or the mirror excursion
+    strictly below, whose loop is the standard sum with the up and down
+    weights swapped (reflection flips every step).
     """
     swapped = BlockWeights(w.field, w.s, w.c, w.b, w.a, w.d)
     g_below = fixed_point_route(swapped, order).gw
     below = g_below.lmul_const(w.a).rmul_const(w.c).mul_z_pow(2).truncate(order)
-    return _primitive_standard_sum(w, gw, order) + below
+    return h + below
 
 
 def _independent_step_multiply(field: Field, a, b, c, term, radius: int):
@@ -265,7 +266,7 @@ def run_identity_suite(
     )
 
     # Geometric expansion of the central sum over primitive closed walks.
-    j0 = _primitive_weight_sum(w, fp.gw, order)
+    j0 = _primitive_weight_sum(w, h, order)
     checks.append(
         _matrix_check("primitive_loop_geometric", lr.m0 * (ident - j0), ident)
     )
@@ -282,10 +283,10 @@ def run_identity_suite(
     # Descent factorization: walks from k peel off as G (A z) walks from k-1.
     gaz = fp.gw.rmul_const(w.a).mul_z_pow(1).truncate(order)
     descents = (
-        (k, _first_mismatch(table.series(k + 1), gaz * table.series(k))) for k in range(1, 5)
+        (k, first_difference(table.series(k + 1), gaz * table.series(k))) for k in range(1, 5)
     )
     descent_failure = next(
-        (f"k={k}: first disagreement at z^{bad}" for k, bad in descents if bad is not None),
+        (f"k={k}: first disagreement at z^{bad[0]}" for k, bad in descents if bad is not None),
         None,
     )
     checks.append(IdentityCheck("descent_factorization", descent_failure))

@@ -80,6 +80,8 @@ class MatrixSeries:
         return all(cm.is_zero(self.field, c) for c in self.coeffs)
 
     def truncate(self, order: int) -> "MatrixSeries":
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         if order >= self.order:
             return self
         return MatrixSeries._trusted(self.field, self.s, self.coeffs[: order + 1])

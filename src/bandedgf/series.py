@@ -84,6 +84,8 @@ class Series:
         return None
 
     def truncate(self, order: int) -> "Series":
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         if order >= self.order:
             return self
         return Series(self.field, self.coeffs[: order + 1])
@@ -171,6 +173,8 @@ class Series:
 
         The result is only known to order ``order - k``.
         """
+        if k < 0:
+            raise ValueError("use mul_z_pow for negative shifts")
         if k == 0:
             return self
         if k > self.order:

@@ -40,6 +40,15 @@ def check_walk(points) -> None:
             raise MalformedWalkError(f"step {a} -> {b} is not in {{-1, 0, 1}}")
 
 
+def _step_weight(w: BlockWeights, a: int, b: int, mode: str):
+    """The weight of the step from height a to height b."""
+    if b - a == -1:
+        return w.a
+    if b - a == 1:
+        return w.c
+    return w.d if mode == "w_star" and a == 0 else w.b
+
+
 def weight(w: BlockWeights, points, mode: str = "w"):
     """Ordered product of step weights; the empty walk weighs the identity."""
     check_walk(points)
@@ -48,16 +57,7 @@ def weight(w: BlockWeights, points, mode: str = "w"):
     field = w.field
     acc = cm.identity(field, w.s)
     for a, b in zip(points, points[1:]):
-        step = b - a
-        if step == -1:
-            u = w.a
-        elif step == 1:
-            u = w.c
-        elif mode == "w_star" and a == 0:
-            u = w.d
-        else:
-            u = w.b
-        acc = cm.mul(field, acc, u)
+        acc = cm.mul(field, acc, _step_weight(w, a, b, mode))
     return acc
 
 
@@ -96,42 +96,28 @@ def enumerate_sum(
     standard_only = walk_filter in ("standard", "primitive_standard")
     primitive_only = walk_filter in ("primitive", "primitive_standard")
     sums = [cm.zeros(field, s) for _ in range(length + 1)]
-    if primitive_only and start != finish:
+    # A standard walk has no point below its finish, its start included; a
+    # primitive walk is closed.
+    if (standard_only and start < finish) or (primitive_only and start != finish):
         return MatrixSeries(field, s, sums)
-
-    def qualifies(h, lng, min_h, revisit):
-        if h != finish:
-            return False
-        if standard_only and min_h < finish:
-            return False
-        if primitive_only and (lng == 0 or revisit):
-            return False
-        return True
-
     ident = cm.identity(field, s)
-    if qualifies(start, 0, start, False):
+    if start == finish and not primitive_only:
         sums[0] = ident
-    # Stack entries: height, length, product, min height, interior-revisit flag.
-    stack = [(start, 0, ident, start, False)]
+    # Walks are extended while they can still reach the finish in the steps
+    # left; a standard one never steps below the finish, and a primitive one
+    # ends at its first return, which is to the finish.
+    stack = [(start, 0, ident)]
     while stack:
-        h, lng, prod, min_h, revisit = stack.pop()
-        if lng == length:
-            continue
-        child_revisit = revisit or (lng > 0 and h == start)
-        remaining = length - lng - 1
-        for step, mat in ((-1, w.a), (0, None), (1, w.c)):
-            nh = h + step
-            if abs(nh - finish) > remaining:
+        h, lng, prod = stack.pop()
+        for nh in (h - 1, h, h + 1):
+            if abs(nh - finish) > length - lng - 1 or (standard_only and nh < finish):
                 continue
-            if standard_only and nh < finish:
-                continue
-            if mat is None:
-                mat = w.d if (mode == "w_star" and h == 0) else w.b
-            nprod = cm.mul(field, prod, mat)
-            nmin = min_h if min_h <= nh else nh
-            if qualifies(nh, lng + 1, nmin, child_revisit):
+            nprod = cm.mul(field, prod, _step_weight(w, h, nh, mode))
+            if nh == finish:
                 sums[lng + 1] = cm.add(field, sums[lng + 1], nprod)
-            stack.append((nh, lng + 1, nprod, nmin, child_revisit))
+                if primitive_only:
+                    continue
+            stack.append((nh, lng + 1, nprod))
     return MatrixSeries(field, s, sums)
 
 
@@ -324,8 +310,10 @@ def u_table(w: BlockWeights, order: int) -> UTable:
     """The standard-walk table to the given order, each block by one raw sum.
 
     Each step weight multiplies on the left through its nonzero entries, and
-    each entry of a new block is reduced once.
+    each entry of a new block is reduced once.  A negative ``order`` raises.
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     field, s = w.field, w.s
     down, level, up, floor = (_nonzeros(m) for m in (w.a, w.b, w.c, w.d))
     zero = cm.zeros(field, s)

@@ -1,10 +1,13 @@
 """Test-only checks: the block-pattern round trip of a reduction, the walk
-predicates the tests state the paper's definitions with, and the symbol-power
+predicates the tests state the paper's definitions with, the symbol-power
 stream formed through whole block products, the reference for the library's
-row-slice stream.
+row-slice stream, and the symbol determinant by the Leibniz formula on list
+polynomials, the reference for ``engine.symbol_determinant``.
 
 None of this is used by the package itself.
 """
+
+from itertools import permutations
 
 from bandedgf import matrices as cm
 from bandedgf.banded import BandedSpec, BlockWeights
@@ -101,3 +104,46 @@ def reference_trimmed_powers(field, a, b, c, order):
         )
         r = nr
         yield term
+
+
+def _poly_mul(field, p, q):
+    """Product of two polynomials given as coefficient lists, lowest degree first."""
+    out = [field.zero] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = field.reduce(out[i + j] + a * b)
+    return out
+
+
+def _sign(perm):
+    """+1 or -1: the parity of a permutation from its cycle count."""
+    seen, cycles = set(), 0
+    for i in range(len(perm)):
+        if i not in seen:
+            cycles += 1
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+def reference_symbol_determinant(w: BlockWeights, z0):
+    """Coefficients (by x-degree, 2s + 1 of them) of det(x I - z0 (A x^2 + B x + C)),
+    summed over the Leibniz terms, each a product of list polynomials."""
+    field, s = w.field, w.s
+
+    def entry(i, j):
+        return [
+            field.reduce(-z0 * w.c[i][j]),
+            field.reduce(int(i == j) - z0 * w.b[i][j]),
+            field.reduce(-z0 * w.a[i][j]),
+        ]
+
+    total = [field.zero] * (2 * s + 1)
+    for perm in permutations(range(s)):
+        term = [field.one]
+        for i in range(s):
+            term = _poly_mul(field, term, entry(i, perm[i]))
+        for d, c in enumerate(term):
+            total[d] = field.reduce(total[d] + _sign(perm) * c)
+    return tuple(total)

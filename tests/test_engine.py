@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -17,6 +18,7 @@ from bandedgf.engine import (
     corner_first_columns,
     cross_check,
     direct_route,
+    first_difference,
     fixed_point_route,
     laurent_route,
     symbol_determinant,
@@ -24,7 +26,10 @@ from bandedgf.engine import (
 from bandedgf.errors import RouteMismatchError
 from bandedgf.fields import PrimeField, QQ
 from bandedgf.matseries import MatrixSeries
+from bandedgf.series import Series
 from bandedgf.walks import enumerate_sum
+
+from helpers import reference_symbol_determinant
 
 F101 = PrimeField(101)
 F_MERSENNE = PrimeField(2**61 - 1)
@@ -700,3 +705,85 @@ def test_first_column_frontier_matches_untrimmed_corner_loop(spec, order):
 def test_first_columns_refuse_a_negative_order_at_the_call():
     with pytest.raises(ValueError):
         corner_first_columns(fixtures.ex41_spec(), -1)
+
+
+def test_fixed_point_route_refuses_a_negative_order():
+    with pytest.raises(ValueError):
+        fixed_point_route(block_reduce(fixtures.ex41_spec()), -1)
+
+
+def _sparse_weights(rng, s, field):
+    """Random block weights with about a third of the entries nonzero: true
+    fractions over Q, residues over F_p."""
+    def value():
+        if rng.random() < 0.65:
+            return field.zero
+        if field == QQ:
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+        return field.from_int(rng.randrange(1, min(field.p, 10**6)))
+
+    mats = [[[value() for _ in range(s)] for _ in range(s)] for _ in range(4)]
+    return BlockWeights(field, s, *mats)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(2), F101, F_MERSENNE], ids=["QQ", "F_2", "F_101", "F_2^61-1"]
+)
+def test_symbol_determinant_matches_the_leibniz_reference(s, field):
+    rng = random.Random(1000 * s + field.characteristic % 1000)
+    if field == QQ:
+        points = [0, 1, Fraction(-2, 3), Fraction(5, 7)]
+    else:
+        points = sorted({0, 1, field.from_int(rng.randrange(field.p))})
+    for trial in range(3):
+        w = _sparse_weights(rng, s, field)
+        for z0 in points:
+            got = symbol_determinant(w, z0)
+            assert len(got) == 2 * s + 1
+            assert got == reference_symbol_determinant(w, z0), (trial, z0)
+
+
+@st.composite
+def _differing_pairs(draw):
+    """Two scalar or matrix series of independent orders over Q or F_101,
+    the second a copy of the first with a few entries redrawn."""
+    field = draw(st.sampled_from([QQ, F101]))
+    if field == QQ:
+        scalar = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    else:
+        scalar = st.integers(0, 100)
+    s = draw(st.one_of(st.none(), st.integers(1, 3)))
+    order_a, order_b = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    side = range(s or 1)
+    cells = [(k, r, c) for k in range(max(order_a, order_b) + 1) for r in side for c in side]
+    first = {cell: draw(scalar) for cell in cells}
+    second = dict(first)
+    for cell in draw(st.lists(st.sampled_from(cells), max_size=3)):
+        second[cell] = draw(scalar)
+
+    def build(values, order):
+        if s is None:
+            return Series(field, [values[k, 0, 0] for k in range(order + 1)])
+        return MatrixSeries(
+            field, s,
+            [[[values[k, r, c] for c in range(s)] for r in range(s)] for k in range(order + 1)],
+        )
+
+    return build(first, order_a), build(second, order_b), first, second, s
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_differing_pairs())
+def test_first_difference_finds_the_least_differing_index_and_entry(pair):
+    a, b, first, second, s = pair
+    n = min(a.order, b.order)
+    differing = sorted(cell for cell in first if cell[0] <= n and first[cell] != second[cell])
+    got = first_difference(a, b)
+    assert (got is None) == (a.truncate(n) == b.truncate(n))
+    if not differing:
+        assert got is None
+    else:
+        k, r, c = differing[0]
+        assert got == (k, None if s is None else (r + 1, c + 1))
+    assert first_difference(b, a) == got

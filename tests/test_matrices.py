@@ -226,6 +226,11 @@ def test_invert_rejects_singular_constant_term():
         m.inverse()
 
 
+def test_matrix_series_truncate_refuses_a_negative_order():
+    with pytest.raises(ValueError):
+        rand_matseries(random.Random(3), 2, 3).truncate(-2)
+
+
 def test_shape_mismatch():
     a = MatrixSeries.identity(QQ, 2, 3)
     b = MatrixSeries.identity(QQ, 3, 3)

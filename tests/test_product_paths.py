@@ -128,3 +128,17 @@ def test_the_first_column_layer_stays_scalar():
     used = _names(_function(_tree("engine"), "corner_first_columns"))
     assert not used & {"sum_of_products", "cm.mul", "BlockWeights", "block_reduce"}
     assert "reduce_all" in used
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # A name one module shares with another is public: `from .x import _y`
+    # reaches into x's internals, so a rewrite of x can break y unseen.
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("bandedgf")
+            ):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{path.name} imports {private} from {node.module}"

@@ -96,6 +96,16 @@ def test_shift_division_requires_vanishing_low_orders():
         S([0, 1], 3).div_z_pow(2)
 
 
+def test_shift_division_refuses_a_negative_shift():
+    with pytest.raises(ValueError):
+        S([1, 2, 3], 2).div_z_pow(-1)
+
+
+def test_truncate_refuses_a_negative_order():
+    with pytest.raises(ValueError):
+        S([1, 2, 3], 2).truncate(-2)
+
+
 def test_shift_up_extends_order():
     assert S([2, 1], 1).mul_z_pow(2).coeffs == (0, 0, 2, 1)
 

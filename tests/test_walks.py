@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,7 +14,7 @@ from bandedgf.fields import PrimeField, QQ
 from bandedgf.fixtures import example_spec
 from bandedgf.identities import oracle_comparison, run_identity_suite
 from bandedgf.matseries import MatrixSeries
-from bandedgf.walks import class_sums, enumerate_sum, u_table, weight
+from bandedgf.walks import WALK_FILTERS, class_sums, enumerate_sum, u_table, weight
 
 from helpers import concat, is_primitive, is_standard
 
@@ -152,6 +153,40 @@ def test_primitive_filter_needs_matching_endpoints(weight_factory):
     assert enumerate_sum(w, 4, 1, 0, "primitive").is_zero()
 
 
+def _walks_by_definition(start, length):
+    """Every walk of length 0..length from ``start``: each step sequence, its
+    heights by accumulation."""
+    for n in range(length + 1):
+        for steps in product((-1, 0, 1), repeat=n):
+            yield tuple(accumulate(steps, initial=start))
+
+
+def _in_class(points, walk_filter):
+    standard = walk_filter in ("standard", "primitive_standard")
+    primitive = walk_filter in ("primitive", "primitive_standard")
+    return (not standard or is_standard(points)) and (not primitive or is_primitive(points))
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["QQ", "F_101"])
+@pytest.mark.parametrize("mode", ["w", "w_star"])
+def test_enumerate_sum_matches_the_definitions(field, mode):
+    # Starts and finishes in -2..2, the start below the finish included; a
+    # standard walk is one with no point below its last, which is the finish.
+    w = rand_weights(random.Random(31), 2, field)
+    heights = range(-2, 3)
+    for start in heights:
+        walks = [(p, weight(w, p, mode)) for p in _walks_by_definition(start, 5)]
+        for finish, walk_filter in product(heights, WALK_FILTERS):
+            want = [cm.zeros(field, 2) for _ in range(6)]
+            for points, wt in walks:
+                if points[-1] == finish and _in_class(points, walk_filter):
+                    n = len(points) - 1
+                    want[n] = cm.add(field, want[n], wt)
+            for length in range(6):
+                got = enumerate_sum(w, length, start, finish, walk_filter, mode)
+                assert got.coeffs == tuple(want[: length + 1]), (start, finish, walk_filter, length)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
@@ -261,6 +296,11 @@ def test_u_table_matches_the_dense_recurrence(seed, s, field, special, order):
     assert rows == want
     # The repr tells an int from an equal Fraction: entries stay canonical.
     assert repr(rows) == repr(want)
+
+
+def test_u_table_refuses_a_negative_order(weight_factory):
+    with pytest.raises(ValueError):
+        u_table(weight_factory(2, seed=14), -3)
 
 
 def test_u_table_base_row(weight_factory):
