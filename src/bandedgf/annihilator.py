@@ -19,14 +19,14 @@ exact expansion.
 from __future__ import annotations
 
 from bisect import bisect
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     InsufficientPrecisionError,
     NonUnitError,
     SpecFormatError,
 )
-from .fields import Field, require_same_field, scalar_to_json
+from .fields import Field, cleared, denominator, require_same_field, scalar_to_json
 from .series import Series
 
 DEFAULT_GUARD = 20
@@ -81,10 +81,9 @@ class AnnihilatorPoly:
         """Residual series P(z, g(z)) truncated at g's order."""
         require_same_field(self.field, g.field)
         order = g.order
-        acc = Series(self.field, _pad(self.coeffs[self.dx], order, self.field))
+        acc = Series.from_ints(self.field, self.coeffs[self.dx], order)
         for i in range(self.dx - 1, -1, -1):
-            row = Series(self.field, _pad(self.coeffs[i], order, self.field))
-            acc = acc * g + row
+            acc = acc * g + Series.from_ints(self.field, self.coeffs[i], order)
         return acc
 
     def pretty(self) -> str:
@@ -106,7 +105,7 @@ class AnnihilatorPoly:
             "dx": self.dx,
             "dz": self.dz,
             "coeffs": [
-                [scalar_to_json(self.field, c) for c in row] for row in self.coeffs
+                [scalar_to_json(c) for c in row] for row in self.coeffs
             ],
             "pretty": self.pretty(),
         }
@@ -124,12 +123,6 @@ class AnnihilatorPoly:
         return cls(field, grid)
 
 
-def _pad(row, order, field):
-    out = list(row[: order + 1])
-    out.extend(field.zero for _ in range(order + 1 - len(out)))
-    return out
-
-
 def _pretty_z_poly(field, row):
     zero = field.zero
     terms = []
@@ -137,8 +130,8 @@ def _pretty_z_poly(field, row):
         c = row[j]
         if c == zero:
             continue
-        mag = c if field.kind == "prime_field" else abs(c)
-        neg = field.kind != "prime_field" and c < 0
+        # F_p scalars are ints in [0, p), so only a rational can be negative.
+        mag, neg = abs(c), c < 0
         if j == 0:
             body = field.format(mag)
         else:
@@ -163,11 +156,11 @@ def _canonical_scale(field: Field, grid):
                 break
         if lead:
             break
-    if field.kind == "prime_field":
+    if field.characteristic:
         scale = field.inv(grid[lead[0]][lead[1]])
-        return [[c * scale % field.p for c in row] for row in grid]
-    den_lcm = lcm(*(c.denominator for row in grid for c in row))
-    ints = [[c.numerator * (den_lcm // c.denominator) for c in row] for row in grid]
+        return [field.reduce_all([c * scale for c in row]) for row in grid]
+    den = denominator(c for row in grid for c in row)
+    ints = [[cleared(c, den) for c in row] for row in grid]
     content = gcd(*(abs(c) for row in ints for c in row))
     if ints[lead[0]][lead[1]] < 0:
         content = -content
@@ -238,15 +231,16 @@ def _system(field: Field, powers, dz: int):
     """Rows n = 0..order of the annihilation system, integral over Q.
 
     Column i(dz+1) + j holds the z^n coefficient of z^j g^i; over Q each row
-    is multiplied by the lcm of its denominators, which keeps its nullspace.
+    is multiplied by its :func:`~bandedgf.fields.denominator`, which keeps its
+    nullspace.  F_p rows are ints already and are left as they are.
     """
     rows = []
     for n in range(powers[0].order + 1):
         row = [gi[n - j] if n >= j else 0 for gi in (pw.coeffs for pw in powers)
                for j in range(dz + 1)]
         if not field.characteristic:
-            den = lcm(*(c.denominator for c in row))
-            row = [c.numerator * (den // c.denominator) for c in row]
+            den = denominator(row)
+            row = [cleared(c, den) for c in row]
         rows.append(row)
     return rows
 
@@ -369,9 +363,9 @@ class ClosedForm:
         )
 
     def _side(self, plain, radical, root: Series, order: int) -> Series:
-        out = Series(self.field, _pad(plain, order, self.field))
+        out = Series.from_ints(self.field, plain, order)
         if radical:
-            out = out + Series(self.field, _pad(radical, order, self.field)) * root
+            out = out + Series.from_ints(self.field, radical, order) * root
         return out
 
     def expand(self, order: int) -> Series:
@@ -384,14 +378,14 @@ class ClosedForm:
             2 * len(self.den_plain) - 2,
             2 * len(self.den_radical) + len(self.radicand) - 3,
         )
-        root = Series(field, _pad(self.radicand, probe, field)).sqrt()
+        root = Series.from_ints(field, self.radicand, probe).sqrt()
         den = self._side(self.den_plain, self.den_radical, root, probe)
         v = den.valuation()
         if v is None:
             raise NonUnitError("the denominator of the closed form is zero")
         deep = order + v
         if deep != probe:
-            root = Series(field, _pad(self.radicand, deep, field)).sqrt()
+            root = Series.from_ints(field, self.radicand, deep).sqrt()
             den = self._side(self.den_plain, self.den_radical, root, deep)
         num = self._side(self.num_plain, self.num_radical, root, deep)
         return num.div_z_pow(v) * den.div_z_pow(v).invert()

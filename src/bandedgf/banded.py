@@ -32,12 +32,12 @@ band inside the window already decide equality for all larger indices.
 
 from __future__ import annotations
 
-from math import lcm
-
 from . import matrices as cm
 from .errors import InvalidBlockSizeError, SpecFormatError
 from .fields import (
     Field,
+    cleared,
+    denominator,
     field_from_json,
     field_to_json,
     is_json_int,
@@ -139,16 +139,15 @@ class BandedSpec:
         return cls(field, period, bands, exceptional, block_size)
 
     def to_json_doc(self) -> dict:
-        scalar = scalar_to_json
         doc = {
             "field": field_to_json(self.field),
             "period": self.period,
             "bands": [
-                {"offset": r, "values": [scalar(self.field, v) for v in self.bands[r]]}
+                {"offset": r, "values": [scalar_to_json(v) for v in self.bands[r]]}
                 for r in sorted(self.bands)
             ],
             "exceptional": [
-                {"i": i, "j": j, "value": scalar(self.field, v)}
+                {"i": i, "j": j, "value": scalar_to_json(v)}
                 for (i, j), v in sorted(self.exceptional.items())
             ],
         }
@@ -269,23 +268,20 @@ def block_reduce(spec: BandedSpec, s: int | None = None) -> BlockWeights:
 
 
 def clear_denominators(w: BlockWeights) -> tuple[int, BlockWeights]:
-    """``(L, L·w)`` for weights over Q, L the lcm of the entries' denominators.
+    """``(L, L·w)``, L the :func:`~bandedgf.fields.denominator` of the entries.
 
     Every walk of length n has n steps, so the z^n coefficient of any walk sum
     for L·w is L^n times the one for w: the routes may run on the integral
     weights L·w (plain ints, no Fraction normalisation) and divide coefficient
-    n by L^n afterwards.  When L = 1, and always over F_p, ``w`` itself comes
+    n by L^n afterwards.  When L = 1, as always over F_p, ``w`` itself comes
     back, not a copy.
     """
-    if w.field.kind != "rationals":
-        return 1, w
     blocks = (w.a, w.b, w.c, w.d)
-    den = lcm(*(v.denominator for m in blocks for row in m for v in row))
+    den = denominator(v for m in blocks for row in m for v in row)
     if den == 1:
         return 1, w
-    red = w.field.reduce
     return den, BlockWeights(
-        w.field, w.s, *([[red(v * den) for v in row] for row in m] for m in blocks)
+        w.field, w.s, *([[cleared(v, den) for v in row] for row in m] for m in blocks)
     )
 
 

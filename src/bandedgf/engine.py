@@ -48,7 +48,7 @@ from .errors import RouteMismatchError
 from .fields import Field
 from .laurent import accumulate
 from .matseries import MatrixSeries
-from .series import Series
+from .series import Series, require_nonnegative
 from .walks import class_sums
 
 
@@ -97,8 +97,7 @@ def corner_first_columns(spec: BandedSpec, order: int):
     #bands · p slice operations per step.  Each step reduces its column once,
     with one :meth:`~bandedgf.fields.Field.reduce_all`.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    require_nonnegative(order)
     field = spec.field
     m, p = spec.exceptional_bound, spec.period
     down = max([0, *(-r for r, vals in spec.bands.items() if any(vals))])
@@ -184,8 +183,7 @@ def fixed_point_route(w: BlockWeights, order: int) -> GenFunBundle:
     uses the floor-weight shift G*^-1 = G^-1 + (B - D) z, so the two routes
     reach G* by different formulas.  A negative ``order`` raises.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    require_nonnegative(order)
     field, s = w.field, w.s
     red, rng, zero_row = field.reduce, range(s), [field.zero] * s
     g = [[[v] for v in row] for row in cm.identity(field, s)]

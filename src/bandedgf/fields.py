@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
+from math import lcm
 from operator import mod
 
 from .errors import FieldMismatchError, NonUnitError, SpecFormatError
@@ -255,8 +256,17 @@ def is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def scalar_to_json(field: Field, v):
+def scalar_to_json(v):
     """A scalar as a JSON value: an int when integral, else the fraction's text."""
-    if field.kind == "prime_field":
-        return int(v)
     return int(v) if v.denominator == 1 else str(v)
+
+
+def denominator(values) -> int:
+    """The lcm of the denominators of the scalars ``values``: 1 over F_p,
+    whose scalars are ints."""
+    return lcm(*(v.denominator for v in values))
+
+
+def cleared(v, den: int) -> int:
+    """den · v as an int, for a scalar v whose denominator divides ``den``."""
+    return v.numerator * (den // v.denominator)

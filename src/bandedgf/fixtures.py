@@ -149,10 +149,6 @@ def ex512_recursion() -> AffineRecursion:
     )
 
 
-# (1 - 16z)(1 - 4z)(1 - 2z)^2, ascending: the readout series' denominator.
-EX512_READOUT_DEN = (1, -24, 148, -336, 256)
-
-
 def ex512_readout_closed_form() -> ClosedForm:
     """(4z (1-2z)^2 + (2z - 12 z^2) sqrt(1 - 4 z^2)) / ((1-16z)(1-4z)(1-2z)^2)."""
     return ClosedForm(
@@ -160,7 +156,7 @@ def ex512_readout_closed_form() -> ClosedForm:
         radicand=[1, 0, -4],
         num_plain=[0, 4, -16, 16],
         num_radical=[0, 2, -12],
-        den_plain=EX512_READOUT_DEN,
+        den_plain=[1, -24, 148, -336, 256],
     )
 
 
@@ -253,15 +249,15 @@ def run_checks(
         checks.append(
             IdentityCheck("first_coefficients", None if first == want else f"got {first}")
         )
-        lhs = Series.from_ints(QQ, EX512_READOUT_DEN, order=order) * readout
-        root = Series.from_ints(QQ, [1, 0, -4], order=order).sqrt()
-        rhs = Series.from_ints(QQ, [0, 4, -16, 16], order=order) + (
-            Series.from_ints(QQ, [0, 2, -12], order=order) * root
+        form = ex512_readout_closed_form()
+        lhs = Series.from_ints(QQ, form.den_plain, order) * readout
+        root = Series.from_ints(QQ, form.radicand, order).sqrt()
+        rhs = Series.from_ints(QQ, form.num_plain, order) + (
+            Series.from_ints(QQ, form.num_radical, order) * root
         )
         checks.append(_outcome("square_root_identity", VerifyResult(lhs - rhs), "mismatch"))
         checks.append(
-            _outcome("closed_form_match",
-                     check_closed_form_sqrt(readout, ex512_readout_closed_form()), "mismatch")
+            _outcome("closed_form_match", check_closed_form_sqrt(readout, form), "mismatch")
         )
         checks.append(
             _outcome("starred_closed_form_match",

@@ -23,6 +23,7 @@ from operator import add, mul
 from . import matrices as cm
 from .fields import Field
 from .matseries import MatrixSeries
+from .series import require_nonnegative
 
 
 def _row_stream(field: Field, a, b, c, order: int):
@@ -37,8 +38,7 @@ def _row_stream(field: Field, a, b, c, order: int):
     s = len(a)
     for m in (a, b, c):
         cm.check_square(m, s)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    require_nonnegative(order)
     entries = [
         (k, i, t, v)
         for m, k in ((a, 1), (b, 0), (c, -1))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import matrices as cm
 from .errors import ShapeError
 from .fields import Field, require_same_field
-from .series import Series
+from .series import Series, require_nonnegative
 
 
 class MatrixSeries:
@@ -42,18 +42,18 @@ class MatrixSeries:
 
     @classmethod
     def identity(cls, field: Field, s: int, order: int) -> "MatrixSeries":
-        return cls._trusted(
-            field, s, (cm.identity(field, s),) + (cm.zeros(field, s),) * order
-        )
+        return cls.from_const(field, cm.identity(field, s), order)
 
     @classmethod
     def zero(cls, field: Field, s: int, order: int) -> "MatrixSeries":
-        return cls._trusted(field, s, (cm.zeros(field, s),) * (order + 1))
+        return cls.from_const(field, cm.zeros(field, s), order)
 
     @classmethod
     def from_const(cls, field: Field, m, order: int) -> "MatrixSeries":
-        s = len(m)
-        return cls(field, s, [cm.freeze(m)] + [cm.zeros(field, s)] * order)
+        require_nonnegative(order)
+        m, s = cm.freeze(m), len(m)
+        cm.check_square(m, s)
+        return cls._trusted(field, s, (m,) + (cm.zeros(field, s),) * order)
 
     # -- queries ---------------------------------------------------------------
 
@@ -80,8 +80,7 @@ class MatrixSeries:
         return all(cm.is_zero(self.field, c) for c in self.coeffs)
 
     def truncate(self, order: int) -> "MatrixSeries":
-        if order < 0:
-            raise ValueError("order must be nonnegative")
+        require_nonnegative(order)
         if order >= self.order:
             return self
         return MatrixSeries._trusted(self.field, self.s, self.coeffs[: order + 1])

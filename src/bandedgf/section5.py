@@ -17,34 +17,33 @@ the walk table rather than first columns, are
 
 ``affine_pipeline`` forms the per-order sums S_n = sum_k (V^n)_{k,1} y_k on
 integers from end to end.  Over Q it reads the first columns of L·V, L the
-lcm of the denominators of the block weights
-(:func:`~bandedgf.banded.clear_denominators`), whose n-th power is L^n V^n
+:func:`~bandedgf.fields.denominator` of V's own band and exceptional values
+(read off the spec, not off the block weights), whose n-th power is L^n V^n
 and stays on Python ints, and it tabulates the forcing values cleared by M,
-the lcm of the denominators of every rule's initial values and polynomial
-coefficients, once per residue class as ints; each integral sum is L^n M
-times the true one.  A column holds only its rows up to the frontier of
+the denominator of every rule's initial values and polynomial coefficients,
+once per residue class as ints; each integral sum is L^n M times the true
+one.  A column holds only its rows up to the frontier of
 :func:`~bandedgf.engine.corner_first_columns` and a table only the s·order
 indices any sum reads, and the entries past either are zero, so each sum is
 one dot product over the shorter of the two.  The state is the integral
-u_n = M (L K)^(n-1) y^(n), K the lcm of the denominators of T, divided back
-once per coefficient.  Over F_p, L = M = K = 1 and every value is reduced
-mod p.  :func:`~bandedgf.engine.corner_first_columns` itself is not
+u_n = M (L K)^(n-1) y^(n), K the denominator of T, divided back once per
+coefficient.  Over F_p, whose scalars are ints, L = M = K = 1 and every value
+is reduced mod p.  :func:`~bandedgf.engine.corner_first_columns` itself is not
 rescaled, so the direct route that shares it stays an independent
 computation on the original Fraction spec.
 """
 
 from __future__ import annotations
 
-from itertools import islice, repeat
-from math import lcm
+from itertools import chain, islice, repeat
 from operator import add, mul
 
 from . import matrices as cm
-from .banded import BandedSpec, BlockWeights, clear_denominators
+from .banded import BandedSpec, BlockWeights
 from .engine import corner_first_columns
 from .errors import ShapeError, SpecFormatError
-from .fields import Field, is_json_int
-from .series import Series
+from .fields import Field, cleared, denominator, is_json_int
+from .series import Series, require_nonnegative
 
 
 class EventuallyPolySeq:
@@ -91,23 +90,16 @@ class EventuallyPolySeq:
         return acc
 
 
-def _cleared(v, den: int) -> int:
-    """den · v as an int, for a scalar v whose denominator divides ``den``."""
-    return v.numerator * (den // v.denominator)
-
-
 def _rule_tables(field: Field, rules, count: int):
-    """(M, tables): M the lcm of the denominators of every rule's initial
-    values and polynomial coefficients, and per rule the list of M·a_k for
-    k = 1..count as ints (reduced over F_p).
+    """(M, tables): M the denominator of every rule's initial values and
+    polynomial coefficients, and per rule the list of M·a_k for k = 1..count
+    as ints (reduced over F_p).
 
     Along residue class i the values are the cleared initial ones, then the
     cleared polynomial at k = len(initial), ..., evaluated by Horner on all of
     those k at once: deg passes of int operations per class.
     """
-    den = lcm(
-        *(v.denominator for rule in rules for pair in rule.rules for terms in pair for v in terms)
-    )
+    den = denominator(v for rule in rules for pair in rule.rules for terms in pair for v in terms)
     tables = []
     for rule in rules:
         vals = [0] * count
@@ -115,8 +107,8 @@ def _rule_tables(field: Field, rules, count: int):
             ks = range(len(initial), len(range(i, count, rule.s)))
             acc = [0] * len(ks)
             for c in reversed(poly):
-                acc = list(map(add, map(mul, acc, ks), repeat(_cleared(c, den))))
-            vals[i :: rule.s] = [_cleared(v, den) for v in initial[: ks.stop]] + acc
+                acc = list(map(add, map(mul, acc, ks), repeat(cleared(c, den))))
+            vals[i :: rule.s] = [cleared(v, den) for v in initial[: ks.stop]] + acc
         tables.append(field.reduce_all(vals))
     return den, tables
 
@@ -168,12 +160,12 @@ def affine_pipeline(
         )
     field = w.field
     red, red_all = field.reduce, field.reduce_all
-    lden, _ = clear_denominators(w)
+    lden = denominator(chain(spec.exceptional.values(), *spec.bands.values()))
     scaled = BandedSpec(
         field,
         spec.period,
-        {r: [_cleared(v, lden) for v in vals] for r, vals in spec.bands.items()},
-        [(i, j, _cleared(v, lden)) for (i, j), v in spec.exceptional.items()],
+        {r: [cleared(v, lden) for v in vals] for r, vals in spec.bands.items()},
+        [(i, j, cleared(v, lden)) for (i, j), v in spec.exceptional.items()],
         spec.block_size,
     )
     columns = corner_first_columns(scaled, order)
@@ -181,10 +173,10 @@ def affine_pipeline(
     # descend more than n block levels.  Only S_0 .. S_(order-1) feed the
     # readout, so the tables stop at s·order and the sums at their length.
     den, tables = _rule_tables(field, rec.y_rules, w.s * order)
-    tden = lcm(*(v.denominator for row in rec.t for v in row))
-    rden = lcm(*(v.denominator for v in rec.l))
-    t = [[_cleared(v, tden) * lden for v in row] for row in rec.t]
-    l = [_cleared(v, rden) for v in rec.l]
+    tden = denominator(v for row in rec.t for v in row)
+    rden = denominator(rec.l)
+    t = [[cleared(v, tden) * lden for v in row] for row in rec.t]
+    l = [cleared(v, rden) for v in rec.l]
     u, tpow = [0] * rec.dim_y, 1
     coeffs, c, step = [field.zero], field.inv(rden * den), field.inv(lden * tden)
     for col in islice(columns, order):
@@ -205,8 +197,7 @@ def weighted_series(
     ``w`` is ``block_reduce(spec, s)``: the block size s fixes the residue
     classes of the weight rules.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    require_nonnegative(order)
     rec = AffineRecursion(w.field, 1, [[0]], [1], [a])
     return affine_pipeline(spec, w, rec, order + 1).div_z_pow(1)
 

@@ -17,6 +17,12 @@ from .errors import (
 from .fields import Field, require_same_field
 
 
+def require_nonnegative(order: int) -> None:
+    """Refuse a negative truncation order."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+
+
 class Series:
     __slots__ = ("field", "coeffs")
 
@@ -30,16 +36,18 @@ class Series:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_ints(cls, field: Field, ints, order: int | None = None) -> "Series":
-        coeffs = [field.from_int(n) for n in ints]
+    def from_ints(cls, field: Field, values, order: int | None = None) -> "Series":
+        """The series with coefficients ``values``, cut or padded with zeros
+        to ``order`` when one is given."""
+        coeffs = list(values)
         if order is not None:
-            if order + 1 < len(coeffs):
-                coeffs = coeffs[: order + 1]
-            coeffs.extend(field.zero for _ in range(order + 1 - len(coeffs)))
+            require_nonnegative(order)
+            coeffs = (coeffs + [field.zero] * (order + 1))[: order + 1]
         return cls(field, coeffs)
 
     @classmethod
     def constant(cls, field: Field, value, order: int) -> "Series":
+        require_nonnegative(order)
         return cls(field, [value] + [field.zero] * order)
 
     @classmethod
@@ -84,8 +92,7 @@ class Series:
         return None
 
     def truncate(self, order: int) -> "Series":
-        if order < 0:
-            raise ValueError("order must be nonnegative")
+        require_nonnegative(order)
         if order >= self.order:
             return self
         return Series(self.field, self.coeffs[: order + 1])

@@ -26,6 +26,7 @@ from . import matrices as cm
 from .banded import BlockWeights
 from .errors import MalformedWalkError, ResourceLimitError
 from .matseries import MatrixSeries
+from .series import require_nonnegative
 
 DEFAULT_ENUMERATION_CEILING = 14
 
@@ -312,8 +313,7 @@ def u_table(w: BlockWeights, order: int) -> UTable:
     Each step weight multiplies on the left through its nonzero entries, and
     each entry of a new block is reduced once.  A negative ``order`` raises.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    require_nonnegative(order)
     field, s = w.field, w.s
     down, level, up, floor = (_nonzeros(m) for m in (w.a, w.b, w.c, w.d))
     zero = cm.zeros(field, s)

@@ -1,6 +1,6 @@
 """Default CLI output, pinned byte for byte.
 
-``data/cli_golden.json`` holds 113 argvs, covering every command
+``data/cli_golden.json`` holds 125 argvs, covering every command
 on the four built-in examples over Q and F_101, ``annihilate`` on them over
 F_(2^61-1) and F_(2^31-1) (the primes of the certify benchmark),
 ``series --order 200`` on each example (and on ex4.2 over F_(2^61-1)) and
@@ -16,7 +16,11 @@ with a smaller lcm than their coefficients, included), ``weighted`` and
 ``affine`` at orders 0 and 1 on ex4.1 and ex5.12 over Q and F_2, a spec whose
 redundant override (equal to the band value) puts its exceptional bound 6
 past its block size 2, so the first-column frontier runs longer than
-s (n + 1), under ``weighted``, ``affine`` and ``series``, and
+s (n + 1), under ``weighted``, ``affine`` and ``series``, ``annihilate``
+over Q on three specs with true fractions (the series' own coefficients are
+fractions, so each row of the system is cleared), each once found and once
+not found, ``weighted`` and ``affine`` on a spec whose corner value 1/5 has a
+denominator no band value has, over Q and F_(2^61-1), and
 ``verify-example --poly`` with the ex4.1 golden cubic and a
 one-coefficient perturbation of it (passing and failing checks), with the
 stdout, stderr and exit code that ``cli.main`` gave for each.  Documents

@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandedgf.errors import NonUnitError, SpecFormatError
-from bandedgf.fields import PrimeField, QQ, field_from_json, field_to_json, is_prime
+from bandedgf.fields import (
+    PrimeField,
+    QQ,
+    cleared,
+    denominator,
+    field_from_json,
+    field_to_json,
+    is_prime,
+)
 
 
 def test_prime_check():
@@ -87,3 +95,30 @@ def test_prime_field_axioms(a, b, c):
     assert r((a * b) * c) == r(a * (b * c))
     if a % 101:
         assert r(a * f.inv(a)) == 1
+
+
+_rationals = st.lists(
+    st.fractions(min_value=-30, max_value=30, max_denominator=9).map(QQ.reduce), max_size=6
+).filter(lambda vs: any(isinstance(v, Fraction) for v in vs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=_rationals)
+def test_denominator_is_the_least_multiplier_that_clears_rationals(values):
+    den = denominator(values)
+    assert type(den) is int and den > 1
+    for v in values:
+        out = cleared(v, den)
+        assert type(out) is int and out == den * v
+    assert not any(
+        all((d * v).denominator == 1 for v in map(Fraction, values)) for d in range(1, den)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 101, 2**61 - 1]))
+def test_prime_field_scalars_need_no_clearing(data, p):
+    values = data.draw(st.lists(st.integers(0, p - 1), max_size=6))
+    assert denominator(values) == 1
+    assert [cleared(v, 1) for v in values] == values
+    assert all(type(cleared(v, 1)) is int for v in values)

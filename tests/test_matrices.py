@@ -231,6 +231,21 @@ def test_matrix_series_truncate_refuses_a_negative_order():
         rand_matseries(random.Random(3), 2, 3).truncate(-2)
 
 
+def test_matrix_series_identity_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        MatrixSeries.identity(QQ, 2, -1)
+
+
+def test_matrix_series_zero_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        MatrixSeries.zero(QQ, 2, -1)
+
+
+def test_matrix_series_from_const_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        MatrixSeries.from_const(PrimeField(101), ((1, 2), (3, 4)), -2)
+
+
 def test_shape_mismatch():
     a = MatrixSeries.identity(QQ, 2, 3)
     b = MatrixSeries.identity(QQ, 3, 3)

@@ -142,3 +142,22 @@ def test_no_module_imports_a_private_name_of_another():
             ):
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, f"{path.name} imports {private} from {node.module}"
+
+
+def test_only_fields_reads_the_kind_or_the_parts_of_a_scalar():
+    # Clearing denominators and telling Q from F_p are the field layer's
+    # rules (`fields.denominator`, `fields.cleared`, `Field.characteristic`);
+    # a module that reads a scalar's parts or the field's kind restates them.
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 10 and SRC / "fields.py" in paths
+    offenders = {}
+    for path in paths:
+        read = {
+            node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+        }
+        found = sorted(read & {"denominator", "numerator", "kind"})
+        if found and path.name != "fields.py":
+            offenders[path.name] = found
+    assert not offenders

@@ -106,6 +106,33 @@ def test_truncate_refuses_a_negative_order():
         S([1, 2, 3], 2).truncate(-2)
 
 
+def test_from_ints_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        Series.from_ints(QQ, [1, 2, 3], order=-2)
+
+
+def test_zero_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        Series.zero(QQ, -1)
+
+
+def test_one_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        Series.one(PrimeField(101), -1)
+
+
+def test_constant_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        Series.constant(QQ, Fraction(1, 3), -1)
+
+
+def test_from_ints_pads_or_cuts_to_the_order():
+    assert Series.from_ints(QQ, [1, Fraction(1, 2), 3], order=1).coeffs == (1, Fraction(1, 2))
+    assert Series.from_ints(QQ, [1, 2], order=3).coeffs == (1, 2, 0, 0)
+    assert Series.from_ints(QQ, [], order=0).coeffs == (0,)
+    assert Series.from_ints(PrimeField(7), [-1, 9], order=2).coeffs == (6, 2, 0)
+
+
 def test_shift_up_extends_order():
     assert S([2, 1], 1).mul_z_pow(2).coeffs == (0, 0, 2, 1)
 
