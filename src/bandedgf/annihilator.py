@@ -4,10 +4,13 @@ Given a series g known to high order, search for a nonzero bivariate
 polynomial P(z, x) with P(z, g(z)) = 0 through every known order.  The
 search is linear algebra: coefficients c_{i,j} of z^j x^i are unknowns and
 each z-order of sum c_{i,j} z^j g^i contributes one homogeneous equation.
-The system is built once, at the largest bounds, and eliminated once
-(fraction-free over Q, mod p over F_p) into a basis of its nullspace; three
-reads of that small basis find the least x-degree, the least z-degree, and
-the solution itself.
+The system is built once, at the largest bounds, and reduced to a basis of
+its nullspace: a head of (dx+1)(dz+1) + HEAD_SLACK rows is eliminated
+(fraction-free over Q, mod p over F_p), and every later row is checked
+against the basis by dot products, so the cost is O(c^3) elimination plus
+O(n·c·d) checks for c unknowns, n rows and a d-dimensional nullspace; a row
+that fails the check grows the head.  Three reads of that small basis find
+the least x-degree, the least z-degree, and the solution itself.
 The returned polynomial is made canonical (degree-minimal within the given
 bounds, integer content 1 over the rationals, deterministic sign/scaling) so
 reruns and golden-file comparisons are stable.  Verification re-evaluates
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from math import gcd
+from operator import mul
 
 from .errors import (
     InsufficientPrecisionError,
@@ -30,6 +34,8 @@ from .fields import Field, cleared, denominator, require_same_field, scalar_to_j
 from .series import Series
 
 DEFAULT_GUARD = 20
+# Rows past the column count that _nullspace eliminates before it checks the rest.
+HEAD_SLACK = 8
 
 
 class AnnihilatorPoly:
@@ -189,9 +195,10 @@ def reconstruct(
     minimization is lexicographic: smallest x-degree admitting a solution,
     then smallest z-degree at that x-degree.
 
-    The system is built once, at (dx, dz), and eliminated once, into a basis
-    of its nullspace.  Three reads of that basis each find the first column,
-    in some order, that depends on the columns before it:
+    The system is built once, at (dx, dz), and reduced once, by
+    :func:`_nullspace`, to a basis of its nullspace.  Three reads of that
+    basis each find the first column, in some order, that depends on the
+    columns before it:
 
     1. in (i, j) order: that column's i is the least x-degree dx';
     2. in (j, i) order at dx': that column's j is the least z-degree dz';
@@ -206,8 +213,8 @@ def reconstruct(
         raise ValueError("need dx >= 1 and dz >= 0")
     require_order(g.order, dx, dz, guard)
     field = g.field
-    powers = [Series.one(field, g.order)]
-    for _ in range(dx):
+    powers = [Series.one(field, g.order), g]
+    for _ in range(dx - 1):
         powers.append(powers[-1] * g)
     width = dz + 1
     basis = _nullspace(field, _system(field, powers, dz), (dx + 1) * width)
@@ -249,10 +256,45 @@ def _nullspace(field: Field, rows, ncols: int):
     """Nullspace basis of ``rows``: per free column f, the vector that is 1 at
     f, 0 at the other free columns, and at the pivots by back-substitution.
 
-    One elimination in natural column order, of integer rows over Q (Bareiss:
-    every row below the pivot is rescaled, zero multiplier or not, which keeps
-    the divisions by the previous pivot exact) or rows reduced mod p over F_p
-    (a zero multiplier would only rescale the row, so it is skipped).
+    Only a head of the rows is eliminated, first ``ncols + HEAD_SLACK`` of
+    them; each later row is then checked against each basis vector by one dot
+    product (over Q with the vector cleared to integers, over F_p mod p).
+    ker R lies in ker R_head, so a tail that passes means the two kernels are
+    equal, and the basis, one vector per free column as above, is a function
+    of the kernel alone: it is the one a full elimination gives.  At the first
+    row that some vector does not annihilate, the head grows through that row,
+    at least doubling, and is eliminated again.
+    """
+    head = ncols + HEAD_SLACK
+    while True:
+        basis = _head_nullspace(field, rows[:head], ncols)
+        bad = _first_live_row(field, rows, head, basis)
+        if bad is None:
+            return basis
+        head = max(bad + 1, 2 * head)
+
+
+def _first_live_row(field: Field, rows, start: int, basis):
+    """Index of the first of ``rows[start:]`` that some vector of ``basis``
+    does not annihilate, or None."""
+    vecs = []
+    for v in basis:
+        den = denominator(v)
+        vecs.append([cleared(a, den) for a in v])
+    red = field.reduce
+    for n in range(start, len(rows)):
+        row = rows[n]
+        if any(red(sum(map(mul, row, v))) for v in vecs):
+            return n
+    return None
+
+
+def _head_nullspace(field: Field, rows, ncols: int):
+    """The basis :func:`_nullspace` describes, by one elimination of all of
+    ``rows`` in natural column order: integer rows over Q (Bareiss: every row
+    below the pivot is rescaled, zero multiplier or not, which keeps the
+    divisions by the previous pivot exact) or rows reduced mod p over F_p (a
+    zero multiplier would only rescale the row, so it is skipped).
     """
     p = field.characteristic
     m = [list(row) for row in rows]

@@ -32,6 +32,8 @@ band inside the window already decide equality for all larger indices.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from . import matrices as cm
 from .errors import InvalidBlockSizeError, SpecFormatError
 from .fields import (
@@ -282,6 +284,26 @@ def clear_denominators(w: BlockWeights) -> tuple[int, BlockWeights]:
         return 1, w
     return den, BlockWeights(
         w.field, w.s, *([[cleared(v, den) for v in row] for row in m] for m in blocks)
+    )
+
+
+def clear_spec(spec: BandedSpec) -> tuple[int, BandedSpec]:
+    """``(L, L·V)``, L the :func:`~bandedgf.fields.denominator` of V's band and
+    exceptional values: the spec-level twin of :func:`clear_denominators`.
+
+    (L V)^n = L^n V^n, so the corner series of L·V is g(L z), with integer
+    coefficients L^n g_n.  When L = 1, as always over F_p, ``spec`` itself
+    comes back, not a copy.
+    """
+    den = denominator(chain(spec.exceptional.values(), *spec.bands.values()))
+    if den == 1:
+        return 1, spec
+    return den, BandedSpec(
+        spec.field,
+        spec.period,
+        {r: [cleared(v, den) for v in vals] for r, vals in spec.bands.items()},
+        [(i, j, cleared(v, den)) for (i, j), v in spec.exceptional.items()],
+        spec.block_size,
     )
 
 

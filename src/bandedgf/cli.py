@@ -23,8 +23,8 @@ from functools import cache
 
 from . import fixtures
 from .annihilator import DEFAULT_GUARD, AnnihilatorPoly, reconstruct, require_order, verify
-from .banded import BandedSpec, BlockWeights, block_reduce, clear_denominators
-from .engine import cross_check, fixed_point_route
+from .banded import BandedSpec, BlockWeights, block_reduce, clear_spec
+from .engine import cross_check, direct_route
 from .errors import (
     BandedGFError,
     InsufficientPrecisionError,
@@ -139,14 +139,11 @@ def cmd_series(args) -> int:
 
 
 def cmd_annihilate(args) -> int:
-    spec, weights = _load_spec(args)
+    spec, _ = _load_spec(args)  # the block weights check --block-size
     require_order(args.order, args.degx, args.degz, args.guard)
-    den, weights = clear_denominators(weights)
-    deeper = fixed_point_route(weights, args.order + args.extra).gv.scale_z(
-        spec.field.inv(den)
-    )
-    gv = deeper.truncate(args.order)
-    poly = reconstruct(gv, args.degx, args.degz, guard=args.guard)
+    den, scaled = clear_spec(spec)
+    deeper = direct_route(scaled, args.order + args.extra).scale_z(spec.field.inv(den))
+    poly = reconstruct(deeper.truncate(args.order), args.degx, args.degz, guard=args.guard)
     doc = {
         "command": "annihilate",
         "order": args.order,

@@ -76,9 +76,6 @@ class Field:
     zero = 0
     one = 1
 
-    def from_int(self, n: int):
-        raise NotImplementedError
-
     def neg(self, x):
         return self.reduce(-x)
 
@@ -130,9 +127,6 @@ class RationalField(Field):
         if set(map(type, xs)) <= {int}:
             return xs
         return list(map(self.reduce, xs))
-
-    def from_int(self, n: int):
-        return n
 
     def inv(self, x):
         x = Fraction(x)
@@ -186,9 +180,6 @@ class PrimeField(Field):
 
     def reduce_all(self, xs):
         return list(map(mod, xs, repeat(self.p)))
-
-    def from_int(self, n: int):
-        return n % self.p
 
     def inv(self, x):
         x = x % self.p

@@ -18,28 +18,29 @@ the walk table rather than first columns, are
 ``affine_pipeline`` forms the per-order sums S_n = sum_k (V^n)_{k,1} y_k on
 integers from end to end.  Over Q it reads the first columns of L·V, L the
 :func:`~bandedgf.fields.denominator` of V's own band and exceptional values
-(read off the spec, not off the block weights), whose n-th power is L^n V^n
-and stays on Python ints, and it tabulates the forcing values cleared by M,
-the denominator of every rule's initial values and polynomial coefficients,
-once per residue class as ints; each integral sum is L^n M times the true
-one.  A column holds only its rows up to the frontier of
+(read off the spec by :func:`~bandedgf.banded.clear_spec`, not off the block
+weights), whose n-th power is L^n V^n and stays on Python ints, and it
+tabulates the forcing values cleared by M, the denominator of every rule's
+initial values and polynomial coefficients, once per residue class as ints;
+each integral sum is L^n M times the true one.  A column holds only its rows
+up to the frontier of
 :func:`~bandedgf.engine.corner_first_columns` and a table only the s·order
 indices any sum reads, and the entries past either are zero, so each sum is
 one dot product over the shorter of the two.  The state is the integral
 u_n = M (L K)^(n-1) y^(n), K the denominator of T, divided back once per
 coefficient.  Over F_p, whose scalars are ints, L = M = K = 1 and every value
 is reduced mod p.  :func:`~bandedgf.engine.corner_first_columns` itself is not
-rescaled, so the direct route that shares it stays an independent
-computation on the original Fraction spec.
+rescaled, so the direct route of ``cross_check``, which shares it, stays an
+independent computation on the original Fraction spec.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import add, mul
 
 from . import matrices as cm
-from .banded import BandedSpec, BlockWeights
+from .banded import BandedSpec, BlockWeights, clear_spec
 from .engine import corner_first_columns
 from .errors import ShapeError, SpecFormatError
 from .fields import Field, cleared, denominator, is_json_int
@@ -82,7 +83,7 @@ class EventuallyPolySeq:
             return initial[k]
         field = self.field
         acc = field.zero
-        kval = field.from_int(k)
+        kval = field.reduce(k)
         power = field.one
         for c in poly:
             acc = field.reduce(acc + c * power)
@@ -160,14 +161,7 @@ def affine_pipeline(
         )
     field = w.field
     red, red_all = field.reduce, field.reduce_all
-    lden = denominator(chain(spec.exceptional.values(), *spec.bands.values()))
-    scaled = BandedSpec(
-        field,
-        spec.period,
-        {r: [cleared(v, lden) for v in vals] for r, vals in spec.bands.items()},
-        [(i, j, cleared(v, lden)) for (i, j), v in spec.exceptional.items()],
-        spec.block_size,
-    )
+    lden, scaled = clear_spec(spec)
     columns = corner_first_columns(scaled, order)
     # S_n reads a_k only for k <= s (n + 1): a walk of length n cannot
     # descend more than n block levels.  Only S_0 .. S_(order-1) feed the

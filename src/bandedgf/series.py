@@ -151,7 +151,7 @@ class Series:
         if self.coeffs[0] != field.one:
             raise UnsupportedSqrtError("square root requires constant term exactly 1")
         a = self.coeffs
-        half = field.inv(field.from_int(2))
+        half = field.inv(2)
         out = [field.one]
         for n in range(1, self.order + 1):
             acc = sum(out[k] * out[n - k] for k in range(1, n))

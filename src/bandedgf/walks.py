@@ -294,7 +294,7 @@ class UTable:
         """
         field, s, red = self.field, self.s, self.field.reduce
         binoms = [
-            [field.from_int(comb(k, r)) for k in range(r, self.order + 1)]
+            [red(comb(k, r)) for k in range(r, self.order + 1)]
             for r in range(rmax + 1)
         ]
         coeffs = [[] for _ in binoms]

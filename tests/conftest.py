@@ -25,7 +25,7 @@ def weight_factory():
     def make(s, seed, field=F101):
         rng = random.Random(seed)
         def mat():
-            return [[field.from_int(rng.randrange(101)) for _ in range(s)] for _ in range(s)]
+            return [[field.reduce(rng.randrange(101)) for _ in range(s)] for _ in range(s)]
         return BlockWeights(field, s, mat(), mat(), mat(), mat())
 
     return make

@@ -14,12 +14,13 @@ from bandedgf.annihilator import (
     reconstruct,
     verify,
     _first_dependent,
+    _head_nullspace,
     _nullspace,
 )
 from bandedgf.banded import BlockWeights, block_reduce
 from bandedgf.engine import fixed_point_route
 from bandedgf.errors import InsufficientPrecisionError, NonUnitError
-from bandedgf.fields import PrimeField, QQ
+from bandedgf.fields import PrimeField, QQ, cleared, denominator
 from bandedgf.series import Series
 
 
@@ -408,8 +409,9 @@ def test_reconstruct_keeps_the_scan_choice_among_several_solutions():
 
 
 def test_reconstruct_runs_one_elimination(monkeypatch):
-    # The (n+1)-row system is eliminated exactly once per call, whether a
-    # polynomial is found or not; the degree searches only read the basis.
+    # The (n+1)-row system is reduced to its nullspace basis exactly once per
+    # call, whether a polynomial is found or not; the degree searches only
+    # read the basis.
     calls = []
 
     def counting(field, rows, ncols):
@@ -424,6 +426,98 @@ def test_reconstruct_runs_one_elimination(monkeypatch):
     prefix = Series.from_ints(QQ, [math.factorial(n) for n in range(46)])
     assert reconstruct(prefix, 2, 3) is None
     assert calls == [46]
+
+
+# -- head elimination: _nullspace against the full elimination of every row --
+
+NULLSPACE_FIELDS = (QQ, PrimeField(2), PrimeField(101), PrimeField(2**61 - 1))
+
+
+def cleared_rows(field, rows):
+    """Rows as ``_system`` hands them to ``_nullspace``: each cleared to ints."""
+    out = []
+    for row in rows:
+        den = denominator(row)
+        out.append([cleared(c, den) for c in row])
+    return out
+
+
+@st.composite
+def low_rank_systems(draw):
+    """Rows of rank at most ``rank``, each a random combination of ``rank`` base
+    rows; the rows before ``late`` use only half of the base, so a head that
+    ends before it can admit kernel vectors that later rows kill."""
+    field = draw(st.sampled_from(NULLSPACE_FIELDS))
+    ncols = draw(st.integers(1, 9))
+    rank = draw(st.integers(0, ncols))
+    nrows = draw(st.integers(0, 45))
+    late = draw(st.integers(0, nrows))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if field.characteristic:
+        def scalar():
+            return rng.randrange(field.p)
+    else:
+        def scalar():
+            return Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+    base = [[scalar() for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for n in range(nrows):
+        used = base[: rank // 2] if n < late else base
+        coef = [scalar() for _ in used]
+        rows.append([field.reduce(sum(c * b[j] for c, b in zip(coef, used))) for j in range(ncols)])
+    return field, cleared_rows(field, rows), ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=low_rank_systems())
+def test_nullspace_is_the_full_elimination_basis(case):
+    field, rows, ncols = case
+    assert _nullspace(field, rows, ncols) == _head_nullspace(field, rows, ncols)
+
+
+def count_head_eliminations(monkeypatch):
+    heads = []
+    real = annihilator._head_nullspace
+
+    def counted(field, rows, ncols):
+        heads.append(len(rows))
+        return real(field, rows, ncols)
+
+    monkeypatch.setattr(annihilator, "_head_nullspace", counted)
+    return heads
+
+
+def test_nullspace_eliminates_again_when_a_tail_row_kills_a_head_vector(monkeypatch):
+    # The first 4 + HEAD_SLACK = 12 rows span only (1, 1, 0, 0), so the head
+    # admits (1, -1, 0, 0), (0, 0, 1, 0) and (0, 0, 0, 1).  Row 20 kills the
+    # first, and the head doubles to 24 rows; row 40 kills the second, and
+    # it doubles again, past all 45 rows.  Only (0, 0, 0, 1) is left, as in
+    # the full elimination.
+    heads = count_head_eliminations(monkeypatch)
+    rows = (
+        [[1, 1, 0, 0]] * 20 + [[0, 1, 0, 0]] + [[0, 0, 0, 0]] * 19 + [[1, 0, 1, 0]]
+        + [[2, 2, 0, 0]] * 4
+    )
+    assert annihilator.HEAD_SLACK == 8
+    for field in NULLSPACE_FIELDS:
+        heads.clear()
+        basis = _nullspace(field, rows, 4)
+        assert basis == _head_nullspace(field, rows, 4) == [[0, 0, 0, 1]]
+        assert heads == [12, 24, 45]
+
+
+def test_reconstruct_rejects_a_relation_that_holds_only_through_the_head(monkeypatch):
+    # 1/(1-z) + z^40 satisfies (1 - z) x - 1 = 0 through z^39: the 12 head
+    # rows of bounds (1, 1) admit it, and row 40 kills it.
+    heads = count_head_eliminations(monkeypatch)
+    coeffs = [1] * 61
+    coeffs[40] = 2
+    g = Series(QQ, coeffs)
+    assert reconstruct(g, 1, 1) is None is reference_reconstruct(g, 1, 1)
+    assert heads == [12, 41]
+    heads.clear()
+    assert reconstruct(g.truncate(39), 1, 1, guard=0) == AnnihilatorPoly(QQ, [[-1], [1, -1]])
+    assert heads == [12]
 
 
 def test_closed_form_plain_rational():

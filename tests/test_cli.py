@@ -148,7 +148,7 @@ def test_annihilate_refuses_a_short_order_before_the_route(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("the route ran on an order too short for the bounds")
 
-    monkeypatch.setattr(cli, "fixed_point_route", never)
+    monkeypatch.setattr(cli, "direct_route", never)
     code, out, err = run_cli(
         capsys, "annihilate", "--example", "ex4.1", "--order", "300",
         "--degx", "18", "--degz", "16",
@@ -190,13 +190,13 @@ def test_annihilate_extra_zero_verifies_the_reconstruction_series(capsys):
 
 def test_annihilate_builds_the_series_once(capsys, monkeypatch):
     calls = []
-    real = cli.fixed_point_route
+    real = cli.direct_route
 
-    def counted(w, order):
+    def counted(spec, order):
         calls.append(order)
-        return real(w, order)
+        return real(spec, order)
 
-    monkeypatch.setattr(cli, "fixed_point_route", counted)
+    monkeypatch.setattr(cli, "direct_route", counted)
     code, out, _ = run_cli(
         capsys, "annihilate", "--example", "ex4.2", "--order", "50",
         "--degx", "3", "--degz", "5", "--extra", "12",

@@ -12,6 +12,7 @@ from bandedgf.banded import (
     BlockWeights,
     block_reduce,
     clear_denominators,
+    clear_spec,
     from_block_weights,
 )
 from bandedgf.engine import (
@@ -554,6 +555,29 @@ def test_clear_denominators_returns_the_weights_themselves_when_integral():
     assert all(type(v) is int for m in (scaled.a, scaled.b, scaled.c, scaled.d) for v in m[0])
 
 
+def test_clear_spec_returns_the_spec_itself_when_integral():
+    spec = fixtures.ex42_spec()
+    den, same = clear_spec(spec)
+    assert den == 1 and same is spec
+    doc = {"period": 2, "bands": [{"offset": -1, "values": ["1/2", 3]},
+                                  {"offset": 1, "values": [1, "2/3"]}],
+           "exceptional": [{"i": 1, "j": 1, "value": "-5/4"}], "block_size": 2}
+    sp = BandedSpec.from_json_doc({"field": {"prime": 101}, **doc})
+    den, same = clear_spec(sp)
+    assert den == 1 and same is sp
+    sq = BandedSpec.from_json_doc({"field": "rational", **doc})
+    den, scaled = clear_spec(sq)
+    assert den == 12
+    assert scaled.to_json_doc() == {
+        "field": "rational", "period": 2, "block_size": 2,
+        "bands": [{"offset": -1, "values": [6, 36]}, {"offset": 1, "values": [12, 8]}],
+        "exceptional": [{"i": 1, "j": 1, "value": -15}],
+    }
+    assert all(type(v) is int for vals in scaled.bands.values() for v in vals)
+    assert all(type(v) is int for v in scaled.exceptional.values())
+    assert direct_route(scaled, 12).scale_z(QQ.inv(12)) == direct_route(sq, 12)
+
+
 _WIDE_FRACTIONS = st.builds(
     QQ.parse, st.builds("{}/{}".format, st.integers(-5, 5), st.integers(1, 6))
 )
@@ -720,7 +744,7 @@ def _sparse_weights(rng, s, field):
             return field.zero
         if field == QQ:
             return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
-        return field.from_int(rng.randrange(1, min(field.p, 10**6)))
+        return field.reduce(rng.randrange(1, min(field.p, 10**6)))
 
     mats = [[[value() for _ in range(s)] for _ in range(s)] for _ in range(4)]
     return BlockWeights(field, s, *mats)
@@ -735,7 +759,7 @@ def test_symbol_determinant_matches_the_leibniz_reference(s, field):
     if field == QQ:
         points = [0, 1, Fraction(-2, 3), Fraction(5, 7)]
     else:
-        points = sorted({0, 1, field.from_int(rng.randrange(field.p))})
+        points = sorted({0, 1, field.reduce(rng.randrange(field.p))})
     for trial in range(3):
         w = _sparse_weights(rng, s, field)
         for z0 in points:

@@ -15,7 +15,7 @@ F101 = PrimeField(101)
 
 def rand_mat(rng, s, field=F101):
     return tuple(
-        tuple(field.from_int(rng.randrange(101)) for _ in range(s)) for _ in range(s)
+        tuple(field.reduce(rng.randrange(101)) for _ in range(s)) for _ in range(s)
     )
 
 
@@ -33,7 +33,7 @@ def rand_entry(rng, field):
     """A random scalar; over Q a mix of ints and proper Fractions."""
     if field is QQ and rng.random() < 0.5:
         return QQ.reduce(Fraction(rng.randrange(-30, 31), rng.randrange(1, 8)))
-    return field.from_int(rng.randrange(-50, 51))
+    return field.reduce(rng.randrange(-50, 51))
 
 
 def rand_sparse_mat(rng, s, field):

@@ -47,7 +47,7 @@ def reference_rung(w, r, order):
         acc = cm.zeros(field, s)
         for k in range(r, n + 1):
             acc = cm.add(
-                field, acc, cm.scale(field, table.value(k + 1, n), field.from_int(comb(k, r)))
+                field, acc, cm.scale(field, table.value(k + 1, n), field.reduce(comb(k, r)))
             )
         coeffs.append(acc)
     return MatrixSeries(field, s, coeffs)
@@ -446,7 +446,7 @@ def _reference_affine_pipeline(spec, rec, order):
 def _random_scalar(rng, field, integral=False):
     if field == QQ:
         return Fraction(rng.randint(-4, 4), 1 if integral else rng.randint(1, 3))
-    return field.from_int(rng.randrange(101))
+    return field.reduce(rng.randrange(101))
 
 
 def _random_spec(rng, field):

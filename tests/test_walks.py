@@ -37,7 +37,7 @@ def rand_weights(rng, s, field=F101, special=None):
     def mat():
         if field is QQ:
             return [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(s)] for _ in range(s)]
-        return [[field.from_int(rng.randrange(101)) for _ in range(s)] for _ in range(s)]
+        return [[field.reduce(rng.randrange(101)) for _ in range(s)] for _ in range(s)]
 
     a, b, c, d = mat(), mat(), mat(), mat()
     zero = [[0] * s for _ in range(s)]
