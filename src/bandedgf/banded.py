@@ -21,10 +21,10 @@ which is valid for a block size s exactly when
   (2) v_{i+s,j+s} = v_{i,j} whenever i + j >= s + 2.
 
 Both conditions quantify over all i, j, but checking a finite window
-suffices: any nonzero entry either lies on a band (|i-j| <= bandwidth) or in
-the exceptional square (i, j <= m), and band values repeat with period p in
-i.  Therefore every violation of (1) shows up at j <= s + bandwidth or
-j <= m, and every violation of (2) is witnessed with both indices at most
+suffices: v_{i,j} can be nonzero only at j in :meth:`BandedSpec.support`
+(i + r over band offsets r, and row i's overrides), and band values repeat
+with period p in i.  So every violation of (1) shows up at j <= s + bandwidth
+or j <= m, and every violation of (2) is witnessed with both indices at most
 ``4s + bandwidth + period + m``: beyond the exceptional square both sides of
 (2) are band values, and those repeat after p rows, so p consecutive rows per
 band inside the window already decide equality for all larger indices.
@@ -95,6 +95,12 @@ class BandedSpec:
         if band is None:
             return self.field.zero
         return band[(i - 1) % self.period]
+
+    def support(self, i: int) -> set:
+        """Columns j >= 1 where v_{i,j} may be nonzero: i + r, r a band offset,
+        and the columns of row i's overrides."""
+        return {i + r for r in self.bands if i + r >= 1}.union(
+            j for (k, j) in self.exceptional if k == i)
 
     def __repr__(self):
         return (
@@ -199,13 +205,23 @@ def _window(spec: BandedSpec, s: int) -> int:
 
 
 def verify_block_size(spec: BandedSpec, s: int) -> None:
-    """Raise InvalidBlockSizeError unless s satisfies the two corner conditions."""
+    """Raise InvalidBlockSizeError unless s satisfies the two corner conditions.
+
+    Scans i, then j, ascending, with (i, j) before (j, i) in (1), but reads
+    only positions where a compared entry lies on a support, so
+    O(window · (bands + overrides)) entries, not O(window^2).
+    """
     if s < 1:
         raise InvalidBlockSizeError(f"block size must be positive, got {s}")
     zero = spec.field.zero
     reach = max(2 * s + 1, s + spec.bandwidth, spec.exceptional_bound)
+    far = range(2 * s + 1, reach + 1)
+    below = {}  # column i -> the rows j in far where v_{j,i} can be nonzero
+    for j in far:
+        for i in spec.support(j):
+            below.setdefault(i, set()).add(j)
     for i in range(1, s + 1):
-        for j in range(2 * s + 1, reach + 1):
+        for j in sorted({j for j in spec.support(i) if j in far}.union(below.get(i, ()))):
             if spec.entry(i, j) != zero:
                 raise InvalidBlockSizeError(
                     f"corner condition fails: v_{{{i},{j}}} is nonzero with "
@@ -219,9 +235,11 @@ def verify_block_size(spec: BandedSpec, s: int) -> None:
                     position=(j, i),
                 )
     w = _window(spec, s)
+    rows = [set(), *map(spec.support, range(1, w + s + 1))]
     for i in range(1, w + 1):
         lo = max(1, s + 2 - i)
-        for j in range(lo, w + 1):
+        cols = rows[i] | {c - s for c in rows[i + s]}
+        for j in sorted(j for j in cols if lo <= j <= w):
             if spec.entry(i + s, j + s) != spec.entry(i, j):
                 raise InvalidBlockSizeError(
                     f"shift condition fails at ({i},{j}): "
@@ -243,14 +261,12 @@ def choose_block_size(spec: BandedSpec) -> int:
     p = spec.period
     floor = max(spec.bandwidth, spec.exceptional_bound, 1)
     s = ((floor + p - 1) // p) * p
+    # Every multiple s of p with s >= max(floor, 2m - 1) verifies: bands repeat
+    # under a shift by a multiple of p, row i + s lies past the override square,
+    # and an override with i + j >= s + 2 would need i + j > 2m.  So the loop
+    # stops at the first such multiple at the latest.
     while not is_valid_block_size(spec, s):
-        # The conservative bound is expected to verify on the first try; the
-        # loop keeps the return value honest if a pathological spec slips by.
         s += p
-        if s > 64 * floor + 64:
-            raise InvalidBlockSizeError(
-                "no verified block size found; spec violates its invariants"
-            )
     return s
 
 

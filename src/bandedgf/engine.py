@@ -65,15 +65,8 @@ class GenFunBundle:
         self.mm1 = mm1
 
     @property
-    def order(self) -> int:
-        return self.gw.order
-
-    @property
     def gv(self) -> Series:
         return self.gwstar.entry(0, 0)
-
-    def __repr__(self):
-        return f"GenFunBundle(s={self.gw.s}, order={self.order})"
 
 
 def corner_first_columns(spec: BandedSpec, order: int):
@@ -104,9 +97,7 @@ def corner_first_columns(spec: BandedSpec, order: int):
     reach = max(m, 1)
     rows = []
     for i in range(1, m + 1):
-        cols = {i + r for r in spec.bands if i + r >= 1}
-        cols.update(j for (ei, j) in spec.exceptional if ei == i)
-        row = [(j - 1, spec.entry(i, j)) for j in sorted(cols)]
+        row = [(j - 1, spec.entry(i, j)) for j in sorted(spec.support(i))]
         rows.append([(j, v) for j, v in row if v])
     # (r, a, v): band r adds v x[a + r], v x[a + r + p], ... to the 0-based rows
     # a, a + p, ..., those past the square with value v whose column exists.

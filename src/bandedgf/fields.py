@@ -58,8 +58,6 @@ def is_prime(n: int) -> bool:
 class Field:
     """Common interface of the two coefficient fields."""
 
-    kind = None  # "rationals" or "prime_field"
-
     @property
     def characteristic(self) -> int:
         raise NotImplementedError
@@ -108,8 +106,6 @@ class RationalField(Field):
     and Fractions mix exactly and compare equal, so the two spellings are
     interchangeable everywhere.
     """
-
-    kind = "rationals"
 
     @property
     def characteristic(self) -> int:
@@ -160,8 +156,6 @@ class RationalField(Field):
 
 
 class PrimeField(Field):
-    kind = "prime_field"
-
     def __init__(self, p: int):
         if isinstance(p, int) and p >= MR_PROVEN_BOUND:
             raise SpecFormatError(
@@ -237,7 +231,7 @@ def field_from_json(doc) -> Field:
 
 
 def field_to_json(field: Field):
-    if field.kind == "rationals":
+    if not field.characteristic:
         return "rational"
     return {"prime": field.p}
 

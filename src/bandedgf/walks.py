@@ -63,8 +63,7 @@ def weight(w: BlockWeights, points, mode: str = "w"):
 
 
 def _check_length(length: int, ceiling: int) -> None:
-    if length < 0:
-        raise ValueError("length must be nonnegative")
+    require_nonnegative(length)
     if length > ceiling:
         raise ResourceLimitError(
             f"enumeration to length {length} exceeds the ceiling {ceiling} "
@@ -240,8 +239,7 @@ def class_sums(w: BlockWeights, length: int) -> WalkSums:
     time, nnz the number of nonzero entries of A, B and C (or D);
     ``by_finish`` keeps every endpoint block, O(length^2 s^2) memory.
     """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
+    require_nonnegative(length)
     return WalkSums(w, length)
 
 

@@ -1,8 +1,10 @@
 """Test-only checks: the block-pattern round trip of a reduction, the walk
 predicates the tests state the paper's definitions with, the symbol-power
 stream formed through whole block products, the reference for the library's
-row-slice stream, and the symbol determinant by the Leibniz formula on list
-polynomials, the reference for ``engine.symbol_determinant``.
+row-slice stream, the symbol determinant by the Leibniz formula on list
+polynomials, the reference for ``engine.symbol_determinant``, and the
+block-size check that reads every entry of its window, the reference for
+``banded.verify_block_size``.
 
 None of this is used by the package itself.
 """
@@ -11,6 +13,7 @@ from itertools import permutations
 
 from bandedgf import matrices as cm
 from bandedgf.banded import BandedSpec, BlockWeights
+from bandedgf.errors import InvalidBlockSizeError
 from bandedgf.fields import require_same_field
 from bandedgf.walks import check_walk
 
@@ -147,3 +150,39 @@ def reference_symbol_determinant(w: BlockWeights, z0):
         for d, c in enumerate(term):
             total[d] = field.reduce(total[d] + _sign(perm) * c)
     return tuple(total)
+
+
+def _window(spec: BandedSpec, s: int) -> int:
+    return 4 * s + spec.bandwidth + spec.period + spec.exceptional_bound
+
+
+def reference_verify_block_size(spec: BandedSpec, s: int) -> None:
+    """Raise InvalidBlockSizeError unless s satisfies the two corner conditions."""
+    if s < 1:
+        raise InvalidBlockSizeError(f"block size must be positive, got {s}")
+    zero = spec.field.zero
+    reach = max(2 * s + 1, s + spec.bandwidth, spec.exceptional_bound)
+    for i in range(1, s + 1):
+        for j in range(2 * s + 1, reach + 1):
+            if spec.entry(i, j) != zero:
+                raise InvalidBlockSizeError(
+                    f"corner condition fails: v_{{{i},{j}}} is nonzero with "
+                    f"i <= {s} < 2*{s} < j",
+                    position=(i, j),
+                )
+            if spec.entry(j, i) != zero:
+                raise InvalidBlockSizeError(
+                    f"corner condition fails: v_{{{j},{i}}} is nonzero with "
+                    f"j <= {s} < 2*{s} < i",
+                    position=(j, i),
+                )
+    w = _window(spec, s)
+    for i in range(1, w + 1):
+        lo = max(1, s + 2 - i)
+        for j in range(lo, w + 1):
+            if spec.entry(i + s, j + s) != spec.entry(i, j):
+                raise InvalidBlockSizeError(
+                    f"shift condition fails at ({i},{j}): "
+                    f"v_{{{i + s},{j + s}}} != v_{{{i},{j}}}",
+                    position=(i, j),
+                )

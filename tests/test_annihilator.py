@@ -242,7 +242,7 @@ def reference_solve(g, powers, dx, dz):
             for j in range(dz + 1):
                 row.append(gi[n - j] if n >= j else zero)
         rows.append(row)
-    if field.kind == "prime_field":
+    if field.characteristic:
         return reference_nullspace_mod_p(rows, ncols, field.p)
     return reference_nullspace_rational(rows, ncols)
 

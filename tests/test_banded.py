@@ -1,7 +1,10 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandedgf import fixtures
 from bandedgf.banded import (
@@ -16,7 +19,7 @@ from bandedgf.banded import (
 from bandedgf.errors import InvalidBlockSizeError, SpecFormatError
 from bandedgf.fields import PrimeField, QQ
 
-from helpers import validate_reduction
+from helpers import reference_verify_block_size, validate_reduction
 
 
 def ones(s):
@@ -67,6 +70,91 @@ def test_bad_block_size_is_rejected_with_position():
     with pytest.raises(InvalidBlockSizeError) as info:
         block_reduce(fixtures.ex42_spec(), 2)
     assert info.value.position == (2, 5)
+
+
+@st.composite
+def _specs(draw):
+    """Specs over Q (true fractions) or F_7: period 1..4, bands at offsets
+    -6..6 with zero values frequent (whole bands may be zero), and 0-3
+    overrides in the 8-by-8 corner, which may be zero (deleting a band entry)
+    or lie off every band."""
+    period = draw(st.integers(1, 4))
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    if field == QQ:
+        scalar = st.sampled_from([0, 0, 1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    else:
+        scalar = st.sampled_from([0, 0, 1]) | st.integers(0, 6)
+    values = st.lists(scalar, min_size=period, max_size=period)
+    offsets = draw(st.sets(st.integers(-6, 6), max_size=5))
+    bands = {r: draw(values) for r in sorted(offsets)}
+    index = st.integers(1, 8)
+    overrides = draw(st.lists(st.tuples(index, index, scalar), max_size=3))
+    return BandedSpec(field, period, bands, overrides)
+
+
+def _outcome(check, spec, s):
+    """None when ``check`` passes, else the message and position it raised."""
+    try:
+        check(spec, s)
+    except InvalidBlockSizeError as exc:
+        return str(exc), exc.position
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=_specs(), s=st.integers(1, 9))
+def test_verify_block_size_matches_the_full_window_scan(spec, s):
+    # Same pass or raise, message and first failing position as the scan
+    # that reads every entry of the window.
+    assert _outcome(verify_block_size, spec, s) == _outcome(
+        reference_verify_block_size, spec, s
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_specs())
+def test_choose_block_size_is_the_least_verified_multiple_of_the_period(spec):
+    p = spec.period
+    floor = max(spec.bandwidth, spec.exceptional_bound, 1)
+    s = choose_block_size(spec)
+    assert s % p == 0 and s >= floor
+    assert _outcome(reference_verify_block_size, spec, s) is None
+    first = -(-floor // p) * p
+    for smaller in range(first, s, p):
+        assert _outcome(reference_verify_block_size, spec, smaller) is not None
+
+
+class _CountingSpec(BandedSpec):
+    """A spec that counts the entries read from it."""
+
+    reads = 0
+
+    def entry(self, i, j):
+        self.reads += 1
+        return super().entry(i, j)
+
+
+def test_verify_block_size_reads_only_near_the_supports():
+    # ex4.1 at s = 300: a window of 1205 rows, 4 bands and no overrides.  The
+    # scan over the whole window read 2,814,350 entries here.
+    base = fixtures.ex41_spec()
+    spec = _CountingSpec(base.field, base.period, base.bands, base.exceptional)
+    s = 300
+    verify_block_size(spec, s)
+    window = 4 * s + spec.bandwidth + spec.period + spec.exceptional_bound
+    bound = 2 * window * (len(spec.bands) + len(spec.exceptional))
+    assert bound == 9640
+    assert 0 < spec.reads <= bound
+
+
+def test_support_is_the_bands_and_the_row_overrides():
+    spec = BandedSpec(QQ, 2, {-2: [1, 0], 0: [0, 0], 3: [5, 1]}, [(2, 7, 0), (3, 1, 4)])
+    assert spec.support(1) == {1, 4}
+    assert spec.support(2) == {2, 5, 7}
+    assert spec.support(3) == {1, 3, 6}
+    for i in range(1, 8):
+        for j in set(range(1, 20)) - spec.support(i):
+            assert spec.entry(i, j) == 0
 
 
 def test_block_reduce_corner_blocks():

@@ -1,6 +1,6 @@
 """Default CLI output, pinned byte for byte.
 
-``data/cli_golden.json`` holds 132 argvs, covering every command
+``data/cli_golden.json`` holds 145 argvs, covering every command
 on the four built-in examples over Q and F_101, ``annihilate`` on them over
 F_(2^61-1) and F_(2^31-1) (the primes of the certify benchmark),
 ``series --order 200`` on each example (and on ex4.2 over F_(2^61-1)) and
@@ -25,8 +25,12 @@ nullspace is far shorter than its system (ex4.2 at order 120 and bounds
 (3,7), a four-dimensional nullspace; ex4.1 not found at order 80 over
 F_(2^61-1)), ``annihilate`` on ex4.1 with every value divided by 3 (found,
 not found, and over F_(2^31-1)), a ``--guard 0`` reconstruction on a
-fractional spec whose verification fails, and an invalid ``--block-size``
-under ``annihilate``, and ``verify-example --poly`` with the ex4.1 golden cubic and a
+fractional spec whose verification fails, an invalid ``--block-size``
+under ``annihilate``, invalid ``--block-size`` values under ``series`` and
+``annihilate`` whose first failure is an override (on a band or off every
+band, in either entry of the shift condition), a band reaching past s above the diagonal, or one reaching
+past s below it (the transposed corner entry), a valid
+``annihilate --block-size 40``, and ``verify-example --poly`` with the ex4.1 golden cubic and a
 one-coefficient perturbation of it (passing and failing checks), with the
 stdout, stderr and exit code that ``cli.main`` gave for each.  Documents
 named in an argv as ``{key}`` are written to files first, from the file's

@@ -240,7 +240,7 @@ def _reference_fixed_point(w, order):
 def _assert_matches_reference(w, order):
     bundle = fixed_point_route(w, order)
     gw, gwstar = _reference_fixed_point(w, order)
-    assert bundle.order == order
+    assert bundle.gw.order == bundle.gwstar.order == order
     assert bundle.gw.coeffs == gw.coeffs
     assert bundle.gwstar.coeffs == gwstar.coeffs
     assert bundle.gv.coeffs == gwstar.entry(0, 0).coeffs
@@ -346,7 +346,7 @@ def _route_weights(draw):
 def _assert_matches_block_product_route(w, order):
     bundle = fixed_point_route(w, order)
     gw, gwstar = _block_product_route(w, order)
-    assert bundle.order == order
+    assert bundle.gw.order == bundle.gwstar.order == order
     assert bundle.gw.coeffs == gw.coeffs
     assert bundle.gwstar.coeffs == gwstar.coeffs
     # Equal values spelled alike: an int, never an integral Fraction.
@@ -493,7 +493,7 @@ def _reference_laurent(w, order):
 def _assert_laurent_matches_reference(w, order):
     bundle = laurent_route(w, order)
     m0, m1, mm1, gw, gwstar = _reference_laurent(w, order)
-    assert bundle.order == order
+    assert bundle.gw.order == bundle.gwstar.order == order
     assert bundle.m0.coeffs == m0.coeffs
     assert bundle.m1.coeffs == m1.coeffs
     assert bundle.mm1.coeffs == mm1.coeffs
