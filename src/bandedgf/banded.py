@@ -28,6 +28,8 @@ or j <= m, and every violation of (2) is witnessed with both indices at most
 ``4s + bandwidth + period + m``: beyond the exceptional square both sides of
 (2) are band values, and those repeat after p rows, so p consecutive rows per
 band inside the window already decide equality for all larger indices.
+That support has three readers: the check, the cut in :func:`block_reduce`
+and ``engine.corner_first_columns``.
 """
 
 from __future__ import annotations
@@ -91,6 +93,10 @@ class BandedSpec:
         hit = self.exceptional.get((i, j))
         if hit is not None:
             return hit
+        return self.band_value(i, j)
+
+    def band_value(self, i: int, j: int):
+        """Value of the band through (i, j), overrides aside: 0 off every band."""
         band = self.bands.get(j - i)
         if band is None:
             return self.field.zero
@@ -134,13 +140,16 @@ class BandedSpec:
             if offset in bands:
                 raise SpecFormatError(f"duplicate band offset {offset}")
             bands[offset] = field.parse_list(rec["values"], "band values")
-        exceptional = []
+        exceptional = {}
         for rec in doc.get("exceptional", []):
             if not isinstance(rec, dict) or {"i", "j", "value"} - set(rec):
                 raise SpecFormatError(f"bad exceptional record: {rec!r}")
-            if not is_json_int(rec["i"]) or not is_json_int(rec["j"]):
+            i, j = rec["i"], rec["j"]
+            if not is_json_int(i) or not is_json_int(j):
                 raise SpecFormatError(f"exceptional indices must be integers: {rec!r}")
-            exceptional.append((rec["i"], rec["j"], field.parse(rec["value"])))
+            if (i, j) in exceptional:
+                raise SpecFormatError(f"duplicate exceptional entry ({i},{j})")
+            exceptional[(i, j)] = field.parse(rec["value"])
         block_size = doc.get("block_size")
         if block_size is not None and not is_json_int(block_size):
             raise SpecFormatError(f"block_size must be an integer: {block_size!r}")
@@ -257,31 +266,39 @@ def is_valid_block_size(spec: BandedSpec, s: int) -> bool:
 
 
 def choose_block_size(spec: BandedSpec) -> int:
-    """Smallest verified multiple of the period covering band and corner widths."""
-    p = spec.period
-    floor = max(spec.bandwidth, spec.exceptional_bound, 1)
-    s = ((floor + p - 1) // p) * p
-    # Every multiple s of p with s >= max(floor, 2m - 1) verifies: bands repeat
-    # under a shift by a multiple of p, row i + s lies past the override square,
-    # and an override with i + j >= s + 2 would need i + j > 2m.  So the loop
-    # stops at the first such multiple at the latest.
-    while not is_valid_block_size(spec, s):
-        s += p
-    return s
+    """Smallest valid multiple of the period p covering band and corner widths.
+
+    That is the least multiple of p that is at least need = max(bandwidth, m,
+    1, i + j - 1 over every override (i, j) whose value differs from
+    :meth:`~BandedSpec.band_value` there), m the exceptional bound.  Take a
+    multiple s of p with s >= max(bandwidth, m).  Condition (1) holds: band
+    entries have |j - i| <= bandwidth <= s, and overrides lie in rows and
+    columns <= m <= s.  In (2), v_{i+s,j+s} is never an override, as
+    i + s > m, and it equals the band value at (i, j), as p divides s.  So
+    (2) fails exactly at an override with i + j >= s + 2 whose value differs
+    from its band value.  No entry is read and no check is run.
+    """
+    need = max(
+        spec.bandwidth, spec.exceptional_bound, 1,
+        *(i + j - 1 for (i, j), v in spec.exceptional.items() if v != spec.band_value(i, j)),
+    )
+    return -(-need // spec.period) * spec.period
 
 
 def block_reduce(spec: BandedSpec, s: int | None = None) -> BlockWeights:
-    """Cut the verified 2s-by-2s corner into the D, C / A, B block weights."""
+    """Cut the verified 2s-by-2s corner into the D, C / A, B block weights,
+    reading only the entries on each row's :meth:`~BandedSpec.support`."""
     if s is None:
         s = spec.block_size if spec.block_size is not None else choose_block_size(spec)
-    verify_block_size(spec, s)
-    d = [[spec.entry(i, j) for j in range(1, s + 1)] for i in range(1, s + 1)]
-    c = [[spec.entry(i, j) for j in range(s + 1, 2 * s + 1)] for i in range(1, s + 1)]
-    a = [[spec.entry(i, j) for j in range(1, s + 1)] for i in range(s + 1, 2 * s + 1)]
-    b = [
-        [spec.entry(i, j) for j in range(s + 1, 2 * s + 1)]
-        for i in range(s + 1, 2 * s + 1)
-    ]
+    verify_block_size(spec, s)  # for a chosen s, the runtime check of its rule
+    corner = [[spec.field.zero] * (2 * s) for _ in range(2 * s)]
+    for i, row in enumerate(corner, 1):
+        for j in spec.support(i):
+            if j <= 2 * s:
+                row[j - 1] = spec.entry(i, j)
+    # Rows 1..s are D | C, rows s+1..2s are A | B.
+    (d, c), (a, b) = ([[row[k:k + s] for row in half] for k in (0, s)]
+                      for half in (corner[:s], corner[s:]))
     return BlockWeights(spec.field, s, a, b, c, d)
 
 

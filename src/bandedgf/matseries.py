@@ -109,10 +109,6 @@ class MatrixSeries:
             tuple(cm.sub(f, self.coeffs[k], other.coeffs[k]) for k in range(n + 1)),
         )
 
-    def __neg__(self) -> "MatrixSeries":
-        f = self.field
-        return MatrixSeries._trusted(f, self.s, tuple(cm.neg(f, c) for c in self.coeffs))
-
     def __mul__(self, other: "MatrixSeries") -> "MatrixSeries":
         n = self._common(other)
         f, sop = self.field, cm.sum_of_products
@@ -133,12 +129,6 @@ class MatrixSeries:
         cm.check_square(m, self.s)
         f, sop = self.field, cm.sum_of_products
         return MatrixSeries._trusted(f, self.s, tuple(sop(f, [(c, m)]) for c in self.coeffs))
-
-    def scale(self, scalar) -> "MatrixSeries":
-        f = self.field
-        return MatrixSeries._trusted(
-            f, self.s, tuple(cm.scale(f, c, scalar) for c in self.coeffs)
-        )
 
     def mul_z_pow(self, k: int) -> "MatrixSeries":
         if k < 0:

@@ -64,20 +64,12 @@ class Series:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int):
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient of z^{n} not stored (order {self.order})")
-        return self.coeffs[n]
-
     def __eq__(self, other):
         return (
             isinstance(other, Series)
             and self.field == other.field
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
 
     def is_zero(self) -> bool:
         zero = self.field.zero

@@ -2,9 +2,10 @@
 predicates the tests state the paper's definitions with, the symbol-power
 stream formed through whole block products, the reference for the library's
 row-slice stream, the symbol determinant by the Leibniz formula on list
-polynomials, the reference for ``engine.symbol_determinant``, and the
+polynomials, the reference for ``engine.symbol_determinant``, the
 block-size check that reads every entry of its window, the reference for
-``banded.verify_block_size``.
+``banded.verify_block_size``, and the cut that reads every entry of the
+2s-by-2s corner, the reference for ``banded.block_reduce``.
 
 None of this is used by the package itself.
 """
@@ -186,3 +187,17 @@ def reference_verify_block_size(spec: BandedSpec, s: int) -> None:
                     f"v_{{{i + s},{j + s}}} != v_{{{i},{j}}}",
                     position=(i, j),
                 )
+
+
+def reference_block_reduce(spec: BandedSpec, s: int) -> BlockWeights:
+    """The D, C / A, B blocks cut entry by entry from the whole 2s-by-2s
+    corner, after the full-window check."""
+    reference_verify_block_size(spec, s)
+    d = [[spec.entry(i, j) for j in range(1, s + 1)] for i in range(1, s + 1)]
+    c = [[spec.entry(i, j) for j in range(s + 1, 2 * s + 1)] for i in range(1, s + 1)]
+    a = [[spec.entry(i, j) for j in range(1, s + 1)] for i in range(s + 1, 2 * s + 1)]
+    b = [
+        [spec.entry(i, j) for j in range(s + 1, 2 * s + 1)]
+        for i in range(s + 1, 2 * s + 1)
+    ]
+    return BlockWeights(spec.field, s, a, b, c, d)

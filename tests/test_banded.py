@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandedgf import fixtures
+from bandedgf import banded, fixtures
 from bandedgf.banded import (
     BandedSpec,
     BlockWeights,
@@ -19,7 +21,11 @@ from bandedgf.banded import (
 from bandedgf.errors import InvalidBlockSizeError, SpecFormatError
 from bandedgf.fields import PrimeField, QQ
 
-from helpers import reference_verify_block_size, validate_reduction
+from helpers import (
+    reference_block_reduce,
+    reference_verify_block_size,
+    validate_reduction,
+)
 
 
 def ones(s):
@@ -144,6 +150,67 @@ def test_verify_block_size_reads_only_near_the_supports():
     window = 4 * s + spec.bandwidth + spec.period + spec.exceptional_bound
     bound = 2 * window * (len(spec.bands) + len(spec.exceptional))
     assert bound == 9640
+    assert 0 < spec.reads <= bound
+
+
+def _cut(reduce, spec, s):
+    """The weights ``reduce`` cuts at block size s, or the message and
+    position it raised."""
+    try:
+        return reduce(spec, s)
+    except InvalidBlockSizeError as exc:
+        return str(exc), exc.position
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_specs(), s=st.integers(1, 9))
+def test_block_reduce_matches_the_full_corner_cut(spec, s):
+    # At the drawn size (valid or not) and at the chosen one (always valid):
+    # equal weights, or the same message and first failing position.
+    for size in (s, choose_block_size(spec)):
+        assert _cut(block_reduce, spec, size) == _cut(reference_block_reduce, spec, size)
+
+
+def _tridiagonal_ones(*overrides):
+    return BandedSpec(QQ, 1, {-1: [1], 0: [1], 1: [1]}, overrides)
+
+
+def test_choose_block_size_on_far_overrides():
+    # An override that differs from its band value needs s >= i + j - 1; a
+    # redundant one, or a zero one off every band, only s >= max(i, j).
+    assert choose_block_size(_tridiagonal_ones((600, 600, 2))) == 1199
+    assert choose_block_size(_tridiagonal_ones((600, 600, 1))) == 600
+    assert choose_block_size(_tridiagonal_ones((600, 610, 0))) == 610
+
+
+def test_choose_block_size_reads_no_entry_and_runs_no_check(monkeypatch):
+    # A search over the multiples of the period from max(bandwidth, m) would
+    # run the check 60 times here.
+    calls = []
+    check = banded.verify_block_size
+    monkeypatch.setattr(banded, "verify_block_size", lambda *a: calls.append(a) or check(*a))
+    spec = _CountingSpec(QQ, 1, {-1: [1], 0: [1], 1: [1]}, [(60, 60, 2)])
+    assert choose_block_size(spec) == 119
+    assert (spec.reads, calls) == (0, [])
+
+
+def test_choose_block_size_names_no_check_and_no_entry():
+    # Read from the source, so the search cannot come back.
+    tree = ast.parse(inspect.getsource(choose_block_size))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not names & {"verify_block_size", "is_valid_block_size", "entry"}
+
+
+def test_block_reduce_reads_only_the_supports():
+    # ex4.1 at s = 300: the cut reads 2s rows of 4 bands, past the check's
+    # 9,640.  A cut of the whole 2s-by-2s corner would read 368,432 here.
+    base = fixtures.ex41_spec()
+    spec = _CountingSpec(base.field, base.period, base.bands, base.exceptional)
+    s = 300
+    block_reduce(spec, s)
+    bound = 2 * s * (len(spec.bands) + len(spec.exceptional)) + 9640
+    assert bound == 12040
     assert 0 < spec.reads <= bound
 
 

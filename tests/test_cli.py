@@ -248,6 +248,15 @@ def test_band_values_not_a_list_exits_2(tmp_path, capsys):
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+def test_duplicate_exceptional_entry_exits_2(tmp_path, capsys):
+    # Two records for one cell are refused, as two bands at one offset are;
+    # neither value silently wins.
+    records = [{"i": 1, "j": 1, "value": 1}, {"i": 1, "j": 1, "value": 2}]
+    path = write_spec(tmp_path, dict(IDENTITY_BAND_SPEC, exceptional=records))
+    code, out, err = run_cli(capsys, "series", "--spec", path, "--order", "4")
+    assert (code, out, err) == (2, "", "input error: duplicate exceptional entry (1,1)\n")
+
+
 # Strong pseudoprimes to the prime bases 2..37 (psi_12) and 2..41 (psi_13).
 PSI12 = 399165290221 * 798330580441
 PSI13 = 1287836182261 * 2575672364521

@@ -1,6 +1,6 @@
 """Default CLI output, pinned byte for byte.
 
-``data/cli_golden.json`` holds 145 argvs, covering every command
+``data/cli_golden.json`` holds 151 argvs, covering every command
 on the four built-in examples over Q and F_101, ``annihilate`` on them over
 F_(2^61-1) and F_(2^31-1) (the primes of the certify benchmark),
 ``series --order 200`` on each example (and on ex4.2 over F_(2^61-1)) and
@@ -30,11 +30,17 @@ under ``annihilate``, invalid ``--block-size`` values under ``series`` and
 ``annihilate`` whose first failure is an override (on a band or off every
 band, in either entry of the shift condition), a band reaching past s above the diagonal, or one reaching
 past s below it (the transposed corner entry), a valid
-``annihilate --block-size 40``, and ``verify-example --poly`` with the ex4.1 golden cubic and a
-one-coefficient perturbation of it (passing and failing checks), with the
-stdout, stderr and exit code that ``cli.main`` gave for each.  Documents
-named in an argv as ``{key}`` are written to files first, from the file's
-``documents`` table.  A refactor must leave every case unchanged; when an
+``annihilate --block-size 40``, specs with no declared block size whose
+chosen size comes from an override (a tridiagonal spec of ones with
+v_{5,5} = 2, s = 9, under ``weighted``, ``annihilate`` and ``series``; the
+same with a redundant v_{5,5} = 1, s = 5, and ex4.1's bands with
+v_{3,4} = 7, s = 6, under ``weighted``, whose missing-residue error lists
+2..s), a spec with two exceptional records for one cell (refused), and
+``verify-example --poly`` with the ex4.1 golden cubic and a one-coefficient
+perturbation of it (passing and failing checks), with the stdout, stderr
+and exit code that ``cli.main`` gave for each.  Documents named in an argv
+as ``{key}`` are written to files first, from the file's ``documents``
+table.  A refactor must leave every case unchanged; when an
 output changes on purpose, re-record the file with
 ``python tests/test_cli_golden.py`` and say why in the change log.
 
