@@ -5,25 +5,28 @@ polynomial P(z, x) with P(z, g(z)) = 0 through every known order.  The
 search is linear algebra: coefficients c_{i,j} of z^j x^i are unknowns and
 each z-order of sum c_{i,j} z^j g^i contributes one homogeneous equation.
 The system is built once, at the largest bounds, and reduced to a basis of
-its nullspace: a head of (dx+1)(dz+1) + HEAD_SLACK rows is eliminated
-(fraction-free over Q, mod p over F_p), and every later row is checked
-against the basis by dot products, so the cost is O(c^3) elimination plus
-O(n·c·d) checks for c unknowns, n rows and a d-dimensional nullspace; a row
-that fails the check grows the head.  Three reads of that small basis find
-the least x-degree, the least z-degree, and the solution itself.
+its nullspace.  The dz + 1 unknowns of x^0 are solved outright from rows
+0..dz, so only the c = dx(dz+1) columns of g^1..g^dx are eliminated, over
+the n - dz rows dz+1..n: a head of c + HEAD_SLACK rows (fraction-free over
+Q, mod p over F_p), and every later row is checked against the basis by dot
+products, so the cost is O(c^3) elimination plus O(n·c·d) checks for a
+d-dimensional nullspace, plus O(dx·dz·n) for the x^0 entries; a row that
+fails the check grows the head.  Three reads of that small basis find the
+least x-degree, the least z-degree, and the solution itself.
 The returned polynomial is made canonical (degree-minimal within the given
 bounds, integer content 1 over the rationals, deterministic sign/scaling) so
 reruns and golden-file comparisons are stable.  Verification re-evaluates
-the residual against a series recomputed to a higher order, which is the
-actual certificate; closed forms built from one square root are checked by
-exact expansion.
+the residual sum_i c_i(z) g^i, over the powers of g, against a series
+recomputed to a higher order, which is the actual certificate; closed forms
+built from one square root are checked by exact expansion.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from math import gcd
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 
 from .errors import (
     InsufficientPrecisionError,
@@ -84,13 +87,10 @@ class AnnihilatorPoly:
         return f"AnnihilatorPoly(dx={self.dx}, dz={self.dz})"
 
     def evaluate(self, g: Series) -> Series:
-        """Residual series P(z, g(z)) truncated at g's order."""
+        """Residual series P(z, g(z)) truncated at g's order: sum_i c_i(z) g^i
+        over :func:`powers`, so dx - 1 series products."""
         require_same_field(self.field, g.field)
-        order = g.order
-        acc = Series.from_ints(self.field, self.coeffs[self.dx], order)
-        for i in range(self.dx - 1, -1, -1):
-            acc = acc * g + Series.from_ints(self.field, self.coeffs[i], order)
-        return acc
+        return _combination(self.coeffs, powers(g, self.dx), g.order)
 
     def pretty(self) -> str:
         """Human-readable form, highest x-degree first."""
@@ -184,6 +184,26 @@ def require_order(order: int, dx: int, dz: int, guard: int) -> None:
         )
 
 
+def powers(g: Series, dx: int) -> list[Series]:
+    """g^0, g^1, ..., g^dx at g's order: dx - 1 series products."""
+    out = [Series.one(g.field, g.order), g]
+    for _ in range(dx - 1):
+        out.append(out[-1] * g)
+    return out[:dx + 1]
+
+
+def _combination(grid, pw, order: int) -> Series:
+    """sum_i c_i(z) pw[i] through z^order, with c_i(z) = sum_j grid[i][j] z^j:
+    one scaled, shifted copy of a power per nonzero c_{i,j}, no series product."""
+    field = pw[0].field
+    acc = [field.zero] * (order + 1)
+    for row, p in zip(grid, pw):
+        for j, c in enumerate(row[:order + 1]):
+            if c:
+                acc[j:] = map(add, acc[j:], map(mul, repeat(c), p.coeffs))
+    return Series(field, acc)
+
+
 def reconstruct(
     g: Series, dx: int, dz: int, guard: int = DEFAULT_GUARD
 ) -> AnnihilatorPoly | None:
@@ -196,7 +216,7 @@ def reconstruct(
     then smallest z-degree at that x-degree.
 
     The system is built once, at (dx, dz), and reduced once, by
-    :func:`_nullspace`, to a basis of its nullspace.  Three reads of that
+    :func:`_basis`, to a basis of its nullspace.  Three reads of that
     basis each find the first column, in some order, that depends on the
     columns before it:
 
@@ -208,16 +228,24 @@ def reconstruct(
     admits a solution exactly when the first dependent column lies inside it.
     Read 3 fixes the polynomial even when the solutions at (dx', dz') are not
     all proportional: it is the one a scan of the bounds in (i, j) order finds.
+
+    Only the dx(dz+1) columns of g^1..g^dx are eliminated.  Column (0, j) of
+    the system is the unit vector e_j, as g^0 = 1, and the order is past dz.
+    So elimination in natural column order pivots rows 0..dz on the first
+    dz + 1 columns, with pivot 1, and leaves every later row as it is there:
+    its multiplier is 0, the pivot 1 and the previous pivot 1.  The free
+    columns, and the basis restricted to i >= 1, are then exactly those of
+    the reduced system, rows n = dz+1..order over the columns i >= 1, where
+    g^i[n - j] needs no test for n >= j.  Row n <= dz of the full system
+    reads x_(0,n) + [z^n] sum_{i>=1} c_i(z) g^i = 0, with c_i(z) = sum_j
+    x_(i,j) z^j, which gives each basis vector's g^0 entries.
     """
     if dx < 1 or dz < 0:
         raise ValueError("need dx >= 1 and dz >= 0")
     require_order(g.order, dx, dz, guard)
     field = g.field
-    powers = [Series.one(field, g.order), g]
-    for _ in range(dx - 1):
-        powers.append(powers[-1] * g)
     width = dz + 1
-    basis = _nullspace(field, _system(field, powers, dz), (dx + 1) * width)
+    basis = _basis(powers(g, dx), dz)
 
     def by_x(bx, bz):
         return [i * width + j for i in range(bx + 1) for j in range(bz + 1)]
@@ -234,19 +262,38 @@ def reconstruct(
     return AnnihilatorPoly(field, grid)
 
 
-def _system(field: Field, powers, dz: int):
-    """Rows n = 0..order of the annihilation system, integral over Q.
+def _basis(pw, dz: int):
+    """Nullspace basis of the system of rows n = 0..order, where column
+    i(dz+1) + j holds the z^n coefficient of z^j g^i, g^i = pw[i], for an
+    order of at least dz: per free column f, the vector that is 1 at f, 0 at
+    the other free columns, and at the pivots by back-substitution.
 
-    Column i(dz+1) + j holds the z^n coefficient of z^j g^i; over Q each row
-    is multiplied by its :func:`~bandedgf.fields.denominator`, which keeps its
-    nullspace.  F_p rows are ints already and are left as they are.
+    :func:`_nullspace` reduces only :func:`_system`, the columns of
+    g^1..g^dx; the g^0 entries in front are -[z^j] sum_{i>=1} c_i(z) g^i, as
+    :func:`reconstruct` shows.
+    """
+    width = dz + 1
+    field = pw[0].field
+    out = []
+    for v in _nullspace(field, _system(field, pw[1:], dz), (len(pw) - 1) * width):
+        grid = [v[k:k + width] for k in range(0, len(v), width)]
+        out.append(list((-_combination(grid, pw[1:], dz)).coeffs) + v)
+    return out
+
+
+def _system(field: Field, pw, dz: int):
+    """Rows n = dz+1..order of the annihilation system, over the columns of
+    the powers ``pw`` = g^1..g^dx only, integral over Q.
+
+    Column (i - 1)(dz+1) + j holds g^i[n - j], and n > dz >= j; over Q a row
+    that is not integral is multiplied by its
+    :func:`~bandedgf.fields.denominator`, which keeps its nullspace.  Integral
+    rows, and so all F_p rows, are left as they are.
     """
     rows = []
-    for n in range(powers[0].order + 1):
-        row = [gi[n - j] if n >= j else 0 for gi in (pw.coeffs for pw in powers)
-               for j in range(dz + 1)]
-        if not field.characteristic:
-            den = denominator(row)
+    for n in range(dz + 1, pw[0].order + 1):
+        row = [c for p in pw for c in p.coeffs[n:n - dz - 1:-1]]
+        if not field.characteristic and (den := denominator(row)) != 1:
             row = [cleared(c, den) for c in row]
         rows.append(row)
     return rows

@@ -285,12 +285,19 @@ def choose_block_size(spec: BandedSpec) -> int:
     return -(-need // spec.period) * spec.period
 
 
-def block_reduce(spec: BandedSpec, s: int | None = None) -> BlockWeights:
-    """Cut the verified 2s-by-2s corner into the D, C / A, B block weights,
-    reading only the entries on each row's :meth:`~BandedSpec.support`."""
+def checked_block_size(spec: BandedSpec, s: int | None) -> int:
+    """s, or else the spec's declared block size, or else the chosen one,
+    once :func:`verify_block_size` has passed it."""
     if s is None:
         s = spec.block_size if spec.block_size is not None else choose_block_size(spec)
     verify_block_size(spec, s)  # for a chosen s, the runtime check of its rule
+    return s
+
+
+def block_reduce(spec: BandedSpec, s: int | None = None) -> BlockWeights:
+    """Cut the verified 2s-by-2s corner into the D, C / A, B block weights,
+    reading only the entries on each row's :meth:`~BandedSpec.support`."""
+    s = checked_block_size(spec, s)
     corner = [[spec.field.zero] * (2 * s) for _ in range(2 * s)]
     for i, row in enumerate(corner, 1):
         for j in spec.support(i):

@@ -23,7 +23,7 @@ from functools import cache
 
 from . import fixtures
 from .annihilator import DEFAULT_GUARD, AnnihilatorPoly, reconstruct, require_order, verify
-from .banded import BandedSpec, BlockWeights, block_reduce, clear_spec
+from .banded import BandedSpec, BlockWeights, block_reduce, checked_block_size, clear_spec
 from .engine import cross_check, direct_route
 from .errors import (
     BandedGFError,
@@ -72,8 +72,8 @@ def _read_document(path, what):
         raise SpecFormatError(f"invalid JSON in {what} file: {exc}") from exc
 
 
-def _load_spec(args) -> tuple[BandedSpec, BlockWeights]:
-    """The spec the arguments name, and its block weights at ``--block-size``."""
+def _read_spec(args) -> BandedSpec:
+    """The spec the arguments name, over ``--field`` when one is given."""
     if getattr(args, "example", None):
         if getattr(args, "spec", None):
             raise SpecFormatError("give either --spec or --example, not both")
@@ -88,6 +88,12 @@ def _load_spec(args) -> tuple[BandedSpec, BlockWeights]:
             doc = spec.to_json_doc()
             doc["field"] = field_to_json(override)
             spec = BandedSpec.from_json_doc(doc)
+    return spec
+
+
+def _load_spec(args) -> tuple[BandedSpec, BlockWeights]:
+    """The spec the arguments name, and its block weights at ``--block-size``."""
+    spec = _read_spec(args)
     return spec, block_reduce(spec, args.block_size)
 
 
@@ -139,7 +145,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_annihilate(args) -> int:
-    spec, _ = _load_spec(args)  # the block weights check --block-size
+    spec = _read_spec(args)
+    checked_block_size(spec, args.block_size)
     require_order(args.order, args.degx, args.degz, args.guard)
     den, scaled = clear_spec(spec)
     deeper = direct_route(scaled, args.order + args.extra).scale_z(spec.field.inv(den))

@@ -179,7 +179,7 @@ class PrimeField(Field):
         x = x % self.p
         if x == 0:
             raise NonUnitError(f"0 has no inverse mod {self.p}")
-        return pow(x, self.p - 2, self.p)
+        return pow(x, -1, self.p)
 
     def parse(self, text):
         if isinstance(text, bool):

@@ -8,6 +8,8 @@ preserve the input order.  All arithmetic is exact.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import (
     InsufficientPrecisionError,
     NonUnitError,
@@ -113,11 +115,9 @@ class Series:
     def __mul__(self, other: "Series") -> "Series":
         field = require_same_field(self.field, other.field)
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [
-            sum(a[k] * b[m - k] for k in range(m + 1)) for m in range(n + 1)
-        ]
-        return Series(field, out)
+        a, rb = self.coeffs, other.coeffs[n::-1]
+        # rb[n - m:] is b_m, ..., b_0, so each coefficient is one C-level dot product.
+        return Series(field, [sum(map(mul, a, rb[n - m:])) for m in range(n + 1)])
 
     def scale(self, scalar) -> "Series":
         return Series(self.field, [c * scalar for c in self.coeffs])

@@ -5,7 +5,11 @@ row-slice stream, the symbol determinant by the Leibniz formula on list
 polynomials, the reference for ``engine.symbol_determinant``, the
 block-size check that reads every entry of its window, the reference for
 ``banded.verify_block_size``, and the cut that reads every entry of the
-2s-by-2s corner, the reference for ``banded.block_reduce``.
+2s-by-2s corner, the reference for ``banded.block_reduce``, the full
+annihilation system with its g^0 columns and the Horner residual, the
+references for ``annihilator._basis`` and ``AnnihilatorPoly.evaluate``, and
+the series product by one generator per coefficient, the reference for
+``Series.__mul__``.
 
 None of this is used by the package itself.
 """
@@ -15,7 +19,8 @@ from itertools import permutations
 from bandedgf import matrices as cm
 from bandedgf.banded import BandedSpec, BlockWeights
 from bandedgf.errors import InvalidBlockSizeError
-from bandedgf.fields import require_same_field
+from bandedgf.fields import cleared, denominator, require_same_field
+from bandedgf.series import Series
 from bandedgf.walks import check_walk
 
 
@@ -201,3 +206,43 @@ def reference_block_reduce(spec: BandedSpec, s: int) -> BlockWeights:
         for i in range(s + 1, 2 * s + 1)
     ]
     return BlockWeights(spec.field, s, a, b, c, d)
+
+
+def reference_system(field, powers, dz: int):
+    """Rows n = 0..order of the annihilation system over the columns of
+    g^0..g^dx, integral over Q.
+
+    Column i(dz+1) + j holds the z^n coefficient of z^j g^i; over Q each row
+    is multiplied by its :func:`~bandedgf.fields.denominator`, which keeps its
+    nullspace.  F_p rows are ints already and are left as they are.
+    """
+    rows = []
+    for n in range(powers[0].order + 1):
+        row = [gi[n - j] if n >= j else 0 for gi in (pw.coeffs for pw in powers)
+               for j in range(dz + 1)]
+        if not field.characteristic:
+            den = denominator(row)
+            row = [cleared(c, den) for c in row]
+        rows.append(row)
+    return rows
+
+
+def reference_evaluate(poly, g: Series) -> Series:
+    """Residual series P(z, g(z)) truncated at g's order, by Horner's rule."""
+    require_same_field(poly.field, g.field)
+    order = g.order
+    acc = Series.from_ints(poly.field, poly.coeffs[poly.dx], order)
+    for i in range(poly.dx - 1, -1, -1):
+        acc = acc * g + Series.from_ints(poly.field, poly.coeffs[i], order)
+    return acc
+
+
+def reference_mul(a: Series, b: Series) -> Series:
+    """The product a·b at the smaller order, one generator per coefficient."""
+    field = require_same_field(a.field, b.field)
+    n = min(a.order, b.order)
+    x, y = a.coeffs, b.coeffs
+    out = [
+        sum(x[k] * y[m - k] for k in range(m + 1)) for m in range(n + 1)
+    ]
+    return Series(field, out)

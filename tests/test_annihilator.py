@@ -13,15 +13,19 @@ from bandedgf.annihilator import (
     check_closed_form_sqrt,
     reconstruct,
     verify,
+    _basis,
     _first_dependent,
     _head_nullspace,
     _nullspace,
+    powers,
 )
 from bandedgf.banded import BlockWeights, block_reduce
 from bandedgf.engine import fixed_point_route
 from bandedgf.errors import InsufficientPrecisionError, NonUnitError
 from bandedgf.fields import PrimeField, QQ, cleared, denominator
 from bandedgf.series import Series
+
+from helpers import reference_evaluate, reference_system
 
 
 def motzkin_series(order):
@@ -409,9 +413,11 @@ def test_reconstruct_keeps_the_scan_choice_among_several_solutions():
 
 
 def test_reconstruct_runs_one_elimination(monkeypatch):
-    # The (n+1)-row system is reduced to its nullspace basis exactly once per
-    # call, whether a polynomial is found or not; the degree searches only
-    # read the basis.
+    # The system is reduced to its nullspace basis exactly once per call,
+    # whether a polynomial is found or not; the degree searches only read the
+    # basis.  Rows 0..dz pivot on the g^0 columns and are solved outright, so
+    # the eliminated system has the n - dz rows dz+1..n: 54 at (n, dz) =
+    # (60, 6), 42 at (45, 3).
     calls = []
 
     def counting(field, rows, ncols):
@@ -421,11 +427,11 @@ def test_reconstruct_runs_one_elimination(monkeypatch):
     monkeypatch.setattr(annihilator, "_nullspace", counting)
     g = motzkin_series(60)
     assert reconstruct(g, 4, 6) == AnnihilatorPoly(QQ, [[1], [-1, 1], [0, 0, 1]])
-    assert calls == [61]
+    assert calls == [54]
     calls.clear()
     prefix = Series.from_ints(QQ, [math.factorial(n) for n in range(46)])
     assert reconstruct(prefix, 2, 3) is None
-    assert calls == [46]
+    assert calls == [42]
 
 
 # -- head elimination: _nullspace against the full elimination of every row --
@@ -507,17 +513,91 @@ def test_nullspace_eliminates_again_when_a_tail_row_kills_a_head_vector(monkeypa
 
 
 def test_reconstruct_rejects_a_relation_that_holds_only_through_the_head(monkeypatch):
-    # 1/(1-z) + z^40 satisfies (1 - z) x - 1 = 0 through z^39: the 12 head
-    # rows of bounds (1, 1) admit it, and row 40 kills it.
+    # 1/(1-z) + z^40 satisfies (1 - z) x - 1 = 0 through z^39.  At bounds
+    # (1, 1) the g^0 columns are solved outright, so the eliminated system
+    # starts at row 2 over 2 columns: its 10 head rows (rows 2..11) admit
+    # the relation, and row 40, its 39th, kills it; the head then grows
+    # through that row.
     heads = count_head_eliminations(monkeypatch)
     coeffs = [1] * 61
     coeffs[40] = 2
     g = Series(QQ, coeffs)
     assert reconstruct(g, 1, 1) is None is reference_reconstruct(g, 1, 1)
-    assert heads == [12, 41]
+    assert heads == [10, 39]
     heads.clear()
     assert reconstruct(g.truncate(39), 1, 1, guard=0) == AnnihilatorPoly(QQ, [[-1], [1, -1]])
-    assert heads == [12]
+    assert heads == [10]
+
+
+# -- the g^0 block solved outright, and the residual over powers ----------------
+
+
+def random_scalar(field, rng):
+    if field.characteristic:
+        return rng.randrange(field.p)
+    return field.reduce(Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)))
+
+
+@st.composite
+def series_with_unit_constant(draw):
+    """g with g_0 = 1 at an order of at least dz, so rows 0..dz of the full
+    system exist: random, or 1 + a short polynomial, or 1 / (1 - c z^k), the
+    last two with relations that reach past the head."""
+    field = draw(st.sampled_from(NULLSPACE_FIELDS))
+    dx = draw(st.integers(1, 4))
+    dz = draw(st.integers(0, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    order = dz + rng.randrange((dx + 1) * (dz + 1) + 12)
+    kind = draw(st.sampled_from(("random", "polynomial", "geometric")))
+    if kind == "random":
+        tail = [random_scalar(field, rng) for _ in range(order)]
+    elif kind == "polynomial":
+        tail = [random_scalar(field, rng) for _ in range(rng.randrange(1, 4))] + [0] * order
+    else:
+        c, k = random_scalar(field, rng), rng.randrange(1, 4)
+        tail = [field.reduce(c ** (n // k)) if n % k == 0 else 0 for n in range(1, order + 1)]
+    return Series(field, [1] + tail[:order]), dx, dz
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=series_with_unit_constant())
+def test_basis_is_the_full_system_nullspace(case):
+    g, dx, dz = case
+    pw = powers(g, dx)
+    full = reference_system(g.field, pw, dz)
+    assert _basis(pw, dz) == _head_nullspace(g.field, full, (dx + 1) * (dz + 1))
+
+
+@st.composite
+def polynomials_and_series(draw):
+    field = draw(st.sampled_from(NULLSPACE_FIELDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    dx = draw(st.integers(1, 4))
+    dz = draw(st.integers(0, 6))
+    zero_rows = draw(st.sets(st.integers(0, dx - 1)))
+    grid = [[0] * (dz + 1) if i in zero_rows else [random_scalar(field, rng) for _ in range(dz + 1)]
+            for i in range(dx)]
+    grid.append([random_scalar(field, rng) for _ in range(dz)] + [1])
+    order = draw(st.integers(0, 30))
+    g = Series(field, [random_scalar(field, rng) for _ in range(order + 1)])
+    return AnnihilatorPoly(field, grid), g
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=polynomials_and_series())
+def test_evaluate_matches_horner(case):
+    poly, g = case
+    assert poly.evaluate(g) == reference_evaluate(poly, g)
+
+
+def test_evaluate_on_a_root_and_on_zero_rows():
+    g = motzkin_series(30)
+    motzkin = AnnihilatorPoly(QQ, [[1], [-1, 1], [0, 0, 1]])
+    assert motzkin.evaluate(g).is_zero()
+    linear = AnnihilatorPoly(QQ, [[0], [1]])  # P = x: dx = 1, a zero row below
+    assert linear.evaluate(g) == g == reference_evaluate(linear, g)
+    sparse = AnnihilatorPoly(QQ, [[0], [0], [0], [2, 0, 1]])
+    assert sparse.evaluate(g) == reference_evaluate(sparse, g)
 
 
 def test_closed_form_plain_rational():

@@ -206,6 +206,24 @@ def test_annihilate_builds_the_series_once(capsys, monkeypatch):
     assert json.loads(out)["verified_to_order"] == 62
 
 
+def test_annihilate_checks_the_block_size_without_cutting_the_blocks(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("annihilate cut the block weights")
+
+    monkeypatch.setattr(cli, "block_reduce", never)
+    code, out, _ = run_cli(
+        capsys, "annihilate", "--example", "ex4.1", "--order", "60",
+        "--degx", "3", "--degz", "5",
+    )
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    code, out, err = run_cli(
+        capsys, "annihilate", "--example", "ex4.1", "--order", "60",
+        "--degx", "3", "--degz", "5", "--block-size", "3",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: shift condition fails at (1,4): v_{4,7} != v_{1,4}\n"
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -65,6 +65,18 @@ def test_prime_field_ops():
         f.parse("1/7")
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 101, 2**61 - 1]))
+def test_prime_field_inverse(data, p):
+    f = PrimeField(p)
+    x = data.draw(st.integers(1, p - 1))
+    assert f.reduce(x * f.inv(x)) == 1
+    assert f.inv(x + p) == f.inv(x)
+    for zero in (0, p, -p):
+        with pytest.raises(NonUnitError, match=f"0 has no inverse mod {p}"):
+            f.inv(zero)
+
+
 def test_field_json_round_trip():
     assert field_from_json("rational") == QQ
     assert field_from_json({"prime": 101}) == PrimeField(101)

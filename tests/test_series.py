@@ -15,6 +15,8 @@ from bandedgf.fields import PrimeField, QQ
 from bandedgf.series import Series
 from bandedgf.walks import enumerate_sum
 
+from helpers import reference_mul
+
 
 def S(ints, order=None):
     return Series.from_ints(QQ, ints, order=order)
@@ -31,6 +33,21 @@ def test_mul_identity():
 
 def test_mul_truncates_to_smaller_order():
     assert (S([1, 1, 1], 2) * S([1, 1], 5)).order == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), p=st.sampled_from([0, 2, 101, 2**61 - 1]))
+def test_mul_matches_the_generator_product_at_unequal_orders(data, p):
+    field = PrimeField(p) if p else QQ
+    if p:
+        scalars = st.integers(0, p - 1)
+    else:
+        scalars = st.fractions(min_value=-9, max_value=9, max_denominator=6).map(QQ.reduce)
+    a = Series(field, data.draw(st.lists(scalars, min_size=1, max_size=40)))
+    b = Series(field, data.draw(st.lists(scalars, min_size=1, max_size=40)))
+    assert a * b == reference_mul(a, b)
+    assert b * a == reference_mul(b, a)
+    assert (a * b).order == min(a.order, b.order)
 
 
 def test_motzkin_square_coefficient():
