@@ -275,25 +275,27 @@ def _basis(pw, dz: int):
     width = dz + 1
     field = pw[0].field
     out = []
-    for v in _nullspace(field, _system(field, pw[1:], dz), (len(pw) - 1) * width):
+    for v in _nullspace(field, _system(pw[1:], dz), (len(pw) - 1) * width):
         grid = [v[k:k + width] for k in range(0, len(v), width)]
         out.append(list((-_combination(grid, pw[1:], dz)).coeffs) + v)
     return out
 
 
-def _system(field: Field, pw, dz: int):
+def _system(pw, dz: int):
     """Rows n = dz+1..order of the annihilation system, over the columns of
     the powers ``pw`` = g^1..g^dx only, integral over Q.
 
-    Column (i - 1)(dz+1) + j holds g^i[n - j], and n > dz >= j; over Q a row
-    that is not integral is multiplied by its
-    :func:`~bandedgf.fields.denominator`, which keeps its nullspace.  Integral
-    rows, and so all F_p rows, are left as they are.
+    Column (i - 1)(dz+1) + j holds g^i[n - j], and n > dz >= j.  When g = pw[0]
+    is integral, so is every power and every row, as always over F_p, and the
+    rows are left as they are; otherwise a row that is not integral is
+    multiplied by its :func:`~bandedgf.fields.denominator`, which keeps its
+    nullspace.
     """
+    fractional = denominator(pw[0].coeffs) != 1
     rows = []
     for n in range(dz + 1, pw[0].order + 1):
         row = [c for p in pw for c in p.coeffs[n:n - dz - 1:-1]]
-        if not field.characteristic and (den := denominator(row)) != 1:
+        if fractional and (den := denominator(row)) != 1:
             row = [cleared(c, den) for c in row]
         rows.append(row)
     return rows

@@ -174,15 +174,16 @@ class BandedSpec:
 
 
 class BlockWeights:
-    """The four s-by-s corner blocks A (down), B (level), C (up), D (corner)."""
+    """The four s-by-s corner blocks A (down), B (level), C (up), D (corner),
+    with every entry reduced to its canonical field scalar."""
 
     def __init__(self, field: Field, s: int, a, b, c, d):
         self.field = field
         self.s = s
-        self.a = cm.freeze(a)
-        self.b = cm.freeze(b)
-        self.c = cm.freeze(c)
-        self.d = cm.freeze(d)
+        self.a = cm.freeze(map(field.reduce_all, a))
+        self.b = cm.freeze(map(field.reduce_all, b))
+        self.c = cm.freeze(map(field.reduce_all, c))
+        self.d = cm.freeze(map(field.reduce_all, d))
         for m in (self.a, self.b, self.c, self.d):
             cm.check_square(m, s)
 
@@ -202,7 +203,7 @@ class BlockWeights:
         """Copy with one entry of block 'a'/'b'/'c'/'d' set to value (0-based i, j)."""
         blocks = {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
         rows = [list(row) for row in blocks[which]]
-        rows[i][j] = self.field.reduce(value)
+        rows[i][j] = value
         blocks[which] = rows
         return BlockWeights(
             self.field, self.s, blocks["a"], blocks["b"], blocks["c"], blocks["d"]
@@ -255,14 +256,6 @@ def verify_block_size(spec: BandedSpec, s: int) -> None:
                     f"v_{{{i + s},{j + s}}} != v_{{{i},{j}}}",
                     position=(i, j),
                 )
-
-
-def is_valid_block_size(spec: BandedSpec, s: int) -> bool:
-    try:
-        verify_block_size(spec, s)
-    except InvalidBlockSizeError:
-        return False
-    return True
 
 
 def choose_block_size(spec: BandedSpec) -> int:
@@ -352,6 +345,11 @@ def from_block_weights(w: BlockWeights) -> BandedSpec:
 
     The result has period s, bands read off the A/B/C pattern, and exceptional
     overrides only where the corner block D differs from the repeating B band.
+    Its block size is s exactly when every override (i, j) has i + j <= s + 1,
+    and None otherwise, with no check run: the entries follow the block
+    pattern, so (1) holds, and the bands have period s, so (2) fails exactly
+    at an override with i + j >= s + 2, as in :func:`choose_block_size`
+    (which then picks 2s).
     """
     field, s = w.field, w.s
     bands = {}
@@ -374,10 +372,5 @@ def from_block_weights(w: BlockWeights) -> BandedSpec:
         for j in range(1, s + 1):
             if w.d[i - 1][j - 1] != w.b[i - 1][j - 1]:
                 exceptional.append((i, j, w.d[i - 1][j - 1]))
-    spec = BandedSpec(field, s, bands, exceptional)
-    # Block size s itself verifies only when the corner block agrees with the
-    # repeating band outside the i + j <= s + 1 anti-triangle; otherwise the
-    # caller gets the conservative default (2s works in the worst case).
-    if is_valid_block_size(spec, s):
-        spec.block_size = s
-    return spec
+    fits = all(i + j <= s + 1 for i, j, _ in exceptional)
+    return BandedSpec(field, s, bands, exceptional, s if fits else None)

@@ -32,7 +32,7 @@ from .errors import (
     SpecFormatError,
 )
 from .fields import PrimeField, QQ, field_to_json
-from .identities import oracle_comparison, run_identity_suite
+from .identities import DEFAULT_ENUM_LENGTH, oracle_comparison, run_identity_suite
 from .section5 import (
     affine_pipeline,
     recursion_from_json_doc,
@@ -201,10 +201,12 @@ def cmd_check_identity(args) -> int:
 
 
 def _section5_command(args, path, what, decode, pipeline) -> int:
-    """Run a Section 5 ``pipeline`` on the document at ``path``, read by ``decode``."""
-    spec, weights = _load_spec(args)
-    data = decode(_read_document(path, what), spec.field, weights.s)
-    series = pipeline(spec, weights, data, args.order)
+    """Run a Section 5 ``pipeline`` on the document at ``path``, read by ``decode``,
+    at the checked ``--block-size``; no block weights are cut."""
+    spec = _read_spec(args)
+    s = checked_block_size(spec, args.block_size)
+    data = decode(_read_document(path, what), spec.field, s)
+    series = pipeline(spec, s, data, args.order)
     _emit(
         {
             "command": args.command,
@@ -287,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-identity", help="run the full identity suite")
     _add_spec_args(p)
     p.add_argument(
-        "--enum-length", type=int, default=8, help="depth of enumeration-backed checks"
+        "--enum-length", type=int, default=DEFAULT_ENUM_LENGTH,
+        help="depth of enumeration-backed checks",
     )
     p.set_defaults(fn=cmd_check_identity)
 

@@ -1,6 +1,8 @@
 """Weighted corner sums and the affine transfer pipeline.
 
-Both read the first columns of the powers of V:
+Both read the first columns of the powers of V, and take the spec and a
+block size s, which only names the residue classes of the forcing rules; no
+block is cut:
 
 * the affine recursion y^(n+1) = T y^(n) + sum_k (V^n)_{k,1} y_k with a
   linear readout, which reduces the transfer-operator series
@@ -18,12 +20,11 @@ the walk table rather than first columns, are
 ``affine_pipeline`` forms the per-order sums S_n = sum_k (V^n)_{k,1} y_k on
 integers from end to end.  Over Q it reads the first columns of L·V, L the
 :func:`~bandedgf.fields.denominator` of V's own band and exceptional values
-(read off the spec by :func:`~bandedgf.banded.clear_spec`, not off the block
-weights), whose n-th power is L^n V^n and stays on Python ints, and it
-tabulates the forcing values cleared by M, the denominator of every rule's
-initial values and polynomial coefficients, once per residue class as ints;
-each integral sum is L^n M times the true one.  A column holds only its rows
-up to the frontier of
+(read off the spec by :func:`~bandedgf.banded.clear_spec`), whose n-th power
+is L^n V^n and stays on Python ints, and it tabulates the forcing values
+cleared by M, the denominator of every rule's initial values and polynomial
+coefficients, once per residue class as ints; each integral sum is L^n M
+times the true one.  A column holds only its rows up to the frontier of
 :func:`~bandedgf.engine.corner_first_columns` and a table only the s·order
 indices any sum reads, and the entries past either are zero, so each sum is
 one dot product over the shorter of the two.  The state is the integral
@@ -40,7 +41,7 @@ from itertools import islice, repeat
 from operator import add, mul
 
 from . import matrices as cm
-from .banded import BandedSpec, BlockWeights, clear_spec
+from .banded import BandedSpec, clear_spec
 from .engine import corner_first_columns
 from .errors import ShapeError, SpecFormatError
 from .fields import Field, cleared, denominator, is_json_int
@@ -144,29 +145,29 @@ class AffineRecursion:
 
 
 def affine_pipeline(
-    spec: BandedSpec, w: BlockWeights, rec: AffineRecursion, order: int
+    spec: BandedSpec, s: int, rec: AffineRecursion, order: int
 ) -> Series:
     """Readout series of y^(n+1) = T y^(n) + sum_k (V^n)_{k,1} y_k from y^(0) = 0.
 
-    ``w`` is ``block_reduce(spec, s)``, whose block size s must match the
-    residue count of the forcing rules.  The sums run on the first columns of
-    L·V against the rule values times M, and the state is the integral
+    ``s`` is a block size of ``spec`` the caller has checked, and must match
+    the residue count of the forcing rules.  The sums run on the first columns
+    of L·V against the rule values times M, and the state is the integral
     u_n = M (L K)^(n-1) y^(n) (see the module docstring):
     u_(n+1) = L (K T) u_n + K^n S_n, and the z^n coefficient is
     (l' · u_n) / (J M (L K)^(n-1)), l' = J l cleared of its denominators.
     """
-    if rec.s != w.s:
+    if rec.s != s:
         raise ShapeError(
-            f"forcing rules cover residues mod {rec.s} but the block size is {w.s}"
+            f"forcing rules cover residues mod {rec.s} but the block size is {s}"
         )
-    field = w.field
+    field = spec.field
     red, red_all = field.reduce, field.reduce_all
     lden, scaled = clear_spec(spec)
     columns = corner_first_columns(scaled, order)
     # S_n reads a_k only for k <= s (n + 1): a walk of length n cannot
     # descend more than n block levels.  Only S_0 .. S_(order-1) feed the
     # readout, so the tables stop at s·order and the sums at their length.
-    den, tables = _rule_tables(field, rec.y_rules, w.s * order)
+    den, tables = _rule_tables(field, rec.y_rules, s * order)
     tden = denominator(v for row in rec.t for v in row)
     rden = denominator(rec.l)
     t = [[cleared(v, tden) * lden for v in row] for row in rec.t]
@@ -183,17 +184,17 @@ def affine_pipeline(
 
 
 def weighted_series(
-    spec: BandedSpec, w: BlockWeights, a: EventuallyPolySeq, order: int
+    spec: BandedSpec, s: int, a: EventuallyPolySeq, order: int
 ) -> Series:
     """sum_n (sum_k a_k (V^n)_{k,1}) z^n: the affine readout with T = 0,
     l = 1 and forcing ``a``, whose y^(n+1) is the z^n sum, one order later.
 
-    ``w`` is ``block_reduce(spec, s)``: the block size s fixes the residue
-    classes of the weight rules.
+    ``s`` is a block size of ``spec`` the caller has checked: it fixes the
+    residue classes of the weight rules.
     """
     require_nonnegative(order)
-    rec = AffineRecursion(w.field, 1, [[0]], [1], [a])
-    return affine_pipeline(spec, w, rec, order + 1).div_z_pow(1)
+    rec = AffineRecursion(spec.field, 1, [[0]], [1], [a])
+    return affine_pipeline(spec, s, rec, order + 1).div_z_pow(1)
 
 
 # -- JSON input formats ---------------------------------------------------------

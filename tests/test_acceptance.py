@@ -132,7 +132,7 @@ def test_criterion_4_third_example_closed_form_and_symbol():
 
 def test_criterion_5_affine_readout_identity():
     spec = fixtures.ex512_spec()
-    s_series = affine_pipeline(spec, block_reduce(spec, 1), fixtures.ex512_recursion(), 40)
+    s_series = affine_pipeline(spec, 1, fixtures.ex512_recursion(), 40)
 
     def poly(cs):
         return Series.from_ints(QQ, cs, order=40)

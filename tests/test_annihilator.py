@@ -568,6 +568,20 @@ def test_basis_is_the_full_system_nullspace(case):
     assert _basis(pw, dz) == _head_nullspace(g.field, full, (dx + 1) * (dz + 1))
 
 
+def test_system_reads_one_denominator_for_an_integral_series(monkeypatch):
+    # ex4.1 at order 75, bounds (3, 7): the series is integral, so one lcm
+    # over g settles all 68 rows, and the rows are the full system's.
+    g = fixed_point_route(block_reduce(fixtures.ex41_spec(), 2), 75).gv
+    pw = powers(g, 3)
+    calls = []
+    monkeypatch.setattr(
+        annihilator, "denominator", lambda values: calls.append(1) or denominator(values)
+    )
+    rows = annihilator._system(pw[1:], 7)
+    assert len(calls) == 1
+    assert rows == [row[8:] for row in reference_system(QQ, pw, 7)[8:]]
+
+
 @st.composite
 def polynomials_and_series(draw):
     field = draw(st.sampled_from(NULLSPACE_FIELDS))

@@ -15,7 +15,6 @@ from bandedgf.banded import (
     block_reduce,
     choose_block_size,
     from_block_weights,
-    is_valid_block_size,
     verify_block_size,
 )
 from bandedgf.errors import InvalidBlockSizeError, SpecFormatError
@@ -69,7 +68,6 @@ def test_user_supplied_smaller_block_size_verifies():
     # Block size 2 is below the bandwidth yet satisfies both corner
     # conditions for this spec, so it must be accepted.
     verify_block_size(fixtures.ex41_spec(), 2)
-    assert is_valid_block_size(fixtures.ex41_spec(), 2)
 
 
 def test_bad_block_size_is_rejected_with_position():
@@ -195,11 +193,17 @@ def test_choose_block_size_reads_no_entry_and_runs_no_check(monkeypatch):
 
 
 def test_choose_block_size_names_no_check_and_no_entry():
-    # Read from the source, so the search cannot come back.
-    tree = ast.parse(inspect.getsource(choose_block_size))
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    assert not names & {"verify_block_size", "is_valid_block_size", "entry"}
+    # Read from the source, so the search cannot come back: both block sizes
+    # come from a rule over the overrides, and from_block_weights passes its
+    # own to the constructor instead of setting it afterwards.
+    for rule in (choose_block_size, from_block_weights):
+        tree = ast.parse(inspect.getsource(rule))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert not names & {"verify_block_size", "entry"}
+        stores = [n for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)]
+        assert stores == []
 
 
 def test_block_reduce_reads_only_the_supports():
@@ -303,6 +307,57 @@ def test_from_block_weights_round_trip():
         assert validate_reduction(spec, w, 6 * s)
 
 
+@st.composite
+def _raw_block_weights(draw):
+    """Block weights (s = 1..4) as written, not reduced: over F_p ints from -p
+    to 3p, over Q Fractions, integral ones included; D repeats B but for a
+    few cells, some of them only spelled differently (b + p, or the int b)."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(101)]))
+    s = draw(st.integers(1, 4))
+    if field is QQ:
+        value = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+        respell = int
+    else:
+        value = st.integers(-field.p, 3 * field.p)
+        respell = field.p.__add__
+    mat = st.lists(st.lists(value, min_size=s, max_size=s), min_size=s, max_size=s)
+    a, b, c = draw(mat), draw(mat), draw(mat)
+    d = [row[:] for row in b]
+    cells = st.tuples(st.integers(0, s - 1), st.integers(0, s - 1))
+    for i, j in draw(st.sets(cells, min_size=1, max_size=3)):
+        d[i][j] = draw(value) if draw(st.booleans()) else respell(b[i][j])
+    return BlockWeights(field, s, a, b, c, d)
+
+
+def _accepts(spec, s):
+    try:
+        verify_block_size(spec, s)
+    except InvalidBlockSizeError:
+        return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(w=_raw_block_weights())
+def test_from_block_weights_sets_the_block_size_the_check_accepts(w):
+    spec = from_block_weights(w)
+    assert spec.block_size in (w.s, None)
+    assert (spec.block_size == w.s) == _accepts(spec, w.s)
+
+
+def test_block_weights_are_canonical():
+    f2 = PrimeField(2)
+    assert BlockWeights(f2, 1, [[2]], [[0]], [[3]], [[-1]]) == BlockWeights(
+        f2, 1, [[0]], [[0]], [[1]], [[1]])
+    w = BlockWeights(QQ, 1, [[Fraction(2, 1)]], [[1]], [[1]], [[1]])
+    assert type(w.a[0][0]) is int
+    # D = 2 is B = 0 in F_2: no override, block size 1, and the cut gives w back.
+    w = BlockWeights(f2, 1, [[1]], [[0]], [[1]], [[2]])
+    spec = from_block_weights(w)
+    assert (spec.exceptional, spec.block_size) == ({}, 1)
+    assert block_reduce(spec, 1) == w
+
+
 def test_from_block_weights_arbitrary_corner():
     # A corner block clashing with the band pattern cannot verify at block
     # size s, but the rebuilt entries still match and a doubled block works.
@@ -317,7 +372,8 @@ def test_from_block_weights_arbitrary_corner():
         spec = from_block_weights(w)
         assert spec.block_size is None
         assert validate_reduction(spec, w, 6 * s)
-        assert not is_valid_block_size(spec, s)
+        with pytest.raises(InvalidBlockSizeError):
+            verify_block_size(spec, s)
         assert choose_block_size(spec) == 2 * s
 
 

@@ -224,6 +224,26 @@ def test_annihilate_checks_the_block_size_without_cutting_the_blocks(capsys, mon
     assert err == "error: shift condition fails at (1,4): v_{4,7} != v_{1,4}\n"
 
 
+def test_section5_commands_check_the_block_size_without_cutting_the_blocks(
+    tmp_path, capsys, monkeypatch
+):
+    def never(*args):
+        raise AssertionError("a Section 5 command cut the block weights")
+
+    monkeypatch.setattr(cli, "block_reduce", never)
+    rules = {"weights": [{"residue": 1, "poly": [1]}, {"residue": 2, "poly": [0, 1]}]}
+    recursion = {"dimY": 1, "T": [[1]], "l": [1], "y_rule": [rules]}
+    for command, flag, doc in (("weighted", "--weights", rules),
+                               ("affine", "--recursion", recursion)):
+        path = write_spec(tmp_path, doc, f"{command}.json")
+        argv = [command, "--example", "ex4.1", flag, path, "--order", "12"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(json.loads(out)["coefficients"]) == 13
+        code, out, err = run_cli(capsys, *argv, "--block-size", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: shift condition fails at (1,4): v_{4,7} != v_{1,4}\n"
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

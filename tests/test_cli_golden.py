@@ -1,6 +1,6 @@
 """Default CLI output, pinned byte for byte.
 
-``data/cli_golden.json`` holds 151 argvs, covering every command
+``data/cli_golden.json`` holds 155 argvs, covering every command
 on the four built-in examples over Q and F_101, ``annihilate`` on them over
 F_(2^61-1) and F_(2^31-1) (the primes of the certify benchmark),
 ``series --order 200`` on each example (and on ex4.2 over F_(2^61-1)) and
@@ -35,7 +35,10 @@ chosen size comes from an override (a tridiagonal spec of ones with
 v_{5,5} = 2, s = 9, under ``weighted``, ``annihilate`` and ``series``; the
 same with a redundant v_{5,5} = 1, s = 5, and ex4.1's bands with
 v_{3,4} = 7, s = 6, under ``weighted``, whose missing-residue error lists
-2..s), a spec with two exceptional records for one cell (refused), and
+2..s), ``weighted`` and ``affine`` on ex4.1 at the valid non-default
+``--block-size 4`` with four-residue rules, and at the invalid
+``--block-size 3`` with a malformed rules document (the block-size error
+comes first), a spec with two exceptional records for one cell (refused), and
 ``verify-example --poly`` with the ex4.1 golden cubic and a one-coefficient
 perturbation of it (passing and failing checks), with the stdout, stderr
 and exit code that ``cli.main`` gave for each.  Documents named in an argv

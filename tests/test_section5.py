@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from fractions import Fraction
 from math import comb, lcm
@@ -6,9 +8,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bandedgf import fixtures
+from bandedgf import fixtures, section5
 from bandedgf import matrices as cm
-from bandedgf.banded import BandedSpec, BlockWeights, block_reduce, from_block_weights
+from bandedgf.banded import (
+    BandedSpec,
+    BlockWeights,
+    block_reduce,
+    checked_block_size,
+    from_block_weights,
+)
 from bandedgf.engine import fixed_point_route
 from bandedgf.errors import ShapeError
 from bandedgf.fields import PrimeField, QQ
@@ -130,6 +138,15 @@ def test_descent_identities_degenerate_down_weight():
     assert rung(w, 1, 10).is_zero()
 
 
+def test_section5_names_no_block_weights():
+    # The pipelines read the spec's first columns; s only names residues.
+    tree = ast.parse(inspect.getsource(section5))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not names & {"BlockWeights", "block_reduce"}
+
+
 def test_eventually_poly_accessor():
     # Residues mod 2: first class has explicit exceptions then a line in k.
     seq = EventuallyPolySeq(QQ, 2, [((7, 9), (1, 2)), ((), (0, 0, 1))])
@@ -196,14 +213,14 @@ def test_cleared_rule_tables_keep_the_coefficients_lcm():
 def test_weighted_series_constant_weights_match_ladder_base():
     spec = fixtures.ex512_spec()
     a = EventuallyPolySeq.constant(QQ, 1, 1)
-    out = weighted_series(spec, block_reduce(spec), a, 10)
+    out = weighted_series(spec, 1, a, 10)
     assert out.coeffs == tuple(2**n for n in range(11))
 
 
 def test_weighted_series_unit_weight_picks_corner_series():
     spec = fixtures.ex512_spec()
     a = EventuallyPolySeq(QQ, 1, [((1,), (0,))])
-    out = weighted_series(spec, block_reduce(spec), a, 10)
+    out = weighted_series(spec, 1, a, 10)
     gv = fixed_point_route(block_reduce(spec, 1), 10).gv
     assert out == gv
 
@@ -211,7 +228,7 @@ def test_weighted_series_unit_weight_picks_corner_series():
 def test_weighted_series_linear_weight_matches_next_rung():
     spec = fixtures.ex512_spec()
     a = EventuallyPolySeq(QQ, 1, [((), (0, 1))])  # a_{1+k} = k
-    out = weighted_series(spec, block_reduce(spec), a, 10)
+    out = weighted_series(spec, 1, a, 10)
     g1 = rung(block_reduce(spec, 1), 1, 10)
     assert out == g1.entry(0, 0)
 
@@ -219,12 +236,12 @@ def test_weighted_series_linear_weight_matches_next_rung():
 def test_weighted_series_is_linear_in_the_weights(weight_factory):
     rng = random.Random(313)
     spec = from_block_weights(weight_factory(2, seed=103))
-    w = block_reduce(spec)
+    s = checked_block_size(spec, None)
 
     def rand_rules(lengths):
         return EventuallyPolySeq(
             F101,
-            w.s,
+            s,
             [
                 (
                     tuple(rng.randrange(101) for _ in range(n)),
@@ -237,11 +254,11 @@ def test_weighted_series_is_linear_in_the_weights(weight_factory):
     for _ in range(3):
         # Pointwise addition of the rules is the sum sequence only when both
         # rules switch to their polynomials at the same index.
-        lengths = [rng.randrange(3) for _ in range(w.s)]
+        lengths = [rng.randrange(3) for _ in range(s)]
         a_rule, b_rule = rand_rules(lengths), rand_rules(lengths)
         combo = EventuallyPolySeq(
             F101,
-            w.s,
+            s,
             [
                 (
                     tuple(
@@ -256,12 +273,12 @@ def test_weighted_series_is_linear_in_the_weights(weight_factory):
                         )
                     ),
                 )
-                for i in range(w.s)
+                for i in range(s)
             ],
         )
-        sa = weighted_series(spec, w, a_rule, 8)
-        sb = weighted_series(spec, w, b_rule, 8)
-        sc = weighted_series(spec, w, combo, 8)
+        sa = weighted_series(spec, s, a_rule, 8)
+        sb = weighted_series(spec, s, b_rule, 8)
+        sc = weighted_series(spec, s, combo, 8)
         assert not sa.is_zero()
         assert sc == sa + sb
 
@@ -272,7 +289,7 @@ def test_weighted_series_against_corner_powers():
     spec = fixtures.ex512_spec()
     a = EventuallyPolySeq(QQ, 1, [((3,), (5, 1))])
     order = 9
-    out = weighted_series(spec, block_reduce(spec), a, order)
+    out = weighted_series(spec, 1, a, order)
     table = u_table(block_reduce(spec, 1), order)
     for n in range(order + 1):
         expected = sum(
@@ -283,7 +300,7 @@ def test_weighted_series_against_corner_powers():
 
 def test_affine_pipeline_reference_values():
     spec = fixtures.ex512_spec()
-    out = affine_pipeline(spec, corner_loop_weights(), fixtures.ex512_recursion(), 6)
+    out = affine_pipeline(spec, 1, fixtures.ex512_recursion(), 6)
     assert out.coeffs[:3] == (0, 6, 116)
 
 
@@ -293,7 +310,7 @@ def test_affine_pipeline_zero_forcing():
         QQ, 2, [[16, 4], [0, 4]], [1, 0],
         [EventuallyPolySeq.constant(QQ, 1, 0), EventuallyPolySeq.constant(QQ, 1, 0)],
     )
-    assert affine_pipeline(spec, block_reduce(spec), rec, 8).is_zero()
+    assert affine_pipeline(spec, 1, rec, 8).is_zero()
 
 
 def test_affine_pipeline_one_step_memory_reduces_to_weighted_sum():
@@ -303,9 +320,8 @@ def test_affine_pipeline_one_step_memory_reduces_to_weighted_sum():
     rec = AffineRecursion(
         QQ, 1, [[0]], [1], [EventuallyPolySeq.constant(QQ, 1, 1)]
     )
-    w = block_reduce(spec)
-    out = affine_pipeline(spec, w, rec, 8)
-    base = weighted_series(spec, w, EventuallyPolySeq.constant(QQ, 1, 1), 7)
+    out = affine_pipeline(spec, 1, rec, 8)
+    base = weighted_series(spec, 1, EventuallyPolySeq.constant(QQ, 1, 1), 7)
     assert out.coeffs == (0,) + base.coeffs
 
 
@@ -313,11 +329,10 @@ def test_pipelines_refuse_a_negative_order():
     # ValueError, as the first-column layer raises it, and not a precision error
     # from reading the affine readout one order later.
     spec = fixtures.ex512_spec()
-    w = block_reduce(spec)
     with pytest.raises(ValueError):
-        weighted_series(spec, w, EventuallyPolySeq.constant(QQ, 1, 1), -1)
+        weighted_series(spec, 1, EventuallyPolySeq.constant(QQ, 1, 1), -1)
     with pytest.raises(ValueError):
-        affine_pipeline(spec, w, fixtures.ex512_recursion(), -1)
+        affine_pipeline(spec, 1, fixtures.ex512_recursion(), -1)
 
 
 def test_affine_pipeline_shape_checks():
@@ -331,13 +346,13 @@ def test_affine_pipeline_shape_checks():
         QQ, 1, [[1]], [1], [EventuallyPolySeq.constant(QQ, 2, 1)]
     )
     with pytest.raises(ShapeError):
-        affine_pipeline(spec, block_reduce(spec), rec, 4)
+        affine_pipeline(spec, 1, rec, 4)
 
 
 def test_master_square_root_identity():
     spec = fixtures.ex512_spec()
     order = 20
-    s_series = affine_pipeline(spec, corner_loop_weights(), fixtures.ex512_recursion(), order)
+    s_series = affine_pipeline(spec, 1, fixtures.ex512_recursion(), order)
 
     def poly(cs):
         return Series.from_ints(QQ, cs, order=order)
@@ -353,7 +368,7 @@ def test_intermediate_square_root_identity():
     spec = fixtures.ex512_spec()
     w = block_reduce(spec, 1)
     order = 18
-    s_series = affine_pipeline(spec, corner_loop_weights(), fixtures.ex512_recursion(), order)
+    s_series = affine_pipeline(spec, 1, fixtures.ex512_recursion(), order)
     g0 = rung(w, 0, order).entry(0, 0)
     g1 = rung(w, 1, order).entry(0, 0)
     gwstar = fixed_point_route(w, order).gwstar.entry(0, 0)
@@ -385,7 +400,7 @@ def test_recursion_json_round_trip():
         ],
     }
     rec = recursion_from_json_doc(doc, QQ, 1)
-    out = affine_pipeline(fixtures.ex512_spec(), corner_loop_weights(), rec, 4)
+    out = affine_pipeline(fixtures.ex512_spec(), 1, rec, 4)
     assert out.coeffs[:3] == (0, 6, 116)
 
 
@@ -497,10 +512,9 @@ def test_first_column_pipeline_matches_walk_table_reference(
         spec = from_block_weights(weight_factory(rng.randint(1, 3), seed, field))
     else:
         spec = _random_spec(rng, field)
-    w = block_reduce(spec)
-    s = w.s
+    s = checked_block_size(spec, None)
     a = _random_rules(rng, field, s, integral)
-    assert weighted_series(spec, w, a, order) == _reference_weighted_series(spec, a, order)
+    assert weighted_series(spec, s, a, order) == _reference_weighted_series(spec, a, order)
     d = rng.randint(1, 3)
     rec = AffineRecursion(
         field,
@@ -509,4 +523,4 @@ def test_first_column_pipeline_matches_walk_table_reference(
         [_random_scalar(rng, field) for _ in range(d)],
         [_random_rules(rng, field, s, integral) for _ in range(d)],
     )
-    assert affine_pipeline(spec, w, rec, order) == _reference_affine_pipeline(spec, rec, order)
+    assert affine_pipeline(spec, s, rec, order) == _reference_affine_pipeline(spec, rec, order)
