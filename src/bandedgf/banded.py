@@ -21,15 +21,16 @@ which is valid for a block size s exactly when
   (2) v_{i+s,j+s} = v_{i,j} whenever i + j >= s + 2.
 
 Both conditions quantify over all i, j, but checking a finite window
-suffices: v_{i,j} can be nonzero only at j in :meth:`BandedSpec.support`
+suffices: v_{i,j} can be nonzero only at the columns of :meth:`BandedSpec.row`
 (i + r over band offsets r, and row i's overrides), and band values repeat
 with period p in i.  So every violation of (1) shows up at j <= s + bandwidth
 or j <= m, and every violation of (2) is witnessed with both indices at most
 ``4s + bandwidth + period + m``: beyond the exceptional square both sides of
 (2) are band values, and those repeat after p rows, so p consecutive rows per
 band inside the window already decide equality for all larger indices.
-That support has three readers: the check, the cut in :func:`block_reduce`
-and ``engine.corner_first_columns``.
+Rows have three readers: the check, the cut in :func:`block_reduce` and
+``engine.corner_first_columns``.  :meth:`BandedSpec.entry` stays the
+independent pointwise reader.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 from itertools import chain
 
 from . import matrices as cm
-from .errors import InvalidBlockSizeError, SpecFormatError
+from .errors import InvalidBlockSizeError, ResourceLimitError, SpecFormatError
 from .fields import (
     Field,
     cleared,
@@ -47,6 +48,18 @@ from .fields import (
     is_json_int,
     scalar_to_json,
 )
+
+
+# Most cells the block-size check may build: the w + s rows of its window
+# (w = 4s + bandwidth + period + m) times one more than the number of bands.
+# At the ceiling, one band at offset 16,666 (100,000 rows) takes about 0.25 s
+# and 40 MB on a shared 2-core x86-64 host.  The tests and CLI goldens check
+# at most 13,000 cells; one band at offset 10^6 would need 1.2·10^7.
+CHECK_CEILING = 200_000
+# Largest block size block_reduce cuts: its blocks hold 4s^2 scalars, about
+# 10^6 here, and the block routes pay O(s^3) per coefficient.  The tests cut
+# at s <= 300.
+CUT_CEILING = 512
 
 
 class BandedSpec:
@@ -66,14 +79,15 @@ class BandedSpec:
                 )
             band_map[int(offset)] = values
         self.bands = band_map
-        exc = {}
+        exc, by_row = {}, {}  # by_row: i -> {j: v} over row i's overrides
         if isinstance(exceptional, dict):
             exceptional = [(i, j, v) for (i, j), v in exceptional.items()]
         for i, j, value in exceptional:
             if i < 1 or j < 1:
                 raise SpecFormatError(f"exceptional index ({i},{j}) out of range")
-            exc[(i, j)] = field.reduce(value)
+            exc[(i, j)] = by_row.setdefault(i, {})[j] = field.reduce(value)
         self.exceptional = exc
+        self._row_overrides = by_row
         if block_size is not None and block_size < 1:
             raise SpecFormatError(f"block_size must be positive, got {block_size}")
         self.block_size = block_size
@@ -102,11 +116,17 @@ class BandedSpec:
             return self.field.zero
         return band[(i - 1) % self.period]
 
-    def support(self, i: int) -> set:
-        """Columns j >= 1 where v_{i,j} may be nonzero: i + r, r a band offset,
-        and the columns of row i's overrides."""
-        return {i + r for r in self.bands if i + r >= 1}.union(
-            j for (k, j) in self.exceptional if k == i)
+    def row(self, i: int) -> dict:
+        """Row i's nonzero entries as ``{j: v_{i,j}}``: the band values at
+        j = i + r >= 1, then row i's overrides, which win (a zero one deletes
+        the entry).  Costs O(bands + row i's overrides)."""
+        q = (i - 1) % self.period
+        found = {i + r: vals[q] for r, vals in self.bands.items() if i + r >= 1 and vals[q]}
+        overrides = self._row_overrides.get(i)
+        if overrides:
+            found.update(overrides)
+            found = {j: v for j, v in found.items() if v}
+        return found
 
     def __repr__(self):
         return (
@@ -217,40 +237,41 @@ def _window(spec: BandedSpec, s: int) -> int:
 def verify_block_size(spec: BandedSpec, s: int) -> None:
     """Raise InvalidBlockSizeError unless s satisfies the two corner conditions.
 
-    Scans i, then j, ascending, with (i, j) before (j, i) in (1), but reads
-    only positions where a compared entry lies on a support, so
-    O(window · (bands + overrides)) entries, not O(window^2).
+    Scans i, then j, ascending, with (i, j) before (j, i) in (1), but builds
+    each row of the window once, with :meth:`~BandedSpec.row`, and compares
+    only the positions where one side is nonzero: O(window · bands +
+    overrides), not O(window^2).
     """
     if s < 1:
         raise InvalidBlockSizeError(f"block size must be positive, got {s}")
-    zero = spec.field.zero
+    w = _window(spec, s)
+    rows = [{}, *map(spec.row, range(1, w + s + 1))]
     reach = max(2 * s + 1, s + spec.bandwidth, spec.exceptional_bound)
     far = range(2 * s + 1, reach + 1)
-    below = {}  # column i -> the rows j in far where v_{j,i} can be nonzero
+    below = {}  # column i -> the rows j in far where v_{j,i} is nonzero
     for j in far:
-        for i in spec.support(j):
+        for i in rows[j]:
             below.setdefault(i, set()).add(j)
     for i in range(1, s + 1):
-        for j in sorted({j for j in spec.support(i) if j in far}.union(below.get(i, ()))):
-            if spec.entry(i, j) != zero:
+        for j in sorted({j for j in rows[i] if j in far}.union(below.get(i, ()))):
+            if j in rows[i]:
                 raise InvalidBlockSizeError(
                     f"corner condition fails: v_{{{i},{j}}} is nonzero with "
                     f"i <= {s} < 2*{s} < j",
                     position=(i, j),
                 )
-            if spec.entry(j, i) != zero:
+            if i in rows[j]:
                 raise InvalidBlockSizeError(
                     f"corner condition fails: v_{{{j},{i}}} is nonzero with "
                     f"j <= {s} < 2*{s} < i",
                     position=(j, i),
                 )
-    w = _window(spec, s)
-    rows = [set(), *map(spec.support, range(1, w + s + 1))]
+    zero = spec.field.zero
     for i in range(1, w + 1):
         lo = max(1, s + 2 - i)
-        cols = rows[i] | {c - s for c in rows[i + s]}
-        for j in sorted(j for j in cols if lo <= j <= w):
-            if spec.entry(i + s, j + s) != spec.entry(i, j):
+        upper, lower = rows[i], rows[i + s]
+        for j in sorted(j for j in upper.keys() | {c - s for c in lower} if lo <= j <= w):
+            if lower.get(j + s, zero) != upper.get(j, zero):
                 raise InvalidBlockSizeError(
                     f"shift condition fails at ({i},{j}): "
                     f"v_{{{i + s},{j + s}}} != v_{{{i},{j}}}",
@@ -280,22 +301,40 @@ def choose_block_size(spec: BandedSpec) -> int:
 
 def checked_block_size(spec: BandedSpec, s: int | None) -> int:
     """s, or else the spec's declared block size, or else the chosen one,
-    once :func:`verify_block_size` has passed it."""
+    once :func:`verify_block_size` has passed it.
+
+    Raises ResourceLimitError, before any row is built, when the check's
+    rows times one more than the number of bands exceed CHECK_CEILING.
+    """
     if s is None:
         s = spec.block_size if spec.block_size is not None else choose_block_size(spec)
+    rows = _window(spec, s) + s
+    cells = rows * (len(spec.bands) + 1)
+    if cells > CHECK_CEILING:
+        raise ResourceLimitError(
+            f"checking block size {s} builds {rows} rows ({cells} cells), "
+            f"past the ceiling of {CHECK_CEILING} cells"
+        )
     verify_block_size(spec, s)  # for a chosen s, the runtime check of its rule
     return s
 
 
 def block_reduce(spec: BandedSpec, s: int | None = None) -> BlockWeights:
     """Cut the verified 2s-by-2s corner into the D, C / A, B block weights,
-    reading only the entries on each row's :meth:`~BandedSpec.support`."""
+    filled from rows 1..2s of :meth:`~BandedSpec.row`.
+
+    Raises ResourceLimitError, once the check has passed, past s = CUT_CEILING.
+    """
     s = checked_block_size(spec, s)
+    if s > CUT_CEILING:
+        raise ResourceLimitError(
+            f"block size {s} is past the ceiling {CUT_CEILING} for cutting blocks"
+        )
     corner = [[spec.field.zero] * (2 * s) for _ in range(2 * s)]
     for i, row in enumerate(corner, 1):
-        for j in spec.support(i):
+        for j, v in spec.row(i).items():
             if j <= 2 * s:
-                row[j - 1] = spec.entry(i, j)
+                row[j - 1] = v
     # Rows 1..s are D | C, rows s+1..2s are A | B.
     (d, c), (a, b) = ([[row[k:k + s] for row in half] for k in (0, s)]
                       for half in (corner[:s], corner[s:]))

@@ -82,8 +82,9 @@ def corner_first_columns(spec: BandedSpec, order: int):
     read the rows past a column's length as zero.  A negative ``order``
     raises at the call.
 
-    Rows 1..m are summed one by one, over their entries in the rows
-    1..f_(t-1) of V^(t-1) e_1.  Below them row i is
+    Rows 1..m are summed one by one, over their nonzero entries
+    (:meth:`~bandedgf.banded.BandedSpec.row`) in the rows 1..f_(t-1) of
+    V^(t-1) e_1.  Below them row i is
     sum_r values_r[(i-1) mod p] x_{i+r}, so each band r and residue q adds v
     times a stride-p slice of V^(t-1) e_1 (the slice itself when v = 1),
     which by the frontier stops where its source passes f_(t-1): at most
@@ -95,10 +96,7 @@ def corner_first_columns(spec: BandedSpec, order: int):
     m, p = spec.exceptional_bound, spec.period
     down = max([0, *(-r for r, vals in spec.bands.items() if any(vals))])
     reach = max(m, 1)
-    rows = []
-    for i in range(1, m + 1):
-        row = [(j - 1, spec.entry(i, j)) for j in sorted(spec.support(i))]
-        rows.append([(j, v) for j, v in row if v])
+    rows = [[(j - 1, v) for j, v in sorted(spec.row(i).items())] for i in range(1, m + 1)]
     # (r, a, v): band r adds v x[a + r], v x[a + r + p], ... to the 0-based rows
     # a, a + p, ..., those past the square with value v whose column exists.
     slices = []

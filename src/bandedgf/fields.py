@@ -74,9 +74,6 @@ class Field:
     zero = 0
     one = 1
 
-    def neg(self, x):
-        return self.reduce(-x)
-
     def inv(self, x):
         raise NotImplementedError
 

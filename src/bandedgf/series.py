@@ -161,19 +161,13 @@ class Series:
 
     # -- shifts ----------------------------------------------------------------
 
-    def mul_z_pow(self, k: int) -> "Series":
-        """Multiply by z^k; the result is known to order ``order + k``."""
-        if k < 0:
-            raise ValueError("use div_z_pow for negative shifts")
-        return Series(self.field, (self.field.zero,) * k + self.coeffs)
-
     def div_z_pow(self, k: int) -> "Series":
         """Divide by z^k; the low k coefficients must vanish exactly.
 
         The result is only known to order ``order - k``.
         """
         if k < 0:
-            raise ValueError("use mul_z_pow for negative shifts")
+            raise ValueError(f"shift must be nonnegative, got {k}")
         if k == 0:
             return self
         if k > self.order:

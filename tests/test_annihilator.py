@@ -180,7 +180,7 @@ def reference_nullspace(field, rows, ncols):
     x = [field.zero] * ncols
     x[fc] = field.one
     for idx, pc in enumerate(piv_cols):
-        x[pc] = field.neg(m[idx][fc])
+        x[pc] = field.reduce(-m[idx][fc])
     return fc, x
 
 

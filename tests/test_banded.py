@@ -2,22 +2,24 @@ import ast
 import inspect
 import json
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bandedgf import banded, fixtures
+from bandedgf import banded, engine, fixtures
 from bandedgf.banded import (
     BandedSpec,
     BlockWeights,
     block_reduce,
+    checked_block_size,
     choose_block_size,
     from_block_weights,
     verify_block_size,
 )
-from bandedgf.errors import InvalidBlockSizeError, SpecFormatError
+from bandedgf.errors import InvalidBlockSizeError, ResourceLimitError, SpecFormatError
 from bandedgf.fields import PrimeField, QQ
 
 from helpers import (
@@ -129,26 +131,91 @@ def test_choose_block_size_is_the_least_verified_multiple_of_the_period(spec):
 
 
 class _CountingSpec(BandedSpec):
-    """A spec that counts the entries read from it."""
+    """A spec that counts the entries and the rows read from it."""
 
     reads = 0
+    rows = 0
 
     def entry(self, i, j):
         self.reads += 1
         return super().entry(i, j)
 
+    def row(self, i):
+        self.rows += 1
+        return super().row(i)
 
-def test_verify_block_size_reads_only_near_the_supports():
-    # ex4.1 at s = 300: a window of 1205 rows, 4 bands and no overrides.  The
-    # scan over the whole window read 2,814,350 entries here.
+
+def _counting_ex41():
     base = fixtures.ex41_spec()
-    spec = _CountingSpec(base.field, base.period, base.bands, base.exceptional)
+    return _CountingSpec(base.field, base.period, base.bands, base.exceptional)
+
+
+def test_verify_block_size_builds_each_window_row_once():
+    # ex4.1 at s = 300: the window has 1205 rows, and (2) compares row i with
+    # row i + s, so the check builds rows 1..1505, each once, and reads no
+    # entry.  The scan over the whole window read 2,814,350 entries here.
+    spec = _counting_ex41()
     s = 300
     verify_block_size(spec, s)
-    window = 4 * s + spec.bandwidth + spec.period + spec.exceptional_bound
-    bound = 2 * window * (len(spec.bands) + len(spec.exceptional))
-    assert bound == 9640
-    assert 0 < spec.reads <= bound
+    assert banded._window(spec, s) == 1205
+    assert (spec.rows, spec.reads) == (1205 + s, 0)
+
+
+class _CountingIndex(dict):
+    """A per-row override index that counts the overrides it hands out."""
+
+    reads = 0
+
+    def get(self, i, default=None):
+        hit = super().get(i, default)
+        self.reads += len(hit or ())
+        return hit
+
+
+def test_the_check_reads_each_override_once_per_row_built():
+    # k diagonal overrides v_{i,i} = 2 on a tridiagonal spec: the chosen
+    # s = 2k - 1 builds w + s rows, each override comes from the per-row index
+    # once, with its row, and no row scans the other k - 1.
+    for k in (50, 400):
+        ones = {-1: [1], 0: [1], 1: [1]}
+        spec = _CountingSpec(QQ, 1, ones, [(i, i, 2) for i in range(1, k + 1)])
+        spec._row_overrides = index = _CountingIndex(spec._row_overrides)
+        s = choose_block_size(spec)
+        verify_block_size(spec, s)
+        assert s == 2 * k - 1
+        assert (spec.rows, index.reads, spec.reads) == (banded._window(spec, s) + s, k, 0)
+
+
+def _names(fn):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_the_row_readers_name_neither_entry_nor_support():
+    # The check, the cut and the direct route read V only through rows;
+    # entry stays the pointwise reader of the reference scans.
+    for reader in (verify_block_size, block_reduce, engine.corner_first_columns):
+        assert not _names(reader) & {"entry", "support"}
+    assert not hasattr(BandedSpec, "support")
+
+
+def test_row_reads_the_per_row_index_not_the_overrides():
+    assert "exceptional" not in _names(BandedSpec.row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_specs(), s=st.integers(1, 9))
+@example(  # a repeated cell, zero overrides, a zero band value, an override off every band
+    spec=BandedSpec(QQ, 2, {0: [2, 2], 1: [1, 0]},
+                    [(1, 1, 3), (1, 1, 0), (3, 4, 0), (2, 3, 4), (2, 5, 7)]),
+    s=2,
+)
+def test_row_is_the_nonzero_entries(spec, s):
+    reach = spec.bandwidth + spec.exceptional_bound
+    for i in range(1, banded._window(spec, s) + 1):
+        nonzero = {j: v for j in range(1, i + reach + 1) if (v := spec.entry(i, j))}
+        assert spec.row(i) == nonzero
 
 
 def _cut(reduce, spec, s):
@@ -206,26 +273,51 @@ def test_choose_block_size_names_no_check_and_no_entry():
         assert stores == []
 
 
-def test_block_reduce_reads_only_the_supports():
-    # ex4.1 at s = 300: the cut reads 2s rows of 4 bands, past the check's
-    # 9,640.  A cut of the whole 2s-by-2s corner would read 368,432 here.
-    base = fixtures.ex41_spec()
-    spec = _CountingSpec(base.field, base.period, base.bands, base.exceptional)
+def test_block_reduce_builds_2s_rows_past_the_check():
+    # ex4.1 at s = 300: the cut fills the corner from rows 1..2s, past the
+    # check's 1505, and reads no entry.  A cut of the whole 2s-by-2s corner
+    # would read 360,000 entries here.
+    spec = _counting_ex41()
     s = 300
     block_reduce(spec, s)
-    bound = 2 * s * (len(spec.bands) + len(spec.exceptional)) + 9640
-    assert bound == 12040
-    assert 0 < spec.reads <= bound
+    assert (spec.rows, spec.reads) == (1505 + 2 * s, 0)
 
 
-def test_support_is_the_bands_and_the_row_overrides():
+def test_row_is_the_bands_then_the_row_overrides():
     spec = BandedSpec(QQ, 2, {-2: [1, 0], 0: [0, 0], 3: [5, 1]}, [(2, 7, 0), (3, 1, 4)])
-    assert spec.support(1) == {1, 4}
-    assert spec.support(2) == {2, 5, 7}
-    assert spec.support(3) == {1, 3, 6}
+    assert spec.row(1) == {4: 5}
+    assert spec.row(2) == {5: 1}        # the zero override off every band adds nothing
+    assert spec.row(3) == {1: 4, 6: 5}  # the override wins over the band value 1
     for i in range(1, 8):
-        for j in set(range(1, 20)) - spec.support(i):
+        for j in set(range(1, 20)) - spec.row(i).keys():
             assert spec.entry(i, j) == 0
+
+
+@pytest.mark.parametrize("spec", [
+    _CountingSpec(QQ, 1, {10**6: [1]}),                 # a 70-byte spec with s = 10^6
+    _CountingSpec(QQ, 1, {-40_000: [1]}),               # 240,001 rows times 2 cells
+    _CountingSpec(QQ, 1, {0: [1]}, [(10**6, 1, 1)]),    # one far override
+    _CountingSpec(QQ, 1, {0: [1]}, block_size=10**6),   # a far declared block size
+], ids=["band", "nearer-band", "override", "declared"])
+def test_a_far_spec_is_refused_before_any_row_is_built(spec):
+    past = f"past the ceiling of {banded.CHECK_CEILING} cells"
+    for check in (lambda: checked_block_size(spec, None), lambda: block_reduce(spec),
+                  lambda: block_reduce(spec, 10**6)):
+        with pytest.raises(ResourceLimitError, match=past):
+            check()
+    assert (spec.rows, spec.reads) == (0, 0)
+
+
+def test_block_reduce_refuses_past_the_cut_ceiling_after_the_check():
+    # ex4.1 at s = 514 passes the check, but its blocks would hold 4s^2
+    # scalars: the cut builds no row of its own.
+    spec = _counting_ex41()
+    s = banded.CUT_CEILING + 2
+    checked_block_size(spec, s)
+    checked = spec.rows
+    with pytest.raises(ResourceLimitError, match=f"past the ceiling {banded.CUT_CEILING}"):
+        block_reduce(spec, s)
+    assert spec.rows == 2 * checked
 
 
 def test_block_reduce_corner_blocks():

@@ -150,10 +150,6 @@ def test_from_ints_pads_or_cuts_to_the_order():
     assert Series.from_ints(PrimeField(7), [-1, 9], order=2).coeffs == (6, 2, 0)
 
 
-def test_shift_up_extends_order():
-    assert S([2, 1], 1).mul_z_pow(2).coeffs == (0, 0, 2, 1)
-
-
 small_fraction = st.fractions(min_value=-40, max_value=40, max_denominator=8)
 
 
