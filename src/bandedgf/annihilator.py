@@ -8,17 +8,21 @@ The system is built once, at the largest bounds, and reduced to a basis of
 its nullspace.  The dz + 1 unknowns of x^0 are solved outright from rows
 0..dz, so only the c = dx(dz+1) columns of g^1..g^dx are eliminated, over
 the n - dz rows dz+1..n: a head of c + HEAD_SLACK rows (fraction-free over
-Q, mod p over F_p), and every later row is checked against the basis by dot
-products, so the cost is O(c^3) elimination plus O(n·c·d) checks for a
-d-dimensional nullspace, plus O(dx·dz·n) for the x^0 entries; a row that
-fails the check grows the head.  Three reads of that small basis find the
-least x-degree, the least z-degree, and the solution itself.
+Q, with pivot rows normalised to 1 mod p over F_p), and every later row is
+checked against the basis by dot products, so the cost is O(c^3)
+elimination plus O(n·c·d) checks for a d-dimensional nullspace, plus
+O(dx·dz·n) for the x^0 entries; a row that fails the check grows the head.
+Three reads of that small basis find the least x-degree, the least
+z-degree, and the solution itself.  Over Q every step runs on integers: the
+back-substitution divides exactly, and the reads eliminate fraction-free, so
+a dependency is found up to scale, which the canonical form then fixes.
 The returned polynomial is made canonical (degree-minimal within the given
 bounds, integer content 1 over the rationals, deterministic sign/scaling) so
 reruns and golden-file comparisons are stable.  Verification re-evaluates
 the residual sum_i c_i(z) g^i, over the powers of g, against a series
-recomputed to a higher order, which is the actual certificate; closed forms
-built from one square root are checked by exact expansion.
+recomputed to a higher order, which is the actual certificate;
+:func:`certify` does both from one table of powers.  Closed forms built from
+one square root are checked by exact expansion.
 """
 
 from __future__ import annotations
@@ -239,13 +243,57 @@ def reconstruct(
     g^i[n - j] needs no test for n >= j.  Row n <= dz of the full system
     reads x_(0,n) + [z^n] sum_{i>=1} c_i(z) g^i = 0, with c_i(z) = sum_j
     x_(i,j) z^j, which gives each basis vector's g^0 entries.
+
+    A thin wrapper: the work is :func:`_solve` over ``powers(g, dx)``.
     """
+    _require_bounds(g.order, dx, dz, guard)
+    grid = _solve(powers(g, dx), dz)
+    return None if grid is None else AnnihilatorPoly(g.field, grid)
+
+
+def certify(h: Series, order: int, dx: int, dz: int, guard: int, scale: int):
+    """``(poly, result)`` from one table of powers of h, or ``(None, None)``.
+
+    With g(z) = h(z / scale), ``poly`` is ``reconstruct(g.truncate(order),
+    dx, dz, guard)`` and ``result`` is ``verify(poly, g)``, but both are read
+    on h: ``powers(h, dx)`` is computed once, the system reads its
+    truncations at ``order``, and the residual is sum_i q_i(z) h^i over the
+    whole table, through h's order.  An integral h, the corner series of the
+    cleared spec L·V with ``scale`` = L, keeps all of it on integers.
+
+    The z^n coefficient of z^j h^i is L^(n-j) times that of z^j g^i, so the
+    rows and columns of the system are rescaled by nonzero constants: the
+    same columns depend on the ones before them, and the dependency q on h
+    maps to p_ij = q_ij / L^j on g.  The residuals are related by
+    R_g(z) = R_h(z / L), so their first nonzero order and the order checked
+    are the same.
+    """
+    _require_bounds(order, dx, dz, guard)
+    field = h.field
+    pw = powers(h, dx)
+    grid = _solve([p.truncate(order) for p in pw], dz)
+    if grid is None:
+        return None, None
+    result = VerifyResult(_combination(grid, pw, h.order))
+    if scale != 1:
+        grid = [[field.div(c, scale**j) for j, c in enumerate(row)] for row in grid]
+    return AnnihilatorPoly(field, grid), result
+
+
+def _require_bounds(order: int, dx: int, dz: int, guard: int) -> None:
     if dx < 1 or dz < 0:
         raise ValueError("need dx >= 1 and dz >= 0")
-    require_order(g.order, dx, dz, guard)
-    field = g.field
+    require_order(order, dx, dz, guard)
+
+
+def _solve(pw, dz: int):
+    """The coefficient grid, up to scale, of the polynomial :func:`reconstruct`
+    describes, for the series g = pw[1] with powers ``pw`` = g^0..g^dx at
+    g's order, or None."""
+    field = pw[0].field
+    dx = len(pw) - 1
     width = dz + 1
-    basis = _basis(powers(g, dx), dz)
+    basis = _basis(pw, dz)
 
     def by_x(bx, bz):
         return [i * width + j for i in range(bx + 1) for j in range(bz + 1)]
@@ -258,26 +306,30 @@ def reconstruct(
     found_dz = by_z[_first_dependent(field, basis, by_z)[0]] % width
     _, sol = _first_dependent(field, basis, by_x(found_dx, found_dz))
     w = found_dz + 1
-    grid = [sol[i * w:(i + 1) * w] for i in range(found_dx + 1)]
-    return AnnihilatorPoly(field, grid)
+    return [sol[i * w:(i + 1) * w] for i in range(found_dx + 1)]
 
 
 def _basis(pw, dz: int):
     """Nullspace basis of the system of rows n = 0..order, where column
     i(dz+1) + j holds the z^n coefficient of z^j g^i, g^i = pw[i], for an
-    order of at least dz: per free column f, the vector that is 1 at f, 0 at
-    the other free columns, and at the pivots by back-substitution.
+    order of at least dz: per free column f, the vector that is nonzero at
+    f, 0 at the other free columns, and at the pivots by back-substitution,
+    scaled to 1 at f over F_p and over Q to the primitive integer vector
+    (content 1) positive at f.
 
     :func:`_nullspace` reduces only :func:`_system`, the columns of
     g^1..g^dx; the g^0 entries in front are -[z^j] sum_{i>=1} c_i(z) g^i, as
-    :func:`reconstruct` shows.
+    :func:`reconstruct` shows.  They are integers when g is; otherwise the
+    vector is cleared by their denominator, which keeps it primitive.
     """
     width = dz + 1
     field = pw[0].field
     out = []
     for v in _nullspace(field, _system(pw[1:], dz), (len(pw) - 1) * width):
         grid = [v[k:k + width] for k in range(0, len(v), width)]
-        out.append(list((-_combination(grid, pw[1:], dz)).coeffs) + v)
+        x = list((-_combination(grid, pw[1:], dz)).coeffs) + v
+        den = denominator(x)
+        out.append(x if den == 1 else [cleared(c, den) for c in x])
     return out
 
 
@@ -302,17 +354,18 @@ def _system(pw, dz: int):
 
 
 def _nullspace(field: Field, rows, ncols: int):
-    """Nullspace basis of ``rows``: per free column f, the vector that is 1 at
-    f, 0 at the other free columns, and at the pivots by back-substitution.
+    """Nullspace basis of the integral ``rows``: per free column f, the vector
+    that is nonzero at f, 0 at the other free columns, and at the pivots by
+    back-substitution, scaled as :func:`_basis` says.
 
     Only a head of the rows is eliminated, first ``ncols + HEAD_SLACK`` of
-    them; each later row is then checked against each basis vector by one dot
-    product (over Q with the vector cleared to integers, over F_p mod p).
-    ker R lies in ker R_head, so a tail that passes means the two kernels are
-    equal, and the basis, one vector per free column as above, is a function
-    of the kernel alone: it is the one a full elimination gives.  At the first
-    row that some vector does not annihilate, the head grows through that row,
-    at least doubling, and is eliminated again.
+    them; each later row is then checked against each basis vector by one
+    integer dot product (reduced mod p over F_p).  ker R lies in ker R_head,
+    so a tail that passes means the two kernels are equal, and the basis, one
+    vector per free column as above, is a function of the kernel alone: it is
+    the one a full elimination gives.  At the first row that some vector does
+    not annihilate, the head grows through that row, at least doubling, and
+    is eliminated again.
     """
     head = ncols + HEAD_SLACK
     while True:
@@ -326,24 +379,28 @@ def _nullspace(field: Field, rows, ncols: int):
 def _first_live_row(field: Field, rows, start: int, basis):
     """Index of the first of ``rows[start:]`` that some vector of ``basis``
     does not annihilate, or None."""
-    vecs = []
-    for v in basis:
-        den = denominator(v)
-        vecs.append([cleared(a, den) for a in v])
     red = field.reduce
     for n in range(start, len(rows)):
         row = rows[n]
-        if any(red(sum(map(mul, row, v))) for v in vecs):
+        if any(red(sum(map(mul, row, v))) for v in basis):
             return n
     return None
 
 
 def _head_nullspace(field: Field, rows, ncols: int):
     """The basis :func:`_nullspace` describes, by one elimination of all of
-    ``rows`` in natural column order: integer rows over Q (Bareiss: every row
-    below the pivot is rescaled, zero multiplier or not, which keeps the
-    divisions by the previous pivot exact) or rows reduced mod p over F_p (a
-    zero multiplier would only rescale the row, so it is skipped).
+    ``rows`` in natural column order, on integers throughout.
+
+    Over Q the rows are eliminated by Bareiss: every row below the pivot is
+    rescaled, zero multiplier or not, which keeps the divisions by the
+    previous pivot exact.  A vector's back-substitution then starts at its
+    free column f with d, the last pivot before f (1 if there is none): d is
+    the determinant of the pivot rows at the pivot columns, so by Cramer's
+    rule d times the vector that is 1 at f is integral, and each step
+    x[pc] = -acc / pivot is an exact integer division.  The vector is then
+    divided by its content.  Over F_p each pivot row is scaled once to make
+    its pivot 1, a zero multiplier is skipped, and a row update is
+    (a - mult·b) mod p; the back-substitution from 1 at f needs no inverse.
     """
     p = field.characteristic
     m = [list(row) for row in rows]
@@ -355,24 +412,32 @@ def _head_nullspace(field: Field, rows, ncols: int):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        top = m[r][c:]
-        pivot = top[0]
-        for row in m[r + 1:]:
-            mult = row[c]
-            if p:
-                if mult:
-                    row[c:] = [(a * pivot - mult * b) % p for a, b in zip(row[c:], top)]
-            else:
+        if p:
+            inv = pow(m[r][c], -1, p)
+            m[r][c:] = top = [b * inv % p for b in m[r][c:]]
+            for row in m[r + 1:]:
+                if mult := row[c]:
+                    row[c:] = [(a - mult * b) % p for a, b in zip(row[c:], top)]
+        else:
+            top = m[r][c:]
+            pivot = top[0]
+            for row in m[r + 1:]:
+                mult = row[c]
                 row[c:] = [(a * pivot - mult * b) // prev for a, b in zip(row[c:], top)]
-        prev = pivot
+            prev = pivot
         pivots.append(c)
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
-        x = [field.zero] * ncols
-        x[f] = field.one
-        for r in reversed(range(bisect(pivots, f))):
-            acc = sum(m[r][j] * x[j] for j in range(pivots[r] + 1, f + 1))
-            x[pivots[r]] = field.div(-acc, m[r][pivots[r]])
+        k = bisect(pivots, f)
+        x = [0] * ncols
+        x[f] = 1 if p or not k else m[k - 1][pivots[k - 1]]
+        for r in reversed(range(k)):
+            pc = pivots[r]
+            acc = sum(map(mul, m[r][pc + 1:f + 1], x[pc + 1:f + 1]))
+            x[pc] = -acc % p if p else -acc // m[r][pc]
+        if not p:
+            content = gcd(*x) if x[f] > 0 else -gcd(*x)
+            x = [a // content for a in x]
         basis.append(x)
     return basis
 
@@ -380,11 +445,15 @@ def _head_nullspace(field: Field, rows, ncols: int):
 def _first_dependent(field: Field, basis, cols):
     """(k, x) for ``cols[k]``, the first of ``cols`` depending on those before it.
 
-    x, indexed like ``cols``, is the dependency: x[k] = 1, later entries 0.  It
-    is the vector spanned by ``basis`` whose last nonzero entry, with the
-    columns off ``cols`` placed after them, comes first; echelonizing the
-    basis by last position, from the end, leaves it last.  None if there is none.
+    x, indexed like ``cols``, is the dependency up to scale: x[k] is nonzero
+    and the later entries are 0.  It is the vector spanned by ``basis`` whose
+    last nonzero entry, with the columns off ``cols`` placed after them,
+    comes first; echelonizing the basis by last position, from the end,
+    leaves it last.  The elimination is fraction-free, v -> top[t]·v - v[t]·top,
+    with each new vector reduced mod p over F_p and divided by its content
+    over Q, whose basis vectors are integral.  None if there is none.
     """
+    p = field.characteristic
     inside = set(cols)
     vecs = [[v[c] for c in cols] + [a for c, a in enumerate(v) if c not in inside]
             for v in basis]
@@ -394,10 +463,16 @@ def _first_dependent(field: Field, basis, cols):
             continue
         top = live[0]
         if len(vecs) == 1:
-            return (t, [field.div(a, top[t]) for a in top[:len(cols)]]) if t < len(cols) else None
+            return (t, top[:len(cols)]) if t < len(cols) else None
+        pt = top[t]
         for v in live[1:]:
-            f = field.div(v[t], top[t])
-            v[:] = [field.reduce(a - f * b) for a, b in zip(v, top)]
+            f = v[t]
+            if p:
+                v[:] = [(a * pt - f * b) % p for a, b in zip(v, top)]
+            else:
+                v[:] = [a * pt - f * b for a, b in zip(v, top)]
+                if (content := gcd(*v)) != 1:
+                    v[:] = [a // content for a in v]
         vecs.remove(top)
     return None
 

@@ -22,7 +22,7 @@ import sys
 from functools import cache
 
 from . import fixtures
-from .annihilator import DEFAULT_GUARD, AnnihilatorPoly, reconstruct, require_order, verify
+from .annihilator import DEFAULT_GUARD, AnnihilatorPoly, certify, require_order
 from .banded import BandedSpec, BlockWeights, block_reduce, checked_block_size, clear_spec
 from .engine import cross_check, direct_route
 from .errors import (
@@ -149,8 +149,8 @@ def cmd_annihilate(args) -> int:
     checked_block_size(spec, args.block_size)
     require_order(args.order, args.degx, args.degz, args.guard)
     den, scaled = clear_spec(spec)
-    deeper = direct_route(scaled, args.order + args.extra).scale_z(spec.field.inv(den))
-    poly = reconstruct(deeper.truncate(args.order), args.degx, args.degz, guard=args.guard)
+    deeper = direct_route(scaled, args.order + args.extra)
+    poly, res = certify(deeper, args.order, args.degx, args.degz, args.guard, den)
     doc = {
         "command": "annihilate",
         "order": args.order,
@@ -161,7 +161,6 @@ def cmd_annihilate(args) -> int:
         ok = False
         doc.update(polynomial=None, status="none-found")
     else:
-        res = verify(poly, deeper)
         ok = bool(res)
         doc.update(
             polynomial=poly.to_json_doc(),

@@ -44,12 +44,20 @@ from operator import add, mul
 
 from . import matrices as cm
 from .banded import BandedSpec, BlockWeights, block_reduce, clear_denominators
-from .errors import RouteMismatchError
+from .errors import ResourceLimitError, RouteMismatchError
 from .fields import Field
 from .laurent import accumulate
 from .matseries import MatrixSeries
 from .series import Series, require_nonnegative
 from .walks import class_sums
+
+
+# Longest column corner_first_columns builds, max(m, 1) + order·d rows; a step
+# costs O(length · #bands · p).  Near the ceiling, one band at offset -1,666
+# taken to order 60 costs about 0.4 s and 22 MB in all on a shared 2-core
+# x86-64 host; offset -16,000 took 2.5 s and 68 MB.  The tests and CLI goldens
+# build at most 601 rows, the benchmark jobs about 430.
+COLUMN_CEILING = 100_000
 
 
 class GenFunBundle:
@@ -80,7 +88,8 @@ def corner_first_columns(spec: BandedSpec, order: int):
     (i <= j + d) or in the exceptional square (i <= m), so if V^(t-1) e_1
     vanishes below row f_(t-1) then V^t e_1 vanishes below row f_t.  Callers
     read the rows past a column's length as zero.  A negative ``order``
-    raises at the call.
+    raises at the call, and so does ResourceLimitError when the last
+    column's length f_order exceeds COLUMN_CEILING.
 
     Rows 1..m are summed one by one, over their nonzero entries
     (:meth:`~bandedgf.banded.BandedSpec.row`) in the rows 1..f_(t-1) of
@@ -88,21 +97,32 @@ def corner_first_columns(spec: BandedSpec, order: int):
     sum_r values_r[(i-1) mod p] x_{i+r}, so each band r and residue q adds v
     times a stride-p slice of V^(t-1) e_1 (the slice itself when v = 1),
     which by the frontier stops where its source passes f_(t-1): at most
-    #bands · p slice operations per step.  Each step reduces its column once,
-    with one :meth:`~bandedgf.fields.Field.reduce_all`.
+    #bands · p slice operations per step.  A band whose value is the same
+    nonzero v on every residue adds one unit-stride slice instead of p.
+    Each step reduces its column once, with one
+    :meth:`~bandedgf.fields.Field.reduce_all`.
     """
     require_nonnegative(order)
     field = spec.field
     m, p = spec.exceptional_bound, spec.period
     down = max([0, *(-r for r, vals in spec.bands.items() if any(vals))])
     reach = max(m, 1)
+    if (length := reach + order * down) > COLUMN_CEILING:
+        raise ResourceLimitError(
+            f"powering the corner to order {order} builds columns of {length} rows, "
+            f"past the ceiling of {COLUMN_CEILING} rows"
+        )
     rows = [[(j - 1, v) for j, v in sorted(spec.row(i).items())] for i in range(1, m + 1)]
-    # (r, a, v): band r adds v x[a + r], v x[a + r + p], ... to the 0-based rows
-    # a, a + p, ..., those past the square with value v whose column exists.
+    # (r, a, step, v): band r adds v x[a + r], v x[a + r + step], ... to the
+    # 0-based rows a, a + step, ..., those past the square with value v whose
+    # column exists; step is 1 for a band constant on every residue, else p.
     slices = []
     for r, vals in spec.bands.items():
         lo = max(m, -r)
-        slices += [(r, lo + (q - lo) % p, v) for q, v in enumerate(vals) if v]
+        if vals[0] and vals.count(vals[0]) == p:
+            slices.append((r, lo, 1, vals[0]))
+        else:
+            slices += [(r, lo + (q - lo) % p, p, v) for q, v in enumerate(vals) if v]
     zero, red_all = field.zero, field.reduce_all
 
     def columns():
@@ -111,10 +131,10 @@ def corner_first_columns(spec: BandedSpec, order: int):
         for t in range(1, order + 1):
             prev, hi = len(x), reach + t * down
             nx = [sum(v * x[j] for j, v in row if j < prev) for row in rows] + [zero] * (hi - m)
-            for r, a, v in slices:
+            for r, a, step, v in slices:
                 b = max(a, prev - r)
-                src = x[a + r : b + r : p]
-                nx[a:b:p] = map(add, nx[a:b:p], src if v == 1 else map(mul, repeat(v), src))
+                src = x[a + r : b + r : step]
+                nx[a:b:step] = map(add, nx[a:b:step], src if v == 1 else map(mul, repeat(v), src))
             x = red_all(nx)
             yield x
 

@@ -67,7 +67,7 @@ class Field:
         raise NotImplementedError
 
     def reduce_all(self, xs):
-        """:meth:`reduce` on every item of the list ``xs``, as a list."""
+        """:meth:`reduce` on every item of the list or tuple ``xs``, as a list."""
         return list(map(self.reduce, xs))
 
     # 0 and 1 are already canonical in both fields (ints, and p >= 2).
@@ -116,7 +116,7 @@ class RationalField(Field):
         raise TypeError(f"not an exact rational: {x!r}")
 
     def reduce_all(self, xs):
-        """A list of ints is canonical as it is and comes back unchanged."""
+        """A list or tuple of ints is canonical as it is and comes back unchanged."""
         if set(map(type, xs)) <= {int}:
             return xs
         return list(map(self.reduce, xs))

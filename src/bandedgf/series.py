@@ -29,7 +29,9 @@ class Series:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs):
-        coeffs = tuple(field.reduce(c) for c in coeffs)
+        """The series with the coefficients in the list or tuple ``coeffs``,
+        reduced by one :meth:`~bandedgf.fields.Field.reduce_all`."""
+        coeffs = tuple(field.reduce_all(coeffs))
         if not coeffs:
             raise ValueError("a series needs at least the z^0 coefficient")
         self.field = field

@@ -7,19 +7,22 @@ block-size check that reads every entry of its window, the reference for
 ``banded.verify_block_size``, and the cut that reads every entry of the
 2s-by-2s corner, the reference for ``banded.block_reduce``, the full
 annihilation system with its g^0 columns and the Horner residual, the
-references for ``annihilator._basis`` and ``AnnihilatorPoly.evaluate``, and
-the series product by one generator per coefficient, the reference for
-``Series.__mul__``.
+references for ``annihilator._basis`` and ``AnnihilatorPoly.evaluate``, the
+head elimination with one field division per back-substitution step (each
+vector 1 at its free column), the reference for
+``annihilator._head_nullspace``, and the series product by one generator per
+coefficient, the reference for ``Series.__mul__``.
 
 None of this is used by the package itself.
 """
 
+from bisect import bisect
 from itertools import permutations
 
 from bandedgf import matrices as cm
 from bandedgf.banded import BandedSpec, BlockWeights
 from bandedgf.errors import InvalidBlockSizeError
-from bandedgf.fields import cleared, denominator, require_same_field
+from bandedgf.fields import Field, cleared, denominator, require_same_field
 from bandedgf.series import Series
 from bandedgf.walks import check_walk
 
@@ -235,6 +238,45 @@ def reference_evaluate(poly, g: Series) -> Series:
     for i in range(poly.dx - 1, -1, -1):
         acc = acc * g + Series.from_ints(poly.field, poly.coeffs[i], order)
     return acc
+
+
+def reference_head_nullspace(field: Field, rows, ncols: int):
+    """The basis :func:`_nullspace` describes, by one elimination of all of
+    ``rows`` in natural column order: integer rows over Q (Bareiss: every row
+    below the pivot is rescaled, zero multiplier or not, which keeps the
+    divisions by the previous pivot exact) or rows reduced mod p over F_p (a
+    zero multiplier would only rescale the row, so it is skipped).
+    """
+    p = field.characteristic
+    m = [list(row) for row in rows]
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        top = m[r][c:]
+        pivot = top[0]
+        for row in m[r + 1:]:
+            mult = row[c]
+            if p:
+                if mult:
+                    row[c:] = [(a * pivot - mult * b) % p for a, b in zip(row[c:], top)]
+            else:
+                row[c:] = [(a * pivot - mult * b) // prev for a, b in zip(row[c:], top)]
+        prev = pivot
+        pivots.append(c)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        x = [field.zero] * ncols
+        x[f] = field.one
+        for r in reversed(range(bisect(pivots, f))):
+            acc = sum(m[r][j] * x[j] for j in range(pivots[r] + 1, f + 1))
+            x[pivots[r]] = field.div(-acc, m[r][pivots[r]])
+        basis.append(x)
+    return basis
 
 
 def reference_mul(a: Series, b: Series) -> Series:

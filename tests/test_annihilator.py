@@ -1,15 +1,18 @@
+import fractions
 import math
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bandedgf import annihilator, fixtures
 from bandedgf.annihilator import (
     AnnihilatorPoly,
     ClosedForm,
+    certify,
     check_closed_form_sqrt,
     reconstruct,
     verify,
@@ -19,13 +22,13 @@ from bandedgf.annihilator import (
     _nullspace,
     powers,
 )
-from bandedgf.banded import BlockWeights, block_reduce
-from bandedgf.engine import fixed_point_route
+from bandedgf.banded import BandedSpec, BlockWeights, block_reduce, clear_spec
+from bandedgf.engine import direct_route, fixed_point_route
 from bandedgf.errors import InsufficientPrecisionError, NonUnitError
-from bandedgf.fields import PrimeField, QQ, cleared, denominator
+from bandedgf.fields import PrimeField, QQ, RationalField, cleared, denominator
 from bandedgf.series import Series
 
-from helpers import reference_evaluate, reference_system
+from helpers import reference_evaluate, reference_head_nullspace, reference_system
 
 
 def motzkin_series(order):
@@ -195,12 +198,18 @@ def integral_rows(field, rows):
     return out
 
 
+def normalised_at(field, v, k):
+    """The vector v scaled to 1 at index k."""
+    return [field.div(a, v[k]) for a in v]
+
+
 def test_nullspace_rational_against_fraction_reference():
     # One elimination, over Q and F_p, against plain Gauss-Jordan: the basis
-    # annihilates every row, has one vector per free column (1 there, 0 at
-    # the other free columns), and a read in a random column order, of all
-    # columns or some, gives the first free column and dependency of a
-    # Gauss-Jordan run on the columns permuted into that order.
+    # annihilates every row, has one vector per free column (scaled to 1
+    # there, 0 at the other free columns), and a read in a random column
+    # order, of all columns or some, gives the first free column and, scaled
+    # to 1 there, the dependency of a Gauss-Jordan run on the columns
+    # permuted into that order.
     rng = random.Random(55)
     for field in (QQ, PrimeField(2), PrimeField(3), PrimeField(101)):
         for trial in range(40):
@@ -219,14 +228,15 @@ def test_nullspace_rational_against_fraction_reference():
             free = [c for c in range(ncols) if c not in reference_pivots(field, rows, ncols)[1]]
             assert len(basis) == len(free)
             for f, v in zip(free, basis):
-                assert [v[c] for c in free] == [int(c == f) for c in free]
+                assert [normalised_at(field, v, f)[c] for c in free] == [int(c == f) for c in free]
                 for row in rows:
                     assert field.reduce(sum(c * x for c, x in zip(row, v))) == 0
             cols = rng.sample(range(ncols), rng.choice((ncols, rng.randrange(1, ncols + 1))))
             permuted = [[row[c] for c in cols] for row in rows]
-            assert _first_dependent(field, basis, cols) == reference_nullspace(
-                field, permuted, len(cols)
-            )
+            got = _first_dependent(field, basis, cols)
+            if got is not None:
+                got = (got[0], normalised_at(field, got[1], got[0]))
+            assert got == reference_nullspace(field, permuted, len(cols))
 
 
 # The per-bound scan that reconstruct replaced, kept as its reference: each
@@ -452,7 +462,8 @@ def cleared_rows(field, rows):
 def low_rank_systems(draw):
     """Rows of rank at most ``rank``, each a random combination of ``rank`` base
     rows; the rows before ``late`` use only half of the base, so a head that
-    ends before it can admit kernel vectors that later rows kill."""
+    ends before it can admit kernel vectors that later rows kill.  Over Q the
+    rows are integral from the start or cleared from fractions."""
     field = draw(st.sampled_from(NULLSPACE_FIELDS))
     ncols = draw(st.integers(1, 9))
     rank = draw(st.integers(0, ncols))
@@ -462,6 +473,9 @@ def low_rank_systems(draw):
     if field.characteristic:
         def scalar():
             return rng.randrange(field.p)
+    elif draw(st.booleans()):
+        def scalar():
+            return rng.randrange(-6, 7)
     else:
         def scalar():
             return Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
@@ -479,6 +493,31 @@ def low_rank_systems(draw):
 def test_nullspace_is_the_full_elimination_basis(case):
     field, rows, ncols = case
     assert _nullspace(field, rows, ncols) == _head_nullspace(field, rows, ncols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=low_rank_systems())
+# Rank 0, and a rank-1 system whose pivot is not 1, over Q and F_101.
+@example(case=(QQ, [[0, 0, 0]] * 3, 3))
+@example(case=(QQ, [[0, 6, 4, 2], [0, 9, 6, 3]], 4))
+@example(case=(PrimeField(101), [[0, 6, 4, 2], [0, 9, 6, 3], [5, 0, 0, 1]], 4))
+def test_head_nullspace_is_the_field_division_reference_up_to_scale(case):
+    # The same vectors as the elimination that divides in the field at every
+    # back-substitution step: each integral vector, scaled to 1 at its free
+    # column (the reference vector's last nonzero entry), is the reference's.
+    # Over Q each vector is primitive and positive there; over F_p it is 1.
+    field, rows, ncols = case
+    basis = _head_nullspace(field, rows, ncols)
+    want = reference_head_nullspace(field, rows, ncols)
+    assert len(basis) == len(want)
+    for v, ref in zip(basis, want):
+        f = max(c for c, a in enumerate(ref) if a)
+        assert all(type(a) is int for a in v)
+        assert normalised_at(field, v, f) == ref
+        if field.characteristic:
+            assert v[f] == 1
+        else:
+            assert v[f] > 0 and math.gcd(*v) == 1
 
 
 def count_head_eliminations(monkeypatch):
@@ -580,6 +619,99 @@ def test_system_reads_one_denominator_for_an_integral_series(monkeypatch):
     rows = annihilator._system(pw[1:], 7)
     assert len(calls) == 1
     assert rows == [row[8:] for row in reference_system(QQ, pw, 7)[8:]]
+
+
+def test_reconstruct_on_an_integral_series_divides_in_no_field(monkeypatch):
+    # ex4.1's corner series is integral, so over Q the elimination, the
+    # back-substitution, the three reads and the canonical form all run on
+    # ints: no field division, and no code of the fractions module runs.
+    g = direct_route(fixtures.ex41_spec(), 80)
+
+    def refused(self, x, y):
+        raise AssertionError("field division on an integral series")
+
+    monkeypatch.setattr(RationalField, "div", refused)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        poly = reconstruct(g, 3, 7)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert poly == fixtures.ex41_annihilator()
+
+
+# -- certify: one table of powers for the reconstruction and the residual --------
+
+
+def test_certify_reads_truncations_of_one_power_table(monkeypatch):
+    # powers runs once, at the series' full order; the system is built on
+    # that table's truncations at N, which are the powers of g cut at N.
+    g = direct_route(fixtures.ex42_spec(), 70)
+    tables, solved = [], []
+    real_powers, real_solve = annihilator.powers, annihilator._solve
+    monkeypatch.setattr(
+        annihilator, "powers", lambda h, dx: tables.append((h.order, dx)) or real_powers(h, dx)
+    )
+    monkeypatch.setattr(
+        annihilator, "_solve", lambda pw, dz: solved.append(pw) or real_solve(pw, dz)
+    )
+    poly, res = certify(g, 50, 3, 5, 20, 1)
+    assert tables == [(70, 3)]
+    assert len(solved) == 1 and solved[0] == real_powers(g.truncate(50), 3)
+    assert poly == fixtures.ex42_annihilator() and res and res.checked_order == 70
+
+
+def test_certify_rejects_a_polynomial_that_holds_only_through_the_order():
+    # 1/(1-z) + z^45 satisfies (1 - z) x - 1 = 0 through z^44: reconstruction
+    # through N = 40 finds it, and the residual, taken through z^60, is
+    # first nonzero at z^45.
+    coeffs = [1] * 61
+    coeffs[45] = 2
+    g = Series(QQ, coeffs)
+    poly, res = certify(g, 40, 1, 1, 20, 1)
+    assert poly == AnnihilatorPoly(QQ, [[-1], [1, -1]]) == reconstruct(g.truncate(40), 1, 1)
+    assert not res
+    assert (res.first_bad_order, res.checked_order) == (45, 60)
+    assert verify(poly, g.truncate(44))
+
+
+def _fractional_specs():
+    value = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    bands = st.dictionaries(st.integers(-2, 2), st.lists(value, min_size=2, max_size=2),
+                            min_size=1, max_size=3)
+    return st.builds(BandedSpec, st.just(QQ), st.just(2), bands)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_fractional_specs(), dx=st.integers(1, 3), dz=st.integers(0, 4),
+       guard=st.sampled_from((0, 2, 20)), extra=st.integers(0, 12))
+def test_certify_on_the_cleared_spec_maps_back_to_the_fractional_series(
+    spec, dx, dz, guard, extra
+):
+    # On h = g(L z), the corner series of L·V, certify finds the polynomial
+    # that reconstruct finds on g through N, and its residual has the same
+    # first nonzero order and order checked as verify's on g.
+    den, scaled = clear_spec(spec)
+    n = (dx + 1) * (dz + 1) + guard
+    h = direct_route(scaled, n + extra)
+    g = direct_route(spec, n + extra)
+    assert h == g.scale_z(den)
+    poly, res = certify(h, n, dx, dz, guard, den)
+    want = reconstruct(g.truncate(n), dx, dz, guard)
+    assert poly == want
+    if want is None:
+        assert res is None
+    else:
+        ref = verify(want, g)
+        assert (res.first_bad_order, res.checked_order) == (
+            ref.first_bad_order, ref.checked_order
+        )
 
 
 @st.composite

@@ -1,6 +1,6 @@
 """Default CLI output, pinned byte for byte.
 
-``data/cli_golden.json`` holds 158 argvs, covering every command
+``data/cli_golden.json`` holds 159 argvs, covering every command
 on the four built-in examples over Q and F_101, ``annihilate`` on them over
 F_(2^61-1) and F_(2^31-1) (the primes of the certify benchmark),
 ``series --order 200`` on each example (and on ex4.2 over F_(2^61-1)) and
@@ -40,7 +40,9 @@ v_{3,4} = 7, s = 6, under ``weighted``, whose missing-residue error lists
 ``--block-size 3`` with a malformed rules document (the block-size error
 comes first), a spec with two exceptional records for one cell (refused), a
 one-band spec at offset 10^6, whose block-size check is refused before it
-builds a row, under ``series``, ``annihilate`` and ``weighted``, and
+builds a row, under ``series``, ``annihilate`` and ``weighted``, a one-band
+spec at offset -16,000, whose check passes and whose direct route is refused
+under ``annihilate`` before its first column, and
 ``verify-example --poly`` with the ex4.1 golden cubic and a one-coefficient
 perturbation of it (passing and failing checks), with the stdout, stderr
 and exit code that ``cli.main`` gave for each.  Documents named in an argv

@@ -16,6 +16,7 @@ from bandedgf.banded import (
     from_block_weights,
 )
 from bandedgf.engine import (
+    COLUMN_CEILING,
     corner_first_columns,
     cross_check,
     direct_route,
@@ -24,7 +25,7 @@ from bandedgf.engine import (
     laurent_route,
     symbol_determinant,
 )
-from bandedgf.errors import RouteMismatchError
+from bandedgf.errors import ResourceLimitError, RouteMismatchError
 from bandedgf.fields import PrimeField, QQ
 from bandedgf.matseries import MatrixSeries
 from bandedgf.series import Series
@@ -706,6 +707,15 @@ def _frontier_specs(draw):
 @given(spec=_frontier_specs(), order=st.integers(0, 25))
 # Row 1 of the exceptional square reads row 3, the last row of V e_1's frontier.
 @example(spec=BandedSpec(QQ, 1, {-2: [1], 2: [1]}, [(1, 1, 1)]), order=3)
+# Bands constant on every residue, one unit-stride slice each, next to bands
+# that vary by residue, a zero band, and squares of sizes 0..4.
+@example(spec=BandedSpec(QQ, 3, {-2: [1, 1, 1], 1: [1, 1, 1], 0: [2, 0, 1]}, [(1, 1, 1)]),
+         order=9)
+@example(spec=BandedSpec(QQ, 2, {-1: [Fraction(2, 3)] * 2, 1: [Fraction(2, 3)] * 2},
+                         [(2, 3, 5)]), order=8)
+@example(spec=BandedSpec(F101, 3, {-3: [7, 7, 7], 2: [100, 100, 100], 0: [0, 0, 0]},
+                         [(4, 1, 3)]), order=10)
+@example(spec=BandedSpec(F_MERSENNE, 2, {-1: [5, 5], 1: [1, 2]}), order=12)
 def test_first_column_frontier_matches_untrimmed_corner_loop(spec, order):
     """Column t holds exactly the rows 1..max(m, 1) + t·d, d the downward
     reach of the bands with a nonzero value; there it equals the untrimmed
@@ -729,6 +739,17 @@ def test_first_column_frontier_matches_untrimmed_corner_loop(spec, order):
 def test_first_columns_refuse_a_negative_order_at_the_call():
     with pytest.raises(ValueError):
         corner_first_columns(fixtures.ex41_spec(), -1)
+
+
+def test_first_columns_refuse_past_the_column_ceiling_at_the_call():
+    # One band at offset -1: the last column has 1 + order rows, which may
+    # reach COLUMN_CEILING and not pass it; no column is built here.
+    spec = BandedSpec(QQ, 1, {-1: [1], 1: [1]})
+    corner_first_columns(spec, COLUMN_CEILING - 1)
+    with pytest.raises(ResourceLimitError, match=f"columns of {COLUMN_CEILING + 1} rows"):
+        corner_first_columns(spec, COLUMN_CEILING)
+    with pytest.raises(ResourceLimitError):
+        direct_route(BandedSpec(QQ, 1, {-16_000: [1]}), 60)
 
 
 def test_fixed_point_route_refuses_a_negative_order():
