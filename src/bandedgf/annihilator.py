@@ -48,29 +48,37 @@ HEAD_SLACK = 8
 class AnnihilatorPoly:
     """Bivariate polynomial with coefficient grid coeffs[i][j] of z^j x^i.
 
-    Construction canonicalizes: trailing zero rows/columns are trimmed, and
-    the grid is scaled so that over the rationals all entries are integers
-    with content 1 and the lexicographically leading entry (largest i, then
-    largest j) is positive, while over a prime field that entry is 1.
-    Identically zero grids are rejected.
+    Construction canonicalizes from the nonzero cells: the grid spans their
+    largest i and largest j, so trailing zero rows and columns go, and it is
+    scaled so that over the rationals all entries are integers with content
+    1 and the lexicographically leading entry (largest i, then largest j) is
+    positive, while over a prime field that entry is 1.  Identically zero
+    grids are rejected.
     """
 
     def __init__(self, field: Field, coeffs):
-        grid = [[field.reduce(c) for c in row] for row in coeffs]
-        zero = field.zero
-        while grid and all(c == zero for c in grid[-1]):
-            grid.pop()
-        if not grid:
+        cells = {
+            (i, j): v
+            for i, row in enumerate(coeffs)
+            for j, c in enumerate(row)
+            if (v := field.reduce(c)) != field.zero
+        }
+        if not cells:
             raise ValueError("annihilating polynomial must be nonzero")
-        width = max(len(row) for row in grid)
-        for row in grid:
-            row.extend(zero for _ in range(width - len(row)))
-        while width > 1 and all(row[width - 1] == zero for row in grid):
-            width -= 1
-            for row in grid:
-                row.pop()
+        top = max(cells)  # the leading entry: largest i, then largest j
+        dx, dz, lead = top[0], max(j for _, j in cells), cells[top]
+        if field.characteristic:
+            scale = field.inv(lead)
+            cells = {k: field.reduce(c * scale) for k, c in cells.items()}
+        else:
+            den = denominator(cells.values())
+            ints = {k: cleared(c, den) for k, c in cells.items()}
+            content = gcd(*ints.values()) * (-1 if lead < 0 else 1)
+            cells = {k: c // content for k, c in ints.items()}
         self.field = field
-        self.coeffs = tuple(tuple(row) for row in _canonical_scale(field, grid))
+        self.coeffs = tuple(
+            tuple(cells.get((i, j), field.zero) for j in range(dz + 1)) for i in range(dx + 1)
+        )
 
     @property
     def dx(self) -> int:
@@ -154,27 +162,6 @@ def _pretty_z_poly(field, row):
     if not terms:
         return None
     return "".join(terms)
-
-
-def _canonical_scale(field: Field, grid):
-    lead = None
-    zero = field.zero
-    for i in range(len(grid) - 1, -1, -1):
-        for j in range(len(grid[i]) - 1, -1, -1):
-            if grid[i][j] != zero:
-                lead = (i, j)
-                break
-        if lead:
-            break
-    if field.characteristic:
-        scale = field.inv(grid[lead[0]][lead[1]])
-        return [field.reduce_all([c * scale for c in row]) for row in grid]
-    den = denominator(c for row in grid for c in row)
-    ints = [[cleared(c, den) for c in row] for row in grid]
-    content = gcd(*(abs(c) for row in ints for c in row))
-    if ints[lead[0]][lead[1]] < 0:
-        content = -content
-    return [[c // content for c in row] for row in ints]
 
 
 # -- reconstruction ---------------------------------------------------------------

@@ -237,35 +237,31 @@ def _window(spec: BandedSpec, s: int) -> int:
 def verify_block_size(spec: BandedSpec, s: int) -> None:
     """Raise InvalidBlockSizeError unless s satisfies the two corner conditions.
 
-    Scans i, then j, ascending, with (i, j) before (j, i) in (1), but builds
-    each row of the window once, with :meth:`~BandedSpec.row`, and compares
-    only the positions where one side is nonzero: O(window · bands +
-    overrides), not O(window^2).
+    Reports the first failure of a scan over i, then j, ascending, with
+    (i, j) before (j, i) in (1), but builds each row of the window once,
+    with :meth:`~BandedSpec.row`, and compares only the positions where one
+    side is nonzero: O(window · bands + overrides), not O(window^2).
     """
     if s < 1:
         raise InvalidBlockSizeError(f"block size must be positive, got {s}")
     w = _window(spec, s)
     rows = [{}, *map(spec.row, range(1, w + s + 1))]
-    reach = max(2 * s + 1, s + spec.bandwidth, spec.exceptional_bound)
-    far = range(2 * s + 1, reach + 1)
-    below = {}  # column i -> the rows j in far where v_{j,i} is nonzero
-    for j in far:
-        for i in rows[j]:
-            below.setdefault(i, set()).add(j)
-    for i in range(1, s + 1):
-        for j in sorted({j for j in rows[i] if j in far}.union(below.get(i, ()))):
-            if j in rows[i]:
-                raise InvalidBlockSizeError(
-                    f"corner condition fails: v_{{{i},{j}}} is nonzero with "
-                    f"i <= {s} < 2*{s} < j",
-                    position=(i, j),
-                )
-            if i in rows[j]:
-                raise InvalidBlockSizeError(
-                    f"corner condition fails: v_{{{j},{i}}} is nonzero with "
-                    f"j <= {s} < 2*{s} < i",
-                    position=(j, i),
-                )
+    # (1): the least violation (i, j, transposed), so v_{i,j} before v_{j,i}.
+    corner = min(
+        chain(
+            ((i, j, False) for i in range(1, s + 1) for j in rows[i] if j > 2 * s),
+            ((i, j, True) for j in range(2 * s + 1, len(rows)) for i in rows[j] if i <= s),
+        ),
+        default=None,
+    )
+    if corner is not None:
+        i, j, transposed = corner
+        r, c, inner, outer = (j, i, "j", "i") if transposed else (i, j, "i", "j")
+        raise InvalidBlockSizeError(
+            f"corner condition fails: v_{{{r},{c}}} is nonzero with "
+            f"{inner} <= {s} < 2*{s} < {outer}",
+            position=(r, c),
+        )
     zero = spec.field.zero
     for i in range(1, w + 1):
         lo = max(1, s + 2 - i)

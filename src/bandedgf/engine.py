@@ -152,9 +152,8 @@ def _starred(w: BlockWeights, gw: MatrixSeries) -> MatrixSeries:
     The floor-weight shift G*^-1 = G^-1 + (B - D) z, solved for G* as
     (I + G (B - D) z) G* = G: one online left solve.
     """
-    field, s, order = w.field, w.s, gw.order
-    shift = gw.rmul_const(cm.sub(field, w.b, w.d)).mul_z_pow(1).truncate(order)
-    return (MatrixSeries.identity(field, s, order) + shift).solve(gw)
+    shift = gw.rmul_const(cm.sub(w.field, w.b, w.d)).shift(1)
+    return (MatrixSeries.identity(w.field, w.s, gw.order) + shift).solve(gw)
 
 
 def _row_entries(m):

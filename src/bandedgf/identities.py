@@ -83,18 +83,13 @@ def _matrix_check(name, a, b):
     return IdentityCheck(name, None if bad is None else f"first disagreement at z^{bad[0]}")
 
 
-def _shifted_const(field, mat, order):
-    """mat * z as a matrix series of the given order."""
-    return MatrixSeries.from_const(field, mat, order).mul_z_pow(1).truncate(order)
-
-
-def _primitive_standard_sum(w: BlockWeights, gw: MatrixSeries, order: int) -> MatrixSeries:
+def _primitive_standard_sum(w: BlockWeights, gw: MatrixSeries) -> MatrixSeries:
     """H = B z + C G A z^2: a level step, or an up step, a standard loop, a down step."""
-    above = gw.lmul_const(w.c).rmul_const(w.a).mul_z_pow(2).truncate(order)
-    return _shifted_const(w.field, w.b, order) + above
+    level = MatrixSeries.from_const(w.field, w.b, gw.order).shift(1)
+    return level + gw.lmul_const(w.c).rmul_const(w.a).shift(2)
 
 
-def _primitive_weight_sum(w: BlockWeights, h: MatrixSeries, order: int) -> MatrixSeries:
+def _primitive_weight_sum(w: BlockWeights, h: MatrixSeries) -> MatrixSeries:
     """First-return decomposition of the closed-walk primitive sum.
 
     A primitive closed walk is a lone level step or an excursion strictly
@@ -104,9 +99,8 @@ def _primitive_weight_sum(w: BlockWeights, h: MatrixSeries, order: int) -> Matri
     weights swapped (reflection flips every step).
     """
     swapped = BlockWeights(w.field, w.s, w.c, w.b, w.a, w.d)
-    g_below = fixed_point_route(swapped, order).gw
-    below = g_below.lmul_const(w.a).rmul_const(w.c).mul_z_pow(2).truncate(order)
-    return h + below
+    g_below = fixed_point_route(swapped, h.order).gw
+    return h + g_below.lmul_const(w.a).rmul_const(w.c).shift(2)
 
 
 def _independent_step_multiply(field: Field, a, b, c, term, radius: int):
@@ -224,18 +218,16 @@ def run_identity_suite(
     )
 
     # Primitive decomposition: H = Bz + C G A z^2 inverts G geometrically.
-    h = _primitive_standard_sum(w, fp.gw, order)
+    h = _primitive_standard_sum(w, fp.gw)
     checks.append(
         _matrix_check("primitive_decomposition_inverts", (ident - h) * lr.gw, ident)
     )
 
-    # Quadratic relation satisfied by the standard walk sum.
+    # Quadratic relation G = I + B G z + C G A G z^2 of the standard walk sum.
     g = lr.gw
-    residual = g - ident - g.lmul_const(w.b).mul_z_pow(1).truncate(order) - (
-        (g.rmul_const(w.a) * g).lmul_const(w.c).mul_z_pow(2).truncate(order)
-    )
+    gag = (g.rmul_const(w.a) * g).lmul_const(w.c)
     checks.append(
-        _matrix_check("quadratic_residual", residual, MatrixSeries.zero(field, s, order))
+        _matrix_check("quadratic_residual", g, ident + g.lmul_const(w.b).shift(1) + gag.shift(2))
     )
 
     # Level-step substitution at the floor: the starred sum from the walk
@@ -243,7 +235,7 @@ def run_identity_suite(
     # the inverse.
     table = u_table(w, order)
     gstar_u = table.series(1)
-    shift = _shifted_const(field, cm.sub(field, w.b, w.d), order)
+    shift = MatrixSeries.from_const(field, cm.sub(field, w.b, w.d), order).shift(1)
     checks.append(
         _matrix_check(
             "floor_weight_shift", gstar_u.inverse() - fp.gw.inverse(), shift
@@ -266,11 +258,11 @@ def run_identity_suite(
     )
 
     # Geometric expansion of the central sum over primitive closed walks.
-    j0 = _primitive_weight_sum(w, h, order)
+    j0 = _primitive_weight_sum(w, h)
     checks.append(
         _matrix_check("primitive_loop_geometric", lr.m0 * (ident - j0), ident)
     )
-    checks.append(_matrix_check("primitive_loop_enumeration", sums.j0, j0.truncate(depth)))
+    checks.append(_matrix_check("primitive_loop_enumeration", sums.j0, j0))
 
     # The walk-sum table against scalar corner powers of the block pattern.
     columns = corner_first_columns(from_block_weights(w), order)
@@ -281,7 +273,7 @@ def run_identity_suite(
     )
 
     # Descent factorization: walks from k peel off as G (A z) walks from k-1.
-    gaz = fp.gw.rmul_const(w.a).mul_z_pow(1).truncate(order)
+    gaz = fp.gw.rmul_const(w.a).shift(1)
     descents = (
         (k, first_difference(table.series(k + 1), gaz * table.series(k))) for k in range(1, 5)
     )
@@ -314,7 +306,7 @@ def oracle_comparison(w: BlockWeights, length: int) -> CheckReport:
     fp = fixed_point_route(w, length)
     lr = laurent_route(w, length)
     ident = MatrixSeries.identity(field, s, length)
-    h_engine = _primitive_standard_sum(w, fp.gw, length)
+    h_engine = _primitive_standard_sum(w, fp.gw)
     hstar_engine = ident - fp.gwstar.inverse()
     j0_engine = ident - lr.m0.inverse()
     pairs = [
@@ -327,5 +319,5 @@ def oracle_comparison(w: BlockWeights, length: int) -> CheckReport:
         ("up_transition_sum", sums.mm1, lr.mm1),
         ("primitive_loop_sum", sums.j0, j0_engine),
     ]
-    checks = [_matrix_check(name, a, b.truncate(length)) for name, a, b in pairs]
+    checks = [_matrix_check(name, a, b) for name, a, b in pairs]
     return CheckReport({"length": length}, "comparisons", checks)

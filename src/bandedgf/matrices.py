@@ -94,11 +94,6 @@ def sum_of_products(field: Field, pairs):
     return tuple(tuple(map(red, row)) for row in acc)
 
 
-def scale(field: Field, x, scalar):
-    red = field.reduce
-    return tuple(tuple(red(a * scalar) for a in row) for row in x)
-
-
 def is_zero(field: Field, x) -> bool:
     zero = field.zero
     return all(a == zero for row in x for a in row)

@@ -45,10 +45,6 @@ class MatrixSeries:
         return cls.from_const(field, cm.identity(field, s), order)
 
     @classmethod
-    def zero(cls, field: Field, s: int, order: int) -> "MatrixSeries":
-        return cls.from_const(field, cm.zeros(field, s), order)
-
-    @classmethod
     def from_const(cls, field: Field, m, order: int) -> "MatrixSeries":
         require_nonnegative(order)
         m, s = cm.freeze(m), len(m)
@@ -130,11 +126,13 @@ class MatrixSeries:
         f, sop = self.field, cm.sum_of_products
         return MatrixSeries._trusted(f, self.s, tuple(sop(f, [(c, m)]) for c in self.coeffs))
 
-    def mul_z_pow(self, k: int) -> "MatrixSeries":
+    def shift(self, k: int) -> "MatrixSeries":
+        """z^k times the series, at the same order."""
         if k < 0:
             raise ValueError("negative shift")
-        pad = (cm.zeros(self.field, self.s),) * k
-        return MatrixSeries._trusted(self.field, self.s, pad + self.coeffs)
+        n = len(self.coeffs)
+        pad = (cm.zeros(self.field, self.s),) * min(k, n)
+        return MatrixSeries._trusted(self.field, self.s, (pad + self.coeffs)[:n])
 
     def solve(self, rhs: "MatrixSeries") -> "MatrixSeries":
         """The series X with self X = rhs, found online, one coefficient at a

@@ -240,6 +240,8 @@ def recursion_from_json_doc(doc, field: Field, s: int) -> AffineRecursion:
     if len(t) != d or any(len(row) != d for row in t):
         raise SpecFormatError(f"T must be a {d}x{d} matrix")
     l = field.parse_list(doc["l"], '"l"')
+    if len(l) != d:
+        raise SpecFormatError(f'"l" must list one value per coordinate ({d}), got {len(l)}')
     rules_doc = doc["y_rule"]
     if not isinstance(rules_doc, list) or len(rules_doc) != d:
         raise SpecFormatError(f'"y_rule" must list one rule set per coordinate ({d})')

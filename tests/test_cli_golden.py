@@ -1,6 +1,6 @@
 """Default CLI output, pinned byte for byte.
 
-``data/cli_golden.json`` holds 159 argvs, covering every command
+``data/cli_golden.json`` holds 175 argvs, covering every command
 on the four built-in examples over Q and F_101, ``annihilate`` on them over
 F_(2^61-1) and F_(2^31-1) (the primes of the certify benchmark),
 ``series --order 200`` on each example (and on ex4.2 over F_(2^61-1)) and
@@ -42,12 +42,18 @@ comes first), a spec with two exceptional records for one cell (refused), a
 one-band spec at offset 10^6, whose block-size check is refused before it
 builds a row, under ``series``, ``annihilate`` and ``weighted``, a one-band
 spec at offset -16,000, whose check passes and whose direct route is refused
-under ``annihilate`` before its first column, and
+under ``annihilate`` before its first column,
 ``verify-example --poly`` with the ex4.1 golden cubic and a one-coefficient
-perturbation of it (passing and failing checks), with the stdout, stderr
-and exit code that ``cli.main`` gave for each.  Documents named in an argv
-as ``{key}`` are written to files first, from the file's ``documents``
-table.  A refactor must leave every case unchanged; when an
+perturbation of it (passing and failing checks), and one refusal per
+document defect the decoders name (a spec that is not a JSON object, a
+duplicate band offset, an exceptional record without ``value``, a string or
+zero ``block_size``, period 0, an exceptional index 0, band values 1.5 over Q
+and F_101 and a non-fraction string over F_101, no spec at all, a duplicate
+weight residue, a recursion without ``l`` and ``y_rule``, a ``T`` that is not
+d-by-d, and a ``y_rule`` list or readout ``l`` of the wrong length), with the
+stdout, stderr and exit code that ``cli.main`` gave for each.  Documents
+named in an argv as ``{key}`` are written to files first, from the file's
+``documents`` table.  A refactor must leave every case unchanged; when an
 output changes on purpose, re-record the file with
 ``python tests/test_cli_golden.py`` and say why in the change log.
 

@@ -236,9 +236,28 @@ def test_matrix_series_identity_refuses_a_negative_order():
         MatrixSeries.identity(QQ, 2, -1)
 
 
-def test_matrix_series_zero_refuses_a_negative_order():
-    with pytest.raises(ValueError, match="order must be nonnegative"):
-        MatrixSeries.zero(QQ, 2, -1)
+def test_matrix_series_shift_keeps_the_order_and_composes():
+    a = rand_matseries(random.Random(4), 2, 5)
+    assert all(a.shift(k).order == a.order for k in range(8))
+    assert a.shift(0) == a
+    assert a.shift(6).is_zero() and a.shift(60).is_zero()
+    for j in range(4):
+        for k in range(4):
+            assert a.shift(j).shift(k) == a.shift(j + k)
+
+
+def test_matrix_series_shift_agrees_with_a_product_by_z_power():
+    a = rand_matseries(random.Random(6), 3, 4)
+    for k in range(6):
+        z_k = [cm.zeros(F101, 3)] * (a.order + 1)
+        if k <= a.order:
+            z_k[k] = cm.identity(F101, 3)
+        assert a.shift(k) == MatrixSeries(F101, 3, z_k) * a
+
+
+def test_matrix_series_shift_refuses_a_negative_power():
+    with pytest.raises(ValueError, match="negative shift"):
+        MatrixSeries.identity(QQ, 2, 3).shift(-1)
 
 
 def test_matrix_series_from_const_refuses_a_negative_order():

@@ -346,8 +346,8 @@ def test_decomposition_identities_via_enumeration(weight_factory):
         ident = MatrixSeries.identity(F101, s, order)
         assert (ident - h) * g == ident
         rebuilt = (
-            MatrixSeries.from_const(F101, w.b, order - 1).mul_z_pow(1).truncate(order)
-            + g.lmul_const(w.c).rmul_const(w.a).mul_z_pow(2).truncate(order)
+            MatrixSeries.from_const(F101, w.b, order).shift(1)
+            + g.lmul_const(w.c).rmul_const(w.a).shift(2)
         )
         assert rebuilt == h
 
@@ -363,8 +363,8 @@ def test_enumerated_identities_to_length_ten(weight_factory):
     assert (ident - sums.hw) * sums.gw == ident
     assert (ident - sums.hwstar) * sums.gwstar == ident
     rebuilt_h = (
-        MatrixSeries.from_const(F101, w.b, order - 1).mul_z_pow(1).truncate(order)
-        + sums.gw.lmul_const(w.c).rmul_const(w.a).mul_z_pow(2).truncate(order)
+        MatrixSeries.from_const(F101, w.b, order).shift(1)
+        + sums.gw.lmul_const(w.c).rmul_const(w.a).shift(2)
     )
     assert rebuilt_h == sums.hw
     assert sums.m0 * (ident - sums.j0) == ident
