@@ -168,7 +168,9 @@ def _pretty_z_poly(field, row):
 
 
 def require_order(order: int, dx: int, dz: int, guard: int) -> None:
-    """Refuse an order below (dx+1)(dz+1) + guard, the least ``reconstruct`` takes."""
+    """Refuse dx < 1, dz < 0, or an order below (dx+1)(dz+1) + guard, reconstruct's least."""
+    if dx < 1 or dz < 0:
+        raise ValueError("need dx >= 1 and dz >= 0")
     if order < (needed := (dx + 1) * (dz + 1) + guard):
         raise InsufficientPrecisionError(
             f"series order {order} is too small for bounds ({dx},{dz}); need at least {needed}"
@@ -233,7 +235,7 @@ def reconstruct(
 
     A thin wrapper: the work is :func:`_solve` over ``powers(g, dx)``.
     """
-    _require_bounds(g.order, dx, dz, guard)
+    require_order(g.order, dx, dz, guard)
     grid = _solve(powers(g, dx), dz)
     return None if grid is None else AnnihilatorPoly(g.field, grid)
 
@@ -255,7 +257,7 @@ def certify(h: Series, order: int, dx: int, dz: int, guard: int, scale: int):
     R_g(z) = R_h(z / L), so their first nonzero order and the order checked
     are the same.
     """
-    _require_bounds(order, dx, dz, guard)
+    require_order(order, dx, dz, guard)
     field = h.field
     pw = powers(h, dx)
     grid = _solve([p.truncate(order) for p in pw], dz)
@@ -265,12 +267,6 @@ def certify(h: Series, order: int, dx: int, dz: int, guard: int, scale: int):
     if scale != 1:
         grid = [[field.div(c, scale**j) for j, c in enumerate(row)] for row in grid]
     return AnnihilatorPoly(field, grid), result
-
-
-def _require_bounds(order: int, dx: int, dz: int, guard: int) -> None:
-    if dx < 1 or dz < 0:
-        raise ValueError("need dx >= 1 and dz >= 0")
-    require_order(order, dx, dz, guard)
 
 
 def _solve(pw, dz: int):
@@ -515,14 +511,18 @@ class ClosedForm:
             for c in coeffs
         )
 
-    def _side(self, plain, radical, root: Series, order: int) -> Series:
-        out = Series.from_ints(self.field, plain, order)
-        if radical:
-            out = out + Series.from_ints(self.field, radical, order) * root
-        return out
+    def sides(self, order: int) -> tuple[Series, Series]:
+        """The numerator and the denominator through z^order, over one sqrt(rho)."""
+        field = self.field
+        root = Series.from_ints(field, self.radicand, order).sqrt()
+
+        def side(plain, radical):
+            out = Series.from_ints(field, plain, order)
+            return out + Series.from_ints(field, radical, order) * root if radical else out
+
+        return side(self.num_plain, self.num_radical), side(self.den_plain, self.den_radical)
 
     def expand(self, order: int) -> Series:
-        field = self.field
         # (q1 + q2 sqrt(rho)) (q1 - q2 sqrt(rho)) = q1^2 - q2^2 rho, so a nonzero
         # denominator vanishes at z = 0 to order at most the degree bound of
         # q1^2 and q2^2 rho; probing that deep finds its valuation.
@@ -531,17 +531,13 @@ class ClosedForm:
             2 * len(self.den_plain) - 2,
             2 * len(self.den_radical) + len(self.radicand) - 3,
         )
-        root = Series.from_ints(field, self.radicand, probe).sqrt()
-        den = self._side(self.den_plain, self.den_radical, root, probe)
+        num, den = self.sides(probe)
         v = den.valuation()
         if v is None:
             raise NonUnitError("the denominator of the closed form is zero")
-        deep = order + v
-        if deep != probe:
-            root = Series.from_ints(field, self.radicand, deep).sqrt()
-            den = self._side(self.den_plain, self.den_radical, root, deep)
-        num = self._side(self.num_plain, self.num_radical, root, deep)
-        return num.div_z_pow(v) * den.div_z_pow(v).invert()
+        if order + v > probe:
+            num, den = self.sides(order + v)
+        return (num.div_z_pow(v) * den.div_z_pow(v).invert()).truncate(order)
 
 
 def check_closed_form_sqrt(g: Series, form: ClosedForm) -> VerifyResult:

@@ -200,10 +200,10 @@ class BlockWeights:
     def __init__(self, field: Field, s: int, a, b, c, d):
         self.field = field
         self.s = s
-        self.a = cm.freeze(map(field.reduce_all, a))
-        self.b = cm.freeze(map(field.reduce_all, b))
-        self.c = cm.freeze(map(field.reduce_all, c))
-        self.d = cm.freeze(map(field.reduce_all, d))
+        self.a = cm.freeze(map(field.reduce, row) for row in a)
+        self.b = cm.freeze(map(field.reduce, row) for row in b)
+        self.c = cm.freeze(map(field.reduce, row) for row in c)
+        self.d = cm.freeze(map(field.reduce, row) for row in d)
         for m in (self.a, self.b, self.c, self.d):
             cm.check_square(m, s)
 
@@ -387,19 +387,13 @@ def from_block_weights(w: BlockWeights) -> BandedSpec:
     (which then picks 2s).
     """
     field, s = w.field, w.s
+    blocks = (w.a, w.b, w.c)  # at block shifts -1, 0 and 1
     bands = {}
     for r in range(-(2 * s - 1), 2 * s):
         values = []
         for a0 in range(s):  # a0 = (i - 1) mod s
             shift, c0 = divmod(a0 + r, s)
-            if shift == 0:
-                values.append(w.b[a0][c0])
-            elif shift == 1:
-                values.append(w.c[a0][c0])
-            elif shift == -1:
-                values.append(w.a[a0][c0])
-            else:
-                values.append(field.zero)
+            values.append(blocks[shift + 1][a0][c0] if -1 <= shift <= 1 else field.zero)
         if any(v != field.zero for v in values):
             bands[r] = values
     exceptional = []

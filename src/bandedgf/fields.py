@@ -73,6 +73,7 @@ class Field:
     # 0 and 1 are already canonical in both fields (ints, and p >= 2).
     zero = 0
     one = 1
+    noun: str  # :meth:`parse` refuses a value as "not a <noun> value"
 
     def inv(self, x):
         raise NotImplementedError
@@ -81,8 +82,19 @@ class Field:
         return self.reduce(x * self.inv(y))
 
     def parse(self, text):
-        """Parse an int or an "num/den" string into a scalar."""
-        raise NotImplementedError
+        """Parse an int or a "num/den" string into a scalar, through :meth:`reduce`."""
+        if isinstance(text, bool) or not isinstance(text, (int, str)):
+            raise SpecFormatError(f"not a {self.noun} value: {text!r}")
+        try:
+            q = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SpecFormatError(f"not a {self.noun} value: {text!r}") from exc
+        try:
+            return self.reduce(q)
+        except NonUnitError as exc:
+            raise SpecFormatError(
+                f"{text!r} has denominator divisible by {self.characteristic}"
+            ) from exc
 
     def parse_list(self, values, what: str):
         """Parse a JSON list of scalars; ``what`` names it in the error."""
@@ -103,6 +115,8 @@ class RationalField(Field):
     and Fractions mix exactly and compare equal, so the two spellings are
     interchangeable everywhere.
     """
+
+    noun = "rational"
 
     @property
     def characteristic(self) -> int:
@@ -127,18 +141,6 @@ class RationalField(Field):
             raise NonUnitError("division by zero in the rationals")
         return self.reduce(Fraction(x.denominator, x.numerator))
 
-    def parse(self, text):
-        if isinstance(text, bool):
-            raise SpecFormatError(f"not a rational value: {text!r}")
-        if isinstance(text, int):
-            return text
-        if isinstance(text, str):
-            try:
-                return self.reduce(Fraction(text))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise SpecFormatError(f"not a rational value: {text!r}") from exc
-        raise SpecFormatError(f"not a rational value: {text!r}")
-
     def format(self, x) -> str:
         return str(self.reduce(x))
 
@@ -153,6 +155,8 @@ class RationalField(Field):
 
 
 class PrimeField(Field):
+    noun = "field"
+
     def __init__(self, p: int):
         if isinstance(p, int) and p >= MR_PROVEN_BOUND:
             raise SpecFormatError(
@@ -167,9 +171,17 @@ class PrimeField(Field):
         return self.p
 
     def reduce(self, x):
-        return x % self.p
+        """x mod p; a Fraction n/d maps to n·d^-1, refused when p divides d."""
+        if isinstance(x, int):
+            return x % self.p
+        if not isinstance(x, Fraction):
+            raise TypeError(f"not an exact rational: {x!r}")
+        if not (den := x.denominator % self.p):
+            raise NonUnitError(f"{x} has denominator divisible by {self.p}")
+        return x.numerator * pow(den, -1, self.p) % self.p
 
     def reduce_all(self, xs):
+        """Raw int results mod p in one pass; a true fraction must go through :meth:`reduce`."""
         return list(map(mod, xs, repeat(self.p)))
 
     def inv(self, x):
@@ -177,24 +189,6 @@ class PrimeField(Field):
         if x == 0:
             raise NonUnitError(f"0 has no inverse mod {self.p}")
         return pow(x, -1, self.p)
-
-    def parse(self, text):
-        if isinstance(text, bool):
-            raise SpecFormatError(f"not a field value: {text!r}")
-        if isinstance(text, int):
-            return text % self.p
-        if isinstance(text, str):
-            try:
-                q = Fraction(text)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise SpecFormatError(f"not a field value: {text!r}") from exc
-            den = q.denominator % self.p
-            if den == 0:
-                raise SpecFormatError(
-                    f"{text!r} has denominator divisible by {self.p}"
-                )
-            return q.numerator * self.inv(den) % self.p
-        raise SpecFormatError(f"not a field value: {text!r}")
 
     def format(self, x) -> str:
         return str(x % self.p)

@@ -30,7 +30,8 @@ class Series:
 
     def __init__(self, field: Field, coeffs):
         """The series with the coefficients in the list or tuple ``coeffs``,
-        reduced by one :meth:`~bandedgf.fields.Field.reduce_all`."""
+        reduced by one :meth:`~bandedgf.fields.Field.reduce_all`, which over F_p
+        takes raw int results; a true fraction comes in through :meth:`from_ints`."""
         coeffs = tuple(field.reduce_all(coeffs))
         if not coeffs:
             raise ValueError("a series needs at least the z^0 coefficient")
@@ -41,9 +42,10 @@ class Series:
 
     @classmethod
     def from_ints(cls, field: Field, values, order: int | None = None) -> "Series":
-        """The series with coefficients ``values``, cut or padded with zeros
-        to ``order`` when one is given."""
-        coeffs = list(values)
+        """The series with coefficients ``values``, each through
+        :meth:`~bandedgf.fields.Field.reduce`, cut or padded with zeros to
+        ``order`` when one is given."""
+        coeffs = list(map(field.reduce, values))
         if order is not None:
             require_nonnegative(order)
             coeffs = (coeffs + [field.zero] * (order + 1))[: order + 1]
@@ -51,8 +53,7 @@ class Series:
 
     @classmethod
     def constant(cls, field: Field, value, order: int) -> "Series":
-        require_nonnegative(order)
-        return cls(field, [value] + [field.zero] * order)
+        return cls.from_ints(field, [value], order)
 
     @classmethod
     def zero(cls, field: Field, order: int) -> "Series":

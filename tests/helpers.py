@@ -10,8 +10,10 @@ annihilation system with its g^0 columns and the Horner residual, the
 references for ``annihilator._basis`` and ``AnnihilatorPoly.evaluate``, the
 head elimination with one field division per back-substitution step (each
 vector 1 at its free column), the reference for
-``annihilator._head_nullspace``, and the series product by one generator per
-coefficient, the reference for ``Series.__mul__``.
+``annihilator._head_nullspace``, the series product by one generator per
+coefficient, the reference for ``Series.__mul__``, and the closed-form
+expansion that evaluates the denominator at the probe order and then both
+sides at order + v, the reference for ``ClosedForm.expand``.
 
 None of this is used by the package itself.
 """
@@ -21,7 +23,7 @@ from itertools import permutations
 
 from bandedgf import matrices as cm
 from bandedgf.banded import BandedSpec, BlockWeights
-from bandedgf.errors import InvalidBlockSizeError
+from bandedgf.errors import InvalidBlockSizeError, NonUnitError
 from bandedgf.fields import Field, cleared, denominator, require_same_field
 from bandedgf.series import Series
 from bandedgf.walks import check_walk
@@ -288,3 +290,31 @@ def reference_mul(a: Series, b: Series) -> Series:
         sum(x[k] * y[m - k] for k in range(m + 1)) for m in range(n + 1)
     ]
     return Series(field, out)
+
+
+def reference_expand(form, order: int) -> Series:
+    """The closed form through z^order: the denominator at the probe order
+    gives its valuation v, then both sides are evaluated at order + v, again
+    whenever that is not the probe order, and divided by z^v."""
+    field = form.field
+
+    def side(plain, radical, root, n):
+        out = Series.from_ints(field, plain, n)
+        if radical:
+            out = out + Series.from_ints(field, radical, n) * root
+        return out
+
+    probe = max(
+        order, 2 * len(form.den_plain) - 2, 2 * len(form.den_radical) + len(form.radicand) - 3
+    )
+    root = Series.from_ints(field, form.radicand, probe).sqrt()
+    den = side(form.den_plain, form.den_radical, root, probe)
+    v = den.valuation()
+    if v is None:
+        raise NonUnitError("the denominator of the closed form is zero")
+    deep = order + v
+    if deep != probe:
+        root = Series.from_ints(field, form.radicand, deep).sqrt()
+        den = side(form.den_plain, form.den_radical, root, deep)
+    num = side(form.num_plain, form.num_radical, root, deep)
+    return num.div_z_pow(v) * den.div_z_pow(v).invert()

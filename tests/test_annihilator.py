@@ -15,6 +15,7 @@ from bandedgf.annihilator import (
     certify,
     check_closed_form_sqrt,
     reconstruct,
+    require_order,
     verify,
     _basis,
     _first_dependent,
@@ -28,7 +29,12 @@ from bandedgf.errors import InsufficientPrecisionError, NonUnitError
 from bandedgf.fields import PrimeField, QQ, RationalField, cleared, denominator
 from bandedgf.series import Series
 
-from helpers import reference_evaluate, reference_head_nullspace, reference_system
+from helpers import (
+    reference_evaluate,
+    reference_expand,
+    reference_head_nullspace,
+    reference_system,
+)
 
 
 def motzkin_series(order):
@@ -94,6 +100,15 @@ def test_reconstruct_demands_enough_orders():
     g = motzkin_series(30)
     with pytest.raises(InsufficientPrecisionError):
         reconstruct(g, 3, 5)
+    # require_order is the one bounds check: reconstruct and certify refuse through it.
+    for dx, dz in ((0, 1), (1, -1)):
+        for call in (
+            lambda: require_order(30, dx, dz, 0),
+            lambda: reconstruct(g, dx, dz, 0),
+            lambda: certify(g, 30, dx, dz, 0, 1),
+        ):
+            with pytest.raises(ValueError, match="need dx >= 1 and dz >= 0"):
+                call()
 
 
 def test_reconstruct_returns_none_for_transcendental_prefix():
@@ -768,6 +783,50 @@ def test_closed_form_rejects_inexact_shift():
     )
     with pytest.raises(NonUnitError):
         form.expand(8)
+
+
+@st.composite
+def _closed_forms(draw):
+    """A closed form over Q or F_101 whose radicand has constant term 1 and
+    whose denominator vanishes to order exactly v = 0..3 (all four parts are
+    z^v times polynomials, the denominator's with a nonzero constant term),
+    and an order 0..40 at which order + v is below, at or past the probe."""
+    field = draw(st.sampled_from([QQ, PrimeField(101)]))
+    coeff = st.integers(-5, 5)
+    v = draw(st.integers(0, 3))
+    shifted = [0] * v
+    radicand = [1, *draw(st.lists(coeff, max_size=4))]
+    den_plain, den_radical = draw(st.lists(coeff, max_size=4)), draw(st.lists(coeff, max_size=3))
+    head = draw(st.integers(1, 5)) - (den_radical[0] if den_radical else 0)
+    den_plain = [head, *den_plain[1:]]
+    form = ClosedForm(
+        field, radicand,
+        num_plain=shifted + draw(st.lists(coeff, max_size=5)),
+        num_radical=shifted + draw(st.lists(coeff, max_size=4)),
+        den_plain=shifted + den_plain,
+        den_radical=shifted + den_radical if den_radical else (),
+    )
+    probe = max(
+        2 * len(form.den_plain) - 2, 2 * len(form.den_radical) + len(form.radicand) - 3
+    )
+    at = probe - v  # the order at which order + v is the probe
+    where = draw(st.sampled_from(["below", "at", "past"] if at else ["at", "past"]))
+    order = {
+        "below": lambda: draw(st.integers(0, at - 1)),
+        "at": lambda: at,
+        "past": lambda: draw(st.integers(at + 1, 40)),
+    }[where]()
+    return form, v, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_closed_forms())
+def test_expand_matches_the_two_step_reference(case):
+    form, v, order = case
+    got = form.expand(order)
+    assert got == reference_expand(form, order) and got.order == order
+    num, den = form.sides(order + v)
+    assert den.valuation() == v and got * den.div_z_pow(v) == num.div_z_pow(v)
 
 
 def test_check_closed_form_on_corpus():

@@ -379,24 +379,31 @@ def test_shift_condition_on_window():
                     assert spec.entry(i + s, j + s) == spec.entry(i, j)
 
 
-def test_from_block_weights_round_trip():
-    # The corner block may differ from the repeating band only inside the
-    # i + j <= s + 1 anti-triangle; such weights round-trip at block size s.
-    rng = random.Random(9)
-    f = PrimeField(101)
-    for s in (1, 2, 3):
-        def mat():
-            return [[rng.randrange(101) for _ in range(s)] for _ in range(s)]
-        b = mat()
-        d = [
-            [rng.randrange(101) if i + j <= s - 1 else b[i][j] for j in range(s)]
-            for i in range(s)
-        ]
-        w = BlockWeights(f, s, mat(), b, mat(), d)
-        spec = from_block_weights(w)
-        assert spec.block_size == s
-        assert block_reduce(spec, s) == w
-        assert validate_reduction(spec, w, 6 * s)
+@st.composite
+def _anti_triangle_weights(draw):
+    """Block weights (s = 1..5) over Q, F_2 or F_101 whose corner block D
+    differs from the repeating band B only inside the i + j <= s + 1
+    anti-triangle (1-based)."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(101)]))
+    s = draw(st.integers(1, 5))
+    if field is QQ:
+        value = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        value = st.integers(0, field.p - 1)
+    mat = st.lists(st.lists(value, min_size=s, max_size=s), min_size=s, max_size=s)
+    a, b, c, corner = draw(mat), draw(mat), draw(mat), draw(mat)
+    d = [[corner[i][j] if i + j <= s - 1 else b[i][j] for j in range(s)] for i in range(s)]
+    return BlockWeights(field, s, a, b, c, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=_anti_triangle_weights())
+def test_from_block_weights_round_trip(w):
+    # D differs from B only inside the anti-triangle, so w round-trips at block size s.
+    spec = from_block_weights(w)
+    assert spec.block_size == w.s
+    assert block_reduce(spec, w.s) == w
+    assert validate_reduction(spec, w, 6 * w.s)
 
 
 @st.composite

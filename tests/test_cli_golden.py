@@ -1,6 +1,6 @@
 """Default CLI output, pinned byte for byte.
 
-``data/cli_golden.json`` holds 175 argvs, covering every command
+``data/cli_golden.json`` holds 177 argvs, covering every command
 on the four built-in examples over Q and F_101, ``annihilate`` on them over
 F_(2^61-1) and F_(2^31-1) (the primes of the certify benchmark),
 ``series --order 200`` on each example (and on ex4.2 over F_(2^61-1)) and
@@ -50,7 +50,8 @@ duplicate band offset, an exceptional record without ``value``, a string or
 zero ``block_size``, period 0, an exceptional index 0, band values 1.5 over Q
 and F_101 and a non-fraction string over F_101, no spec at all, a duplicate
 weight residue, a recursion without ``l`` and ``y_rule``, a ``T`` that is not
-d-by-d, and a ``y_rule`` list or readout ``l`` of the wrong length), with the
+d-by-d, a ``y_rule`` list or readout ``l`` of the wrong length, and band
+values 1/3 over F_3, given in the spec or by ``--field p:3``), with the
 stdout, stderr and exit code that ``cli.main`` gave for each.  Documents
 named in an argv as ``{key}`` are written to files first, from the file's
 ``documents`` table.  A refactor must leave every case unchanged; when an

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandedgf.annihilator import AnnihilatorPoly
+from bandedgf.banded import BandedSpec, BlockWeights
 from bandedgf.errors import NonUnitError, SpecFormatError
 from bandedgf.fields import (
     PrimeField,
@@ -14,6 +16,8 @@ from bandedgf.fields import (
     field_to_json,
     is_prime,
 )
+from bandedgf.section5 import EventuallyPolySeq
+from bandedgf.series import Series
 
 
 def test_prime_check():
@@ -134,3 +138,59 @@ def test_prime_field_scalars_need_no_clearing(data, p):
     assert denominator(values) == 1
     assert [cleared(v, 1) for v in values] == values
     assert all(type(cleared(v, 1)) is int for v in values)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_parse_refuses_what_is_not_a_rational_with_its_exact_message(field):
+    noun = "rational" if field is QQ else "field"
+    for text in (True, 1.5, None, [], "abc", "1/0"):
+        with pytest.raises(SpecFormatError) as exc:
+            field.parse(text)
+        assert str(exc.value) == f"not a {noun} value: {text!r}"
+
+
+def test_prime_field_parse_refuses_a_denominator_the_prime_divides():
+    with pytest.raises(SpecFormatError) as exc:
+        PrimeField(3).parse("1/3")
+    assert str(exc.value) == "'1/3' has denominator divisible by 3"
+    assert QQ.parse("1/3") == Fraction(1, 3)
+
+
+def _stored_scalars(field, q):
+    """What BandedSpec, EventuallyPolySeq, BlockWeights, Series.from_ints and
+    Series.constant store for the value q, read back from each."""
+    spec = BandedSpec(field, 1, {0: [q]}, [(1, 1, q)])
+    seq = EventuallyPolySeq(field, 1, [((q,), (q,))])
+    w = BlockWeights(field, 1, [[q]], [[q]], [[q]], [[q]])
+    return [
+        *spec.bands[0], spec.exceptional[(1, 1)], *seq.rules[0][0], *seq.rules[0][1],
+        w.a[0][0], w.b[0][0], w.c[0][0], w.d[0][0],
+        Series.from_ints(field, [q], 2).coeffs[0], Series.constant(field, q, 2).coeffs[0],
+    ]
+
+
+def test_prime_field_constructors_map_a_true_fraction_to_num_times_den_inverse():
+    f = PrimeField(101)
+    assert f.reduce(Fraction(7, 4)) == f.parse("7/4") == 27
+    stored = _stored_scalars(f, Fraction(7, 4))
+    assert stored == [27] * 10 and all(type(v) is int for v in stored)
+    assert AnnihilatorPoly(f, [[Fraction(7, 4), 1]]).coeffs == ((27, 1),)
+    for build in (
+        lambda q: AnnihilatorPoly(f, [[q, 1]]),
+        lambda q: BandedSpec(f, 1, {0: [q]}),
+        lambda q: BandedSpec(f, 1, {}, [(1, 1, q)]),
+        lambda q: EventuallyPolySeq(f, 1, [((q,), (1,))]),
+        lambda q: BlockWeights(f, 1, [[q]], [[0]], [[0]], [[0]]),
+        lambda q: Series.from_ints(f, [q], 2),
+        lambda q: Series.constant(f, q, 2),
+    ):
+        with pytest.raises(NonUnitError, match="1/101 has denominator divisible by 101"):
+            build(Fraction(1, 101))
+    with pytest.raises(TypeError):
+        f.reduce(1.5)
+
+
+def test_rational_constructors_keep_a_true_fraction():
+    for q in (Fraction(7, 4), Fraction(1, 101)):
+        assert _stored_scalars(QQ, q) == [q] * 10
+    assert AnnihilatorPoly(QQ, [[Fraction(7, 4), 1]]).coeffs == ((7, 4),)
