@@ -53,10 +53,11 @@ from .walks import class_sums
 
 
 # Longest column corner_first_columns builds, max(m, 1) + order·d rows; a step
-# costs O(length · #bands · p).  Near the ceiling, one band at offset -1,666
-# taken to order 60 costs about 0.4 s and 22 MB in all on a shared 2-core
-# x86-64 host; offset -16,000 took 2.5 s and 68 MB.  The tests and CLI goldens
-# build at most 601 rows, the benchmark jobs about 430.
+# costs O(length · #bands) additions in at most #bands · p slice operations.
+# Near the ceiling, one band at offset -1,666 taken to order 60 costs about
+# 0.14 s and 20 MB in all on a shared 2-core x86-64 host; offset -16,000
+# took 2.5 s and 68 MB before the ceiling refused it.  The tests and CLI
+# goldens build at most 601 rows, the benchmark jobs about 430.
 COLUMN_CEILING = 100_000
 
 
@@ -93,19 +94,25 @@ def corner_first_columns(spec: BandedSpec, order: int):
 
     Rows 1..m are summed one by one, over their nonzero entries
     (:meth:`~bandedgf.banded.BandedSpec.row`) in the rows 1..f_(t-1) of
-    V^(t-1) e_1.  Below them row i is
-    sum_r values_r[(i-1) mod p] x_{i+r}, so each band r and residue q adds v
-    times a stride-p slice of V^(t-1) e_1 (the slice itself when v = 1),
-    which by the frontier stops where its source passes f_(t-1): at most
-    #bands · p slice operations per step.  A band whose value is the same
-    nonzero v on every residue adds one unit-stride slice instead of p.
+    V^(t-1) e_1.  Below them row i is sum_r values_r[(i-1) mod p] x_{i+r},
+    so the rows of one residue class q are built in one pass, as the sum of
+    v_r times the stride-p slice of x starting at row q + r, over the bands r
+    whose value v_r on q is nonzero (one chain of ``map(add, ...)``, the
+    slice itself when v_r = 1); a class on which every band is zero keeps
+    its zero rows.  The slices are read from x with d zeros in front and
+    d + u behind, u the upward reach, so every slice of a class has the
+    class's length and needs no trim at the frontier: at most
+    #bands · p slice operations per step.  When every band with a nonzero
+    value is the same on every residue the classes merge into one, stride 1.
+
     Each step reduces its column once, with one
     :meth:`~bandedgf.fields.Field.reduce_all`.
     """
     require_nonnegative(order)
     field = spec.field
     m, p = spec.exceptional_bound, spec.period
-    down = max([0, *(-r for r, vals in spec.bands.items() if any(vals))])
+    live = {r: vals for r, vals in spec.bands.items() if any(vals)}
+    down, up = max([0, *(-r for r in live)]), max([0, *live])
     reach = max(m, 1)
     if (length := reach + order * down) > COLUMN_CEILING:
         raise ResourceLimitError(
@@ -113,17 +120,17 @@ def corner_first_columns(spec: BandedSpec, order: int):
             f"past the ceiling of {COLUMN_CEILING} rows"
         )
     rows = [[(j - 1, v) for j, v in sorted(spec.row(i).items())] for i in range(1, m + 1)]
-    # (r, a, step, v): band r adds v x[a + r], v x[a + r + step], ... to the
-    # 0-based rows a, a + step, ..., those past the square with value v whose
-    # column exists; step is 1 for a band constant on every residue, else p.
-    slices = []
-    for r, vals in spec.bands.items():
-        lo = max(m, -r)
-        if vals[0] and vals.count(vals[0]) == p:
-            slices.append((r, lo, 1, vals[0]))
-        else:
-            slices += [(r, lo + (q - lo) % p, p, v) for q, v in enumerate(vals) if v]
+    # (a, terms): the 0-based rows a, a + step, ... past the square form one
+    # class, and each (k, v) in terms adds v x[a + r], v x[a + r + step], ...,
+    # k = r + down its start in the padded column.
+    step = 1 if all(vals.count(vals[0]) == p for vals in live.values()) else p
+    classes = []
+    for q in range(step):
+        terms = [(r + down, vals[q]) for r, vals in live.items() if vals[q]]
+        if terms:
+            classes.append((m + (q - m) % step, terms))
     zero, red_all = field.zero, field.reduce_all
+    tail = [zero] * (down + up)
 
     def columns():
         x = [field.one] + [zero] * (reach - 1)
@@ -131,10 +138,14 @@ def corner_first_columns(spec: BandedSpec, order: int):
         for t in range(1, order + 1):
             prev, hi = len(x), reach + t * down
             nx = [sum(v * x[j] for j, v in row if j < prev) for row in rows] + [zero] * (hi - m)
-            for r, a, step, v in slices:
-                b = max(a, prev - r)
-                src = x[a + r : b + r : step]
-                nx[a:b:step] = map(add, nx[a:b:step], src if v == 1 else map(mul, repeat(v), src))
+            padded = [zero] * down + x + tail
+            for a, terms in classes:
+                total = None
+                for k, v in terms:
+                    src = padded[a + k : hi + k : step]
+                    src = src if v == 1 else map(mul, repeat(v), src)
+                    total = src if total is None else map(add, total, src)
+                nx[a:hi:step] = total
             x = red_all(nx)
             yield x
 

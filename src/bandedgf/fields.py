@@ -12,6 +12,7 @@ accumulate with operators and call :meth:`Field.reduce` once per result, or
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
@@ -23,6 +24,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to all 13 bases above (Sorenson and
 # Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
 MR_PROVEN_BOUND = 3317044064679887385961981
+# What Field.parse reads from a string: an optionally signed integer, or one
+# over an unsigned denominator, ASCII digits only, nothing around them.
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def is_prime(n: int) -> bool:
@@ -82,15 +86,15 @@ class Field:
         return self.reduce(x * self.inv(y))
 
     def parse(self, text):
-        """Parse an int or a "num/den" string into a scalar, through :meth:`reduce`."""
-        if isinstance(text, bool) or not isinstance(text, (int, str)):
+        """Parse an int, or a string that spells an optionally signed integer
+        or "num/den", into a scalar, through :meth:`reduce`."""
+        if not (is_json_int(text) or isinstance(text, str) and _RATIONAL_TEXT.fullmatch(text)):
             raise SpecFormatError(f"not a {self.noun} value: {text!r}")
         try:
-            q = Fraction(text)
+            return self.reduce(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
+            # ValueError: a numerator or denominator past Python's int digit limit.
             raise SpecFormatError(f"not a {self.noun} value: {text!r}") from exc
-        try:
-            return self.reduce(q)
         except NonUnitError as exc:
             raise SpecFormatError(
                 f"{text!r} has denominator divisible by {self.characteristic}"

@@ -531,7 +531,18 @@ def test_undecodable_documents_exit_2(tmp_path, capsys, what, kind):
     assert err.count("\n") == 1
 
 
-def test_field_override_flag(tmp_path, capsys):
+@pytest.mark.parametrize("what", sorted(_DOCUMENT_FLAGS))
+def test_a_quoted_value_past_the_int_digit_limit_exits_2(tmp_path, capsys, what):
+    # JSON decodes the string; Fraction then refuses its 5000 digits.
+    argv, doc = _DOCUMENT_FLAGS[what]
+    path = tmp_path / "doc.json"
+    path.write_bytes(_with_big(doc, '"' + "1" * 5000 + '"'))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: not a rational value: '1111")
+    assert err.count("\n") == 1
+
+
     path = write_spec(tmp_path, IDENTITY_BAND_SPEC)
     code, out, _ = run_cli(
         capsys, "series", "--spec", path, "--order", "4", "--field", "p:13"

@@ -702,6 +702,11 @@ def _frontier_specs(draw):
     return BandedSpec(field, period, bands, draw(st.lists(cells, max_size=5)))
 
 
+# An 8x8 exceptional square with one band below the diagonal.
+_SQUARE_8 = BandedSpec(QQ, 2, {-1: [1, 2], 0: [0, 3], 2: [Fraction(1, 3), 1]},
+                       [(8, 8, 2), (1, 5, 1), (5, 1, 1)])
+
+
 @settings(max_examples=150, deadline=None)
 @given(spec=_frontier_specs(), order=st.integers(0, 25))
 # Row 1 of the exceptional square reads row 3, the last row of V e_1's frontier.
@@ -715,6 +720,28 @@ def _frontier_specs(draw):
 @example(spec=BandedSpec(F101, 3, {-3: [7, 7, 7], 2: [100, 100, 100], 0: [0, 0, 0]},
                          [(4, 1, 3)]), order=10)
 @example(spec=BandedSpec(F_MERSENNE, 2, {-1: [5, 5], 1: [1, 2]}), order=12)
+# Every band and exceptional value an int over Q, negative and non-unit ones
+# among them, and a 3x3 square: every column is a list of ints.
+@example(spec=BandedSpec(QQ, 2, {-2: [3, -1], 0: [-2, 5], 1: [1, 4]},
+                         [(1, 1, -3), (2, 3, 2), (3, 1, 7)]), order=12)
+# Every band is zero on the residue class of rows 2, 5, 8, ...: they stay zero.
+@example(spec=BandedSpec(QQ, 3, {-1: [1, 0, 2], 1: [Fraction(1, 2), 0, 1]}, [(1, 1, 1)]),
+         order=10)
+# Bands constant on residues next to a band that varies by residue, at
+# offsets +-3 with period 3.
+@example(spec=BandedSpec(QQ, 3, {-3: [2, 2, 2], 0: [1, 1, 1], 3: [1, -4, 0]}, [(1, 2, 1)]),
+         order=8)
+# m = 8: at orders 0-2 the column ends at most two rows past the square, and
+# with no band below the diagonal it never leaves it.
+@example(spec=_SQUARE_8, order=0)
+@example(spec=_SQUARE_8, order=1)
+@example(spec=_SQUARE_8, order=2)
+@example(spec=BandedSpec(QQ, 2, {0: [1, 2], 2: [Fraction(1, 3), 1]},
+                         [(8, 8, 2), (1, 5, 1), (5, 1, 1)]), order=2)
+# The built-in examples, integral as annihilate and Section 5 read them.
+@example(spec=fixtures.ex41_spec(), order=15)
+@example(spec=fixtures.ex43_spec(), order=12)
+@example(spec=fixtures.ex512_spec(), order=20)
 def test_first_column_frontier_matches_untrimmed_corner_loop(spec, order):
     """Column t holds exactly the rows 1..max(m, 1) + t·d, d the downward
     reach of the bands with a nonzero value; there it equals the untrimmed

@@ -124,9 +124,11 @@ def test_the_block_routes_never_use_the_dense_product(module):
 
 def test_the_first_column_layer_stays_scalar():
     # The direct route and Section 5 share this layer; it must stay separate
-    # from the block-matrix code the routes it checks are built on.
+    # from the block-matrix code the routes it checks are built on, and name
+    # none of those routes.
     used = _names(_function(_tree("engine"), "corner_first_columns"))
     assert not used & {"sum_of_products", "cm.mul", "BlockWeights", "block_reduce"}
+    assert not used & {"MatrixSeries", "accumulate", "class_sums", "fixed_point_route"}
     assert "reduce_all" in used
 
 
