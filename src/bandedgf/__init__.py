@@ -42,7 +42,7 @@ from .section5 import (
     weighted_series,
 )
 from .series import Series
-from .walks import class_sums, enumerate_sum, u_table, weight
+from .walks import class_sums, u_table
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "class_sums",
     "cross_check",
     "direct_route",
-    "enumerate_sum",
     "first_difference",
     "fixed_point_route",
     "from_block_weights",
@@ -79,6 +78,5 @@ __all__ = [
     "u_table",
     "verify",
     "verify_block_size",
-    "weight",
     "weighted_series",
 ]

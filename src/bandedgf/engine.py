@@ -268,7 +268,6 @@ def cross_check(
     spec: BandedSpec,
     order: int,
     weights: BlockWeights | None = None,
-    oracle_length: int | None = None,
 ) -> tuple[dict, Series]:
     """Run every route and raise RouteMismatchError on the first disagreement.
 
@@ -281,9 +280,8 @@ def cross_check(
     z^n either way); the direct route, on the original spec, is compared with
     their corner series divided back (z -> z / L).
 
-    The oracle's depth defaults to min(order, 10), the ``oracle_length`` and
-    ``orders_compared`` the report has always printed; pass
-    ``oracle_length=0`` to reduce it to the trivial constant-term check.
+    The walk oracle runs to length min(order, 10), the ``oracle_length`` of
+    the report and the ``orders_compared`` of its oracle checks.
     """
     if weights is None:
         weights = block_reduce(spec)
@@ -293,8 +291,7 @@ def cross_check(
     lr = laurent_route(weights, order)
     c = weights.field.inv(den)
     fp_gv, lr_gv = fp.gv.scale_z(c), lr.gv.scale_z(c)
-    if oracle_length is None:
-        oracle_length = min(order, 10)
+    oracle_length = min(order, 10)
     sums = class_sums(weights, oracle_length)
     pairs = [
         ("direct_vs_fixed_point", direct, fp_gv),

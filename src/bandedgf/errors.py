@@ -25,12 +25,8 @@ class UnsupportedCharacteristicError(BandedGFError):
     """Operation not available in the coefficient field's characteristic."""
 
 
-class MalformedWalkError(BandedGFError):
-    """Walk contains a step outside {-1, 0, 1}."""
-
-
 class ResourceLimitError(BandedGFError):
-    """Requested enumeration exceeds the configured ceiling."""
+    """Requested work exceeds one of the package's ceilings, refused up front."""
 
 
 class InvalidBlockSizeError(BandedGFError):

@@ -52,8 +52,10 @@ class EventuallyPolySeq:
     """Scalar sequence a_1, a_2, ... eventually polynomial on each residue class.
 
     For residue i in 1..s the subsequence k -> a_{i+sk} is given by explicit
-    initial values followed by a polynomial in k: the accessor returns
-    ``initial[k]`` while k is in range and evaluates the polynomial after.
+    initial values followed by a polynomial in k: a_{i+sk} is ``initial[k]``
+    while k is in range and the polynomial at k after.  ``rules[i-1]`` holds
+    the pair (initial, poly) of residue i, reduced into the field;
+    :func:`_rule_tables` evaluates them.
     """
 
     def __init__(self, field: Field, s: int, rules):
@@ -68,28 +70,6 @@ class EventuallyPolySeq:
             )
             for initial, poly in rules
         )
-
-    @classmethod
-    def constant(cls, field: Field, s: int, value) -> "EventuallyPolySeq":
-        return cls(field, s, [((), (value,))] * s)
-
-    def value(self, index: int):
-        """a_index for a 1-based index: value k of residue class i, for
-        index = i + s·k with i in 1..s."""
-        if index < 1:
-            raise ValueError("sequence indices start at 1")
-        k, i = divmod(index - 1, self.s)
-        initial, poly = self.rules[i]
-        if k < len(initial):
-            return initial[k]
-        field = self.field
-        acc = field.zero
-        kval = field.reduce(k)
-        power = field.one
-        for c in poly:
-            acc = field.reduce(acc + c * power)
-            power = field.reduce(power * kval)
-        return acc
 
 
 def _rule_tables(field: Field, rules, count: int):

@@ -1,4 +1,4 @@
-"""Matrix-weighted Motzkin walks: their weights and the walk-sum oracle.
+"""Matrix-weighted Motzkin walks: the walk-sum oracle and the walk table.
 
 A walk is a tuple of integer heights with consecutive differences in
 {-1, 0, 1}.  Each step carries an s-by-s weight: A for a down step, B for a
@@ -6,14 +6,11 @@ level step, C for an up step; the weight of a walk is the ordered product of
 its step weights.  The starred weight replaces B by D on level steps taken at
 height 0.  :func:`class_sums` is the oracle the routes are checked against:
 one forward pass over heights per walk class, polynomial in the length,
-written from these definitions alone.  :func:`enumerate_sum` lists every
-walk (3^length, capped) and is the brute-force reference the tests pin the
-oracle to; it and :func:`weight` multiply with the dense ``matrices.mul``,
-while the oracle and the walk table multiply through the step weights'
-nonzero entries.  The table of standard-walk sums (:func:`u_table`) keeps every
-s-by-s block u_k^(n) for the identity suite, which reads whole blocks, and
-computes from them the binomially weighted ladder G*_r
-(:meth:`UTable.binomial_sums`).
+written from these definitions alone.  The oracle and the walk table
+multiply through the step weights' nonzero entries.  The table of
+standard-walk sums (:func:`u_table`) keeps every s-by-s block u_k^(n) for the
+identity suite, which reads whole blocks, and computes from them the
+binomially weighted ladder G*_r (:meth:`UTable.binomial_sums`).
 """
 
 from __future__ import annotations
@@ -24,101 +21,8 @@ from operator import mul
 
 from . import matrices as cm
 from .banded import BlockWeights
-from .errors import MalformedWalkError, ResourceLimitError
 from .matseries import MatrixSeries
 from .series import require_nonnegative
-
-DEFAULT_ENUMERATION_CEILING = 14
-
-WALK_FILTERS = ("all", "standard", "primitive_standard", "primitive")
-
-
-def check_walk(points) -> None:
-    if not points:
-        raise MalformedWalkError("a walk needs at least its starting point")
-    for a, b in zip(points, points[1:]):
-        if b - a not in (-1, 0, 1):
-            raise MalformedWalkError(f"step {a} -> {b} is not in {{-1, 0, 1}}")
-
-
-def _step_weight(w: BlockWeights, a: int, b: int, mode: str):
-    """The weight of the step from height a to height b."""
-    if b - a == -1:
-        return w.a
-    if b - a == 1:
-        return w.c
-    return w.d if mode == "w_star" and a == 0 else w.b
-
-
-def weight(w: BlockWeights, points, mode: str = "w"):
-    """Ordered product of step weights; the empty walk weighs the identity."""
-    check_walk(points)
-    if mode not in ("w", "w_star"):
-        raise ValueError(f"unknown weight mode {mode!r}")
-    field = w.field
-    acc = cm.identity(field, w.s)
-    for a, b in zip(points, points[1:]):
-        acc = cm.mul(field, acc, _step_weight(w, a, b, mode))
-    return acc
-
-
-def _check_length(length: int, ceiling: int) -> None:
-    require_nonnegative(length)
-    if length > ceiling:
-        raise ResourceLimitError(
-            f"enumeration to length {length} exceeds the ceiling {ceiling} "
-            f"(3^length walks)"
-        )
-
-
-def enumerate_sum(
-    w: BlockWeights,
-    length: int,
-    start: int,
-    finish: int,
-    walk_filter: str = "all",
-    mode: str = "w",
-    ceiling: int = DEFAULT_ENUMERATION_CEILING,
-) -> MatrixSeries:
-    """Sum of walk weights by length, over walks from start to finish.
-
-    ``walk_filter`` selects "all" walks, "standard" ones (no point below the
-    finish), "primitive" ones (closed, start level unvisited inside), or
-    "primitive_standard".  The coefficient of z^n is the matrix sum over the
-    qualifying walks of length exactly n.
-    """
-    _check_length(length, ceiling)
-    if walk_filter not in WALK_FILTERS:
-        raise ValueError(f"unknown walk filter {walk_filter!r}")
-    if mode not in ("w", "w_star"):
-        raise ValueError(f"unknown weight mode {mode!r}")
-    field, s = w.field, w.s
-    standard_only = walk_filter in ("standard", "primitive_standard")
-    primitive_only = walk_filter in ("primitive", "primitive_standard")
-    sums = [cm.zeros(field, s) for _ in range(length + 1)]
-    # A standard walk has no point below its finish, its start included; a
-    # primitive walk is closed.
-    if (standard_only and start < finish) or (primitive_only and start != finish):
-        return MatrixSeries(field, s, sums)
-    ident = cm.identity(field, s)
-    if start == finish and not primitive_only:
-        sums[0] = ident
-    # Walks are extended while they can still reach the finish in the steps
-    # left; a standard one never steps below the finish, and a primitive one
-    # ends at its first return, which is to the finish.
-    stack = [(start, 0, ident)]
-    while stack:
-        h, lng, prod = stack.pop()
-        for nh in (h - 1, h, h + 1):
-            if abs(nh - finish) > length - lng - 1 or (standard_only and nh < finish):
-                continue
-            nprod = cm.mul(field, prod, _step_weight(w, h, nh, mode))
-            if nh == finish:
-                sums[lng + 1] = cm.add(field, sums[lng + 1], nprod)
-                if primitive_only:
-                    continue
-            stack.append((nh, lng + 1, nprod))
-    return MatrixSeries(field, s, sums)
 
 
 class WalkSums:

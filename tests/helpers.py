@@ -1,5 +1,9 @@
 """Test-only checks: the block-pattern round trip of a reduction, the walk
-predicates the tests state the paper's definitions with, the symbol-power
+predicates the tests state the paper's definitions with, the weight of one
+walk as a product of dense ``matrices.mul`` steps and the walk enumeration
+that sums those weights over all 3^length walks, the brute-force reference
+for ``walks.class_sums``, the per-index value of a forcing rule, the
+reference for ``section5._rule_tables``, the constant rule a_k = c, the symbol-power
 stream formed through whole block products, the reference for the library's
 row-slice stream, the symbol determinant by the Leibniz formula on list
 polynomials, the reference for ``engine.symbol_determinant``, the
@@ -25,8 +29,9 @@ from bandedgf import matrices as cm
 from bandedgf.banded import BandedSpec, BlockWeights
 from bandedgf.errors import InvalidBlockSizeError, NonUnitError
 from bandedgf.fields import Field, cleared, denominator, require_same_field
+from bandedgf.matseries import MatrixSeries
+from bandedgf.section5 import EventuallyPolySeq
 from bandedgf.series import Series
-from bandedgf.walks import check_walk
 
 
 class ReductionReport:
@@ -75,6 +80,102 @@ def validate_reduction(spec: BandedSpec, w: BlockWeights, k: int) -> ReductionRe
             if got != want:
                 return ReductionReport((i, j, got, want))
     return ReductionReport()
+
+
+def check_walk(points) -> None:
+    """Raise ValueError unless ``points`` is a walk: a starting point, then
+    steps in {-1, 0, 1}."""
+    if not points:
+        raise ValueError("a walk needs at least its starting point")
+    for a, b in zip(points, points[1:]):
+        if b - a not in (-1, 0, 1):
+            raise ValueError(f"step {a} -> {b} is not in {{-1, 0, 1}}")
+
+
+WALK_FILTERS = ("all", "standard", "primitive_standard", "primitive")
+
+
+def _step_weight(w: BlockWeights, a: int, b: int, mode: str):
+    """The weight of the step from height a to height b: A down, C up, B level,
+    and D for a level step at 0 under the starred weight ``mode="w_star"``."""
+    if b - a == -1:
+        return w.a
+    if b - a == 1:
+        return w.c
+    return w.d if mode == "w_star" and a == 0 else w.b
+
+
+def weight(w: BlockWeights, points, mode="w"):
+    """Ordered product of step weights; the empty walk weighs the identity."""
+    check_walk(points)
+    field = w.field
+    acc = cm.identity(field, w.s)
+    for a, b in zip(points, points[1:]):
+        acc = cm.mul(field, acc, _step_weight(w, a, b, mode))
+    return acc
+
+
+def enumerate_sum(w: BlockWeights, length, start, finish, walk_filter="all", mode="w"):
+    """Sum of walk weights by length, over walks from start to finish, walk by
+    walk (3^length of them).
+
+    ``walk_filter`` is one of :data:`WALK_FILTERS`: "all" walks, "standard"
+    ones (no point below the finish), "primitive" ones (closed, start level
+    unvisited inside), or "primitive_standard".  The coefficient of z^n is the
+    matrix sum over the qualifying walks of length exactly n.
+    """
+    field, s = w.field, w.s
+    standard_only = walk_filter in ("standard", "primitive_standard")
+    primitive_only = walk_filter in ("primitive", "primitive_standard")
+    sums = [cm.zeros(field, s) for _ in range(length + 1)]
+    # A standard walk has no point below its finish, its start included; a
+    # primitive walk is closed.
+    if (standard_only and start < finish) or (primitive_only and start != finish):
+        return MatrixSeries(field, s, sums)
+    ident = cm.identity(field, s)
+    if start == finish and not primitive_only:
+        sums[0] = ident
+    # Walks are extended while they can still reach the finish in the steps
+    # left; a standard one never steps below the finish, and a primitive one
+    # ends at its first return, which is to the finish.
+    stack = [(start, 0, ident)]
+    while stack:
+        h, lng, prod = stack.pop()
+        for nh in (h - 1, h, h + 1):
+            if abs(nh - finish) > length - lng - 1 or (standard_only and nh < finish):
+                continue
+            nprod = cm.mul(field, prod, _step_weight(w, h, nh, mode))
+            if nh == finish:
+                sums[lng + 1] = cm.add(field, sums[lng + 1], nprod)
+                if primitive_only:
+                    continue
+            stack.append((nh, lng + 1, nprod))
+    return MatrixSeries(field, s, sums)
+
+
+def rule_value(seq: EventuallyPolySeq, index: int):
+    """a_index for a 1-based index: value k of residue class i, for
+    index = i + s·k with i in 1..s; ``initial[k]`` while k is in range, the
+    polynomial in k after."""
+    if index < 1:
+        raise ValueError("sequence indices start at 1")
+    k, i = divmod(index - 1, seq.s)
+    initial, poly = seq.rules[i]
+    if k < len(initial):
+        return initial[k]
+    field = seq.field
+    acc = field.zero
+    kval = field.reduce(k)
+    power = field.one
+    for c in poly:
+        acc = field.reduce(acc + c * power)
+        power = field.reduce(power * kval)
+    return acc
+
+
+def constant_rules(field: Field, s: int, value) -> EventuallyPolySeq:
+    """The sequence with a_k = ``value`` for every k."""
+    return EventuallyPolySeq(field, s, [((), (value,))] * s)
 
 
 def concat(alpha, beta):

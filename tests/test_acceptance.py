@@ -24,7 +24,8 @@ from bandedgf.fields import PrimeField, QQ
 from bandedgf.identities import oracle_comparison, run_identity_suite
 from bandedgf.section5 import affine_pipeline
 from bandedgf.series import Series
-from bandedgf.walks import enumerate_sum
+
+from helpers import enumerate_sum
 
 F101 = PrimeField(101)
 SEED = 20260809
@@ -223,7 +224,7 @@ def test_criterion_9_fault_injection(tmp_path, capsys):
             for j in range(2):
                 bad = good.replace(which, i, j, block[i][j] + 1)
                 try:
-                    cross_check(spec, 10, weights=bad, oracle_length=0)
+                    cross_check(spec, 10, weights=bad)
                     missed.append((which, i, j))
                 except RouteMismatchError:
                     pass
@@ -232,7 +233,7 @@ def test_criterion_9_fault_injection(tmp_path, capsys):
     for which in "abcd":
         bad = good5.replace(which, 0, 0, getattr(good5, which)[0][0] + 1)
         try:
-            cross_check(spec5, 10, weights=bad, oracle_length=0)
+            cross_check(spec5, 10, weights=bad)
             missed.append((which, "ex5.12"))
         except RouteMismatchError:
             pass

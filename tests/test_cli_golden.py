@@ -17,9 +17,10 @@ with a smaller lcm than their coefficients, included), ``weighted`` and
 redundant override (equal to the band value) puts its exceptional bound 6
 past its block size 2, so the first-column frontier runs longer than
 s (n + 1), under ``weighted``, ``affine`` and ``series``, ``annihilate``
-over Q on three specs with true fractions (the series' own coefficients are
-fractions, so each row of the system is cleared), each once found and once
-not found, ``weighted`` and ``affine`` on a spec whose corner value 1/5 has a
+over Q on three specs with true fractions (each reconstructed on the
+integral series of ``clear_spec``'s L·V, L the spec's denominator, and each
+coefficient q_ij found there mapped back to p_ij = q_ij / L^j on the corner
+series of V), each once found and once not found, ``weighted`` and ``affine`` on a spec whose corner value 1/5 has a
 denominator no band value has, over Q and F_(2^61-1), ``annihilate`` whose
 nullspace is far shorter than its system (ex4.2 at order 120 and bounds
 (3,7), a four-dimensional nullspace; ex4.1 not found at order 80 over

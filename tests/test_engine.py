@@ -29,9 +29,8 @@ from bandedgf.errors import ResourceLimitError, RouteMismatchError
 from bandedgf.fields import PrimeField, QQ
 from bandedgf.matseries import MatrixSeries
 from bandedgf.series import Series
-from bandedgf.walks import enumerate_sum
 
-from helpers import reference_symbol_determinant
+from helpers import enumerate_sum, reference_symbol_determinant
 
 F101 = PrimeField(101)
 F_MERSENNE = PrimeField(2**61 - 1)

@@ -3,10 +3,11 @@
 ``MatrixSeries`` multiplies through ``matrices.sum_of_products``, the
 fixed-point route through its own per-entry convolutions, and the Laurent
 stream by row slices through the step weights' nonzero entries; the walk
-enumeration uses the dense ``matrices.mul``, the walk passes and the walk
-table their own product through the step weights' nonzero entries, and the
-identity suite's reference step its own loop over those entries.  The
-oracle and the reference step check the routes, so they must never share
+passes and the walk table use their own product through the step weights'
+nonzero entries, and the identity suite's reference step its own loop over
+those entries.  The dense ``matrices.mul`` is left to the brute-force walk
+enumeration in ``tests/helpers.py``, the reference the oracle is pinned to.
+The oracle and the reference step check the routes, so they must never share
 their kernels.  The sources are parsed with ``ast``, never imported, so a
 refactor that moves a layer onto another layer's product fails here.
 """
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bandedgf"
+HELPERS = Path(__file__).resolve().parent / "helpers.py"
 
 
 def _tree(module):
@@ -56,8 +58,12 @@ def _defined(module):
 
 def test_the_oracle_never_uses_the_route_kernel():
     walks = _names(_tree("walks"))
-    assert "sum_of_products" not in walks
-    assert "cm.mul" in walks
+    assert not walks & {"sum_of_products", "cm.mul"}
+    # The brute-force enumeration the tests pin the oracle to multiplies
+    # walk weights with the dense product, which neither the oracle nor a
+    # block route uses.
+    reference = _reached(ast.parse(HELPERS.read_text()), ["enumerate_sum"])
+    assert "cm.mul" in reference
     # The suite's reference step multiplies through the step weights' nonzero
     # entries with its own loop: nothing of the stream it checks, nor of the
     # oracle's passes.

@@ -34,6 +34,8 @@ from bandedgf.section5 import (
 from bandedgf.series import Series
 from bandedgf.walks import u_table
 
+from helpers import constant_rules, rule_value
+
 F101 = PrimeField(101)
 
 
@@ -149,13 +151,13 @@ def test_section5_names_no_block_weights():
 def test_eventually_poly_accessor():
     # Residues mod 2: first class has explicit exceptions then a line in k.
     seq = EventuallyPolySeq(QQ, 2, [((7, 9), (1, 2)), ((), (0, 0, 1))])
-    assert seq.value(1) == 7      # i=1, k=0 -> initial[0]
-    assert seq.value(3) == 9      # i=1, k=1 -> initial[1]
-    assert seq.value(5) == 5      # i=1, k=2 -> 1 + 2*2
-    assert seq.value(2) == 0      # i=2, k=0 -> 0 + 0 + 0
-    assert seq.value(6) == 4      # i=2, k=2 -> k^2
+    assert rule_value(seq, 1) == 7      # i=1, k=0 -> initial[0]
+    assert rule_value(seq, 3) == 9      # i=1, k=1 -> initial[1]
+    assert rule_value(seq, 5) == 5      # i=1, k=2 -> 1 + 2*2
+    assert rule_value(seq, 2) == 0      # i=2, k=0 -> 0 + 0 + 0
+    assert rule_value(seq, 6) == 4      # i=2, k=2 -> k^2
     with pytest.raises(ValueError):
-        seq.value(0)
+        rule_value(seq, 0)
 
 
 # k(k+1)/2: integer values whose coefficients clear only with 2.
@@ -199,7 +201,7 @@ def test_cleared_rule_tables_equal_m_times_the_accessor(data):
         assert len(table) == count
         for index in range(1, count + 1):
             assert type(table[index - 1]) is int
-            assert table[index - 1] == field.reduce(den * rule.value(index))
+            assert table[index - 1] == field.reduce(den * rule_value(rule, index))
 
 
 def test_cleared_rule_tables_keep_the_coefficients_lcm():
@@ -211,7 +213,7 @@ def test_cleared_rule_tables_keep_the_coefficients_lcm():
 
 def test_weighted_series_constant_weights_match_ladder_base():
     spec = fixtures.ex512_spec()
-    a = EventuallyPolySeq.constant(QQ, 1, 1)
+    a = constant_rules(QQ, 1, 1)
     out = weighted_series(spec, 1, a, 10)
     assert out.coeffs == tuple(2**n for n in range(11))
 
@@ -292,7 +294,7 @@ def test_weighted_series_against_corner_powers():
     table = u_table(block_reduce(spec, 1), order)
     for n in range(order + 1):
         expected = sum(
-            a.value(k + 1) * table.value(k + 1, n)[0][0] for k in range(order + 1)
+            rule_value(a, k + 1) * table.value(k + 1, n)[0][0] for k in range(order + 1)
         )
         assert out.coeffs[n] == expected
 
@@ -307,7 +309,7 @@ def test_affine_pipeline_zero_forcing():
     spec = fixtures.ex512_spec()
     rec = AffineRecursion(
         QQ, 2, [[16, 4], [0, 4]], [1, 0],
-        [EventuallyPolySeq.constant(QQ, 1, 0), EventuallyPolySeq.constant(QQ, 1, 0)],
+        [constant_rules(QQ, 1, 0), constant_rules(QQ, 1, 0)],
     )
     assert affine_pipeline(spec, 1, rec, 8).is_zero()
 
@@ -317,10 +319,10 @@ def test_affine_pipeline_one_step_memory_reduces_to_weighted_sum():
     # constant-weight sums delayed by one order.
     spec = fixtures.ex512_spec()
     rec = AffineRecursion(
-        QQ, 1, [[0]], [1], [EventuallyPolySeq.constant(QQ, 1, 1)]
+        QQ, 1, [[0]], [1], [constant_rules(QQ, 1, 1)]
     )
     out = affine_pipeline(spec, 1, rec, 8)
-    base = weighted_series(spec, 1, EventuallyPolySeq.constant(QQ, 1, 1), 7)
+    base = weighted_series(spec, 1, constant_rules(QQ, 1, 1), 7)
     assert out.coeffs == (0,) + base.coeffs
 
 
@@ -329,7 +331,7 @@ def test_pipelines_refuse_a_negative_order():
     # from reading the affine readout one order later.
     spec = fixtures.ex512_spec()
     with pytest.raises(ValueError):
-        weighted_series(spec, 1, EventuallyPolySeq.constant(QQ, 1, 1), -1)
+        weighted_series(spec, 1, constant_rules(QQ, 1, 1), -1)
     with pytest.raises(ValueError):
         affine_pipeline(spec, 1, fixtures.ex512_recursion(), -1)
 
@@ -338,11 +340,11 @@ def test_affine_pipeline_shape_checks():
     spec = fixtures.ex512_spec()
     with pytest.raises(ShapeError):
         AffineRecursion(QQ, 2, [[1, 0], [0, 1]], [1], [
-            EventuallyPolySeq.constant(QQ, 1, 0),
-            EventuallyPolySeq.constant(QQ, 1, 0),
+            constant_rules(QQ, 1, 0),
+            constant_rules(QQ, 1, 0),
         ])
     rec = AffineRecursion(
-        QQ, 1, [[1]], [1], [EventuallyPolySeq.constant(QQ, 2, 1)]
+        QQ, 1, [[1]], [1], [constant_rules(QQ, 2, 1)]
     )
     with pytest.raises(ShapeError):
         affine_pipeline(spec, 1, rec, 4)
@@ -385,9 +387,9 @@ def test_intermediate_square_root_identity():
 def test_weight_rules_json_round_trip():
     doc = {"weights": [{"residue": 1, "initial": [6], "poly": [6, 8]}]}
     rules = weight_rules_from_json_doc(doc, QQ, 1)
-    assert rules.value(1) == 6
-    assert rules.value(2) == 14
-    assert rules.value(3) == 22
+    assert rule_value(rules, 1) == 6
+    assert rule_value(rules, 2) == 14
+    assert rule_value(rules, 3) == 22
 
 
 def test_recursion_json_round_trip():
@@ -428,7 +430,7 @@ def _reference_weighted_series(spec, a, order):
             for i in range(1, s + 1):
                 v = u[i - 1][0]
                 if v != field.zero:
-                    acc = acc + a.value(i + s * k) * v
+                    acc = acc + rule_value(a, i + s * k) * v
         coeffs.append(field.reduce(acc))
     return Series(field, coeffs)
 
@@ -450,7 +452,7 @@ def _reference_affine_pipeline(spec, rec, order):
             for i in range(1, s + 1):
                 v = u[i - 1][0]
                 if v != field.zero:
-                    yk = [rule.value(i + s * k) for rule in rec.y_rules]
+                    yk = [rule_value(rule, i + s * k) for rule in rec.y_rules]
                     for coord in range(d):
                         nxt[coord] = nxt[coord] + v * yk[coord]
         y = [field.reduce(x) for x in nxt]

@@ -13,9 +13,8 @@ from bandedgf.errors import (
 )
 from bandedgf.fields import PrimeField, QQ
 from bandedgf.series import Series
-from bandedgf.walks import enumerate_sum
 
-from helpers import reference_mul
+from helpers import enumerate_sum, reference_mul
 
 
 def S(ints, order=None):
