@@ -280,7 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify_example)
 
-    p = sub.add_parser("oracle", help="walk enumeration against every engine output")
+    p = sub.add_parser(
+        "oracle",
+        help="walk-sum oracle (one forward pass per walk class) against every engine output",
+    )
     _add_spec_args(p, with_order=False)
     p.add_argument("--length", type=int, default=10, help="maximum walk length")
     p.set_defaults(fn=cmd_oracle)
@@ -289,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
     p.add_argument(
         "--enum-length", type=int, default=DEFAULT_ENUM_LENGTH,
-        help="depth of enumeration-backed checks",
+        help="longest walk the walk-sum oracle checks against the identities",
     )
     p.set_defaults(fn=cmd_check_identity)
 

@@ -39,7 +39,7 @@ shows up as a mismatch.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, mul
 
 from . import matrices as cm
@@ -79,7 +79,9 @@ class GenFunBundle:
 
 
 def corner_first_columns(spec: BandedSpec, order: int):
-    """V^t e_1 for t = 0..order, each yielded as its rows 1..f_t.
+    """V^t e_1 for t = 0..order, each yielded as its rows 1..f_t: a list of
+    scalars congruent to V^t e_1's entries, canonical over Q but not over F_p,
+    so a reader reduces what it outputs.
 
     Here f_t = max(m, 1) + t * d, m = exceptional_bound and d the downward
     reach: row i of V x reads x_{i+r} for the band offsets r = j - i, so a
@@ -94,24 +96,32 @@ def corner_first_columns(spec: BandedSpec, order: int):
 
     Rows 1..m are summed one by one, over their nonzero entries
     (:meth:`~bandedgf.banded.BandedSpec.row`) in the rows 1..f_(t-1) of
-    V^(t-1) e_1.  Below them row i is sum_r values_r[(i-1) mod p] x_{i+r},
-    so the rows of one residue class q are built in one pass, as the sum of
-    v_r times the stride-p slice of x starting at row q + r, over the bands r
-    whose value v_r on q is nonzero (one chain of ``map(add, ...)``, the
-    slice itself when v_r = 1); a class on which every band is zero keeps
-    its zero rows.  The slices are read from x with d zeros in front and
-    d + u behind, u the upward reach, so every slice of a class has the
-    class's length and needs no trim at the frontier: at most
-    #bands · p slice operations per step.  When every band with a nonzero
+    V^(t-1) e_1.  Below them row i is sum_r values_r[(i-1) mod P] x_{i+r},
+    P the period, so the rows of one residue class q are built in one pass,
+    as the sum of v_r times the stride-P slice of x starting at row q + r,
+    over the bands r whose value v_r on q is nonzero (one chain of
+    ``map(add, ...)``, the slice itself when v_r = 1); a class on which every
+    band is zero keeps its zero rows.  The slices are read from x with d
+    zeros in front and d + u behind, u the upward reach, so every slice of a
+    class has the class's length and needs no trim at the frontier: at most
+    #bands · P slice operations per step.  When every band with a nonzero
     value is the same on every residue the classes merge into one, stride 1.
 
-    Each step reduces its column once, with one
-    :meth:`~bandedgf.fields.Field.reduce_all`.
+    The field's :meth:`~bandedgf.fields.Field.column_rule` on the spec's band
+    and exceptional values says how each value enters a step and at which
+    steps the column is reduced, by one
+    :meth:`~bandedgf.fields.Field.reduce_all`: over Q never on ints and every
+    step on fractions; over F_p the values enter as symmetric residues (p - 1
+    as -1), an entry grows from below p by at most g bits a step, g the bits
+    of the sum of the entering |v|, and the column is reduced every k steps,
+    k the most that keep an entry within
+    :data:`~bandedgf.fields.COLUMN_BITS` bits.
     """
     require_nonnegative(order)
     field = spec.field
-    m, p = spec.exceptional_bound, spec.period
-    live = {r: vals for r, vals in spec.bands.items() if any(vals)}
+    m, period = spec.exceptional_bound, spec.period
+    enter, every = field.column_rule([*spec.exceptional.values(), *chain(*spec.bands.values())])
+    live = {r: list(map(enter, vals)) for r, vals in spec.bands.items() if any(vals)}
     down, up = max([0, *(-r for r in live)]), max([0, *live])
     reach = max(m, 1)
     if (length := reach + order * down) > COLUMN_CEILING:
@@ -119,17 +129,17 @@ def corner_first_columns(spec: BandedSpec, order: int):
             f"powering the corner to order {order} builds columns of {length} rows, "
             f"past the ceiling of {COLUMN_CEILING} rows"
         )
-    rows = [[(j - 1, v) for j, v in sorted(spec.row(i).items())] for i in range(1, m + 1)]
+    rows = [[(j - 1, enter(v)) for j, v in sorted(spec.row(i).items())] for i in range(1, m + 1)]
     # (a, terms): the 0-based rows a, a + step, ... past the square form one
     # class, and each (k, v) in terms adds v x[a + r], v x[a + r + step], ...,
     # k = r + down its start in the padded column.
-    step = 1 if all(vals.count(vals[0]) == p for vals in live.values()) else p
+    step = 1 if all(vals.count(vals[0]) == period for vals in live.values()) else period
     classes = []
     for q in range(step):
         terms = [(r + down, vals[q]) for r, vals in live.items() if vals[q]]
         if terms:
             classes.append((m + (q - m) % step, terms))
-    zero, red_all = field.zero, field.reduce_all
+    zero = field.zero
     tail = [zero] * (down + up)
 
     def columns():
@@ -146,7 +156,7 @@ def corner_first_columns(spec: BandedSpec, order: int):
                     src = src if v == 1 else map(mul, repeat(v), src)
                     total = src if total is None else map(add, total, src)
                 nx[a:hi:step] = total
-            x = red_all(nx)
+            x = nx if every is None or t % every else field.reduce_all(nx)
             yield x
 
     return columns()

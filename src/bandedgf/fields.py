@@ -7,7 +7,10 @@ not wrapper objects; the field object supplies the operations that are not
 plain ``+``/``*`` (reduction, inversion, parsing, printing).  Sums and
 products of raw scalars stay exact under native arithmetic, so hot loops may
 accumulate with operators and call :meth:`Field.reduce` once per result, or
-:meth:`Field.reduce_all` once per list of results.
+:meth:`Field.reduce_all` once per list of results.  :meth:`Field.column_rule`
+says how far a loop of such steps may run before it must reduce: never over
+Q on ints, every step over Q on fractions, and every k steps over F_p, with k
+set by :data:`COLUMN_BITS`.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ MR_PROVEN_BOUND = 3317044064679887385961981
 # What Field.parse reads from a string: an optionally signed integer, or one
 # over an unsigned denominator, ASCII digits only, nothing around them.
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# Size an entry of an unreduced F_p column may reach between two reductions
+# of the column (see PrimeField.column_rule): a few machine words, so the ints
+# stay small while most steps skip the pass of ``mod``.
+COLUMN_BITS = 256
 
 
 def is_prime(n: int) -> bool:
@@ -73,6 +80,18 @@ class Field:
     def reduce_all(self, xs):
         """:meth:`reduce` on every item of the list or tuple ``xs``, as a list."""
         return list(map(self.reduce, xs))
+
+    def column_rule(self, values):
+        """``(enter, every)``: how to run v -> (sum of v·x over a row) steps
+        whose values v are among the scalars ``values``, listed with their
+        repeats (a spec's band and exceptional values).
+
+        Each v enters the step as ``enter(v)``, an int or Fraction congruent to
+        v, and the step's results are brought back with one :meth:`reduce_all`
+        at every step t that ``every`` divides; ``every`` None means never,
+        because the raw results are canonical already.
+        """
+        raise NotImplementedError
 
     # 0 and 1 are already canonical in both fields (ints, and p >= 2).
     zero = 0
@@ -139,6 +158,13 @@ class RationalField(Field):
             return xs
         return list(map(self.reduce, xs))
 
+    def column_rule(self, values):
+        """Values enter as they are.  Sums of int products are canonical ints,
+        so a step on ints alone is never reduced; a true Fraction among the
+        values makes every step reduce, to its lowest terms and back to an int
+        where integral."""
+        return (lambda v: v), (None if set(map(type, values)) <= {int} else 1)
+
     def inv(self, x):
         x = Fraction(x)
         if x == 0:
@@ -187,6 +213,24 @@ class PrimeField(Field):
     def reduce_all(self, xs):
         """Raw int results mod p in one pass; a true fraction must go through :meth:`reduce`."""
         return list(map(mod, xs, repeat(self.p)))
+
+    def column_rule(self, values):
+        """Each v enters as its symmetric residue, v - p when v > p // 2, so
+        p - 1 enters as -1, and a column is reduced every k steps.
+
+        From a reduced column, whose entries are below 2^b with b the bits of
+        p, a step multiplies an entry's size by at most S, the sum of the
+        entering |v| (a row's values are among them), so t steps later an
+        entry has at most b + t·g bits, g the bits of S.  k is the largest t
+        that keeps this within :data:`COLUMN_BITS`, and 1 when none does.
+        """
+        p, half = self.p, self.p // 2
+
+        def enter(v):
+            return v - p if v > half else v
+
+        growth = max(1, sum(abs(enter(v)) for v in values).bit_length())
+        return enter, max(1, (COLUMN_BITS - p.bit_length()) // growth)
 
     def inv(self, x):
         x = x % self.p

@@ -159,10 +159,12 @@ def _step_recursion_failure(field: Field, w: BlockWeights, order: int):
 
 
 def _corner_table_failure(table, columns, s: int, order: int):
-    """The first columns of the corner powers, streamed, against the walk
-    table's rows 1..s(order + 2); rows past a column's frontier count as zero."""
+    """The first columns of the corner powers, streamed and each reduced
+    (over F_p they come unreduced), against the walk table's rows
+    1..s(order + 2); rows past a column's frontier count as zero."""
+    field = table.field
     for n, column in enumerate(columns):
-        entries = chain(column, repeat(table.field.zero))
+        entries = chain(field.reduce_all(column), repeat(field.zero))
         for k in range(order + 2):
             u = table.value(k + 1, n)
             for i, v in zip(range(s), entries):

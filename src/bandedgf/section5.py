@@ -29,8 +29,11 @@ times the true one.  A column holds only its rows up to the frontier of
 indices any sum reads, and the entries past either are zero, so each sum is
 one dot product over the shorter of the two.  The state is the integral
 u_n = M (L K)^(n-1) y^(n), K the denominator of T, divided back once per
-coefficient.  Over F_p, whose scalars are ints, L = M = K = 1 and every value
-is reduced mod p.  :func:`~bandedgf.engine.corner_first_columns` itself is not
+coefficient.  Over F_p, whose scalars are ints, L = M = K = 1, and the
+columns come unreduced between the reductions that
+:func:`~bandedgf.engine.corner_first_columns` makes every few steps; the sums
+S_n are reduced mod p where they enter the state u_n, which is reduced as it
+is formed.  :func:`~bandedgf.engine.corner_first_columns` itself is not
 rescaled, so the direct route of ``cross_check``, which shares it, stays an
 independent computation on the original Fraction spec.
 """

@@ -3,7 +3,9 @@ predicates the tests state the paper's definitions with, the weight of one
 walk as a product of dense ``matrices.mul`` steps and the walk enumeration
 that sums those weights over all 3^length walks, the brute-force reference
 for ``walks.class_sums``, the per-index value of a forcing rule, the
-reference for ``section5._rule_tables``, the constant rule a_k = c, the symbol-power
+reference for ``section5._rule_tables``, the first columns of the corner
+powers reduced at every step, the reference for
+``engine.corner_first_columns``, the constant rule a_k = c, the symbol-power
 stream formed through whole block products, the reference for the library's
 row-slice stream, the symbol determinant by the Leibniz formula on list
 polynomials, the reference for ``engine.symbol_determinant``, the
@@ -171,6 +173,31 @@ def rule_value(seq: EventuallyPolySeq, index: int):
         acc = field.reduce(acc + c * power)
         power = field.reduce(power * kval)
     return acc
+
+
+def reference_first_columns(spec: BandedSpec, order: int):
+    """V^t e_1 for t = 0..order on the whole k-by-k corner, k = order ·
+    bandwidth + max(m, 1), every entry reduced at every step: the reference
+    for ``engine.corner_first_columns``, which stops each column at its
+    frontier and reduces only at the steps its field's column rule names."""
+    field = spec.field
+    k = order * spec.bandwidth + max(spec.exceptional_bound, 1)
+    rows = []
+    for i in range(1, k + 1):
+        cols = {i + r for r in spec.bands if 1 <= i + r <= k}
+        cols.update(j for (ei, j) in spec.exceptional if ei == i and j <= k)
+        row = [(j - 1, spec.entry(i, j)) for j in sorted(cols)]
+        rows.append([(j, v) for j, v in row if v != field.zero])
+    x = [field.zero] * k
+    x[0] = field.one
+    out = [x]
+    for _ in range(order):
+        x = [
+            field.reduce(sum(v * x[j] for j, v in row)) if row else field.zero
+            for row in rows
+        ]
+        out.append(x)
+    return out
 
 
 def constant_rules(field: Field, s: int, value) -> EventuallyPolySeq:

@@ -26,11 +26,11 @@ from bandedgf.engine import (
     symbol_determinant,
 )
 from bandedgf.errors import ResourceLimitError, RouteMismatchError
-from bandedgf.fields import PrimeField, QQ
+from bandedgf.fields import COLUMN_BITS, PrimeField, QQ
 from bandedgf.matseries import MatrixSeries
 from bandedgf.series import Series
 
-from helpers import enumerate_sum, reference_symbol_determinant
+from helpers import enumerate_sum, reference_first_columns, reference_symbol_determinant
 
 F101 = PrimeField(101)
 F_MERSENNE = PrimeField(2**61 - 1)
@@ -653,29 +653,7 @@ def test_identity_and_oracle_reports_do_not_see_the_rescale(w, order, enum_lengt
         assert cleared[0]["status"] == cleared[1]["status"] == "pass"
 
 
-# -- the first-column frontier against the untrimmed corner loop ------------------
-
-
-def _untrimmed_first_columns(spec, order):
-    """Every step computes all k rows of the corner, as before the frontier."""
-    field = spec.field
-    k = order * spec.bandwidth + max(spec.exceptional_bound, 1)
-    rows = []
-    for i in range(1, k + 1):
-        cols = {i + r for r in spec.bands if 1 <= i + r <= k}
-        cols.update(j for (ei, j) in spec.exceptional if ei == i and j <= k)
-        row = [(j - 1, spec.entry(i, j)) for j in sorted(cols)]
-        rows.append([(j, v) for j, v in row if v != field.zero])
-    x = [field.zero] * k
-    x[0] = field.one
-    out = [x]
-    for _ in range(order):
-        x = [
-            field.reduce(sum(v * x[j] for j, v in row)) if row else field.zero
-            for row in rows
-        ]
-        out.append(x)
-    return out
+# -- the first-column frontier against the every-step reference loop ---------------
 
 
 @st.composite
@@ -719,6 +697,10 @@ _SQUARE_8 = BandedSpec(QQ, 2, {-1: [1, 2], 0: [0, 3], 2: [Fraction(1, 3), 1]},
 @example(spec=BandedSpec(F101, 3, {-3: [7, 7, 7], 2: [100, 100, 100], 0: [0, 0, 0]},
                          [(4, 1, 3)]), order=10)
 @example(spec=BandedSpec(F_MERSENNE, 2, {-1: [5, 5], 1: [1, 2]}), order=12)
+# Values near p/2 over F_(2^61-1): 62 bits a step, so a column left unreduced
+# for more than three steps passes the bit budget.
+@example(spec=BandedSpec(F_MERSENNE, 1, {-1: [2**60], 1: [2**60 + 5]}, [(1, 1, 2**61 - 2)]),
+         order=25)
 # Every band and exceptional value an int over Q, negative and non-unit ones
 # among them, and a 3x3 square: every column is a list of ints.
 @example(spec=BandedSpec(QQ, 2, {-2: [3, -1], 0: [-2, 5], 1: [1, 4]},
@@ -743,22 +725,27 @@ _SQUARE_8 = BandedSpec(QQ, 2, {-1: [1, 2], 0: [0, 3], 2: [Fraction(1, 3), 1]},
 @example(spec=fixtures.ex512_spec(), order=20)
 def test_first_column_frontier_matches_untrimmed_corner_loop(spec, order):
     """Column t holds exactly the rows 1..max(m, 1) + t·d, d the downward
-    reach of the bands with a nonzero value; there it equals the untrimmed
-    loop's column, and below them the loop's column is zero."""
+    reach of the bands with a nonzero value; there, reduced, it equals the
+    untrimmed every-step loop's column, and below them the loop's column is
+    zero."""
+    field = spec.field
     down = max([0, *(-r for r, vals in spec.bands.items() if any(vals))])
     got = list(corner_first_columns(spec, order))
-    full = _untrimmed_first_columns(spec, order)
+    full = reference_first_columns(spec, order)
     assert len(got) == len(full) == order + 1
     for t, (col, ref) in enumerate(zip(got, full)):
         f = max(spec.exceptional_bound, 1) + t * down
         assert len(col) == f
-        assert col == ref[:f]
+        assert field.reduce_all(col) == ref[:f]
         assert not any(ref[f:])
-    # Canonical scalars: ints over Q unless truly fractional, residues in [0, p).
-    if spec.field == QQ:
+    # Over Q the columns are canonical as they come: ints unless truly
+    # fractional.  Over F_p they are unreduced ints, each inside the bit budget.
+    if field == QQ:
         assert all(type(v) is int or v.denominator > 1 for col in got for v in col)
     else:
-        assert all(type(v) is int and 0 <= v < spec.field.p for col in got for v in col)
+        assert all(
+            type(v) is int and abs(v).bit_length() <= COLUMN_BITS for col in got for v in col
+        )
 
 
 def test_first_columns_refuse_a_negative_order_at_the_call():
