@@ -7,11 +7,12 @@ each z-order of sum c_{i,j} z^j g^i contributes one homogeneous equation.
 The system is built once, at the largest bounds, and reduced to a basis of
 its nullspace.  The dz + 1 unknowns of x^0 are solved outright from rows
 0..dz, so only the c = dx(dz+1) columns of g^1..g^dx are eliminated, over
-the n - dz rows dz+1..n: a head of c + HEAD_SLACK rows (fraction-free over
-Q, with pivot rows normalised to 1 mod p over F_p), and every later row is
-checked against the basis by dot products, so the cost is O(c^3)
-elimination plus O(n·c·d) checks for a d-dimensional nullspace, plus
-O(dx·dz·n) for the x^0 entries; a row that fails the check grows the head.
+the n - dz rows dz+1..n: a square head of c rows (fraction-free over Q; over
+F_p with pivot rows normalised to 1 mod p and the rows below reduced only
+where they are read), and every later row is checked against the basis by
+dot products, so the cost is O(c^3) elimination plus O(n·c·d) checks for a
+d-dimensional nullspace, plus O(dx·dz·n) for the x^0 entries; a row that
+fails the check grows the head.
 Three reads of that small basis find the least x-degree, the least
 z-degree, and the solution itself.  Over Q every step runs on integers: the
 back-substitution divides exactly, and the reads eliminate fraction-free, so
@@ -41,8 +42,6 @@ from .fields import Field, cleared, denominator, require_same_field, scalar_to_j
 from .series import Series
 
 DEFAULT_GUARD = 20
-# Rows past the column count that _nullspace eliminates before it checks the rest.
-HEAD_SLACK = 8
 
 
 class AnnihilatorPoly:
@@ -100,7 +99,7 @@ class AnnihilatorPoly:
 
     def evaluate(self, g: Series) -> Series:
         """Residual series P(z, g(z)) truncated at g's order: sum_i c_i(z) g^i
-        over :func:`powers`, so dx - 1 series products."""
+        over :func:`powers`, so one squaring and dx - 2 series products."""
         require_same_field(self.field, g.field)
         return _combination(self.coeffs, powers(g, self.dx), g.order)
 
@@ -178,9 +177,25 @@ def require_order(order: int, dx: int, dz: int, guard: int) -> None:
 
 
 def powers(g: Series, dx: int) -> list[Series]:
-    """g^0, g^1, ..., g^dx at g's order: dx - 1 series products."""
+    """g^0, g^1, ..., g^dx at g's order: g^2 by one squaring, then dx - 2
+    series products.
+
+    The squaring reads each product g_k g_(m-k) with k < m - k once, as
+    [z^m] g^2 = 2·sum_(k < m/2) g_k g_(m-k) (+ g_(m/2)^2 for even m), with
+    the sum one C-level dot product like the one of ``Series.__mul__``.
+    """
     out = [Series.one(g.field, g.order), g]
-    for _ in range(dx - 1):
+    if dx >= 2:
+        a = g.coeffs
+        n = len(a) - 1
+        ra = a[::-1]
+        # ra[n - m + k] is g_(m - k), so the slice pairs g_0.. with g_m, g_(m-1), ...
+        out.append(Series(g.field, [
+            2 * sum(map(mul, a, ra[n - m:n - m + (m + 1) // 2]))
+            + (0 if m % 2 else a[m // 2] * a[m // 2])
+            for m in range(n + 1)
+        ]))
+    for _ in range(dx - 2):
         out.append(out[-1] * g)
     return out[:dx + 1]
 
@@ -341,16 +356,16 @@ def _nullspace(field: Field, rows, ncols: int):
     that is nonzero at f, 0 at the other free columns, and at the pivots by
     back-substitution, scaled as :func:`_basis` says.
 
-    Only a head of the rows is eliminated, first ``ncols + HEAD_SLACK`` of
+    Only a square head of the rows is eliminated, the first ``ncols`` of
     them; each later row is then checked against each basis vector by one
     integer dot product (reduced mod p over F_p).  ker R lies in ker R_head,
     so a tail that passes means the two kernels are equal, and the basis, one
     vector per free column as above, is a function of the kernel alone: it is
-    the one a full elimination gives.  At the first row that some vector does
-    not annihilate, the head grows through that row, at least doubling, and
-    is eliminated again.
+    the one a full elimination gives, whatever the head's size.  At the first
+    row that some vector does not annihilate, the head grows through that
+    row, at least doubling, and is eliminated again.
     """
-    head = ncols + HEAD_SLACK
+    head = ncols
     while True:
         basis = _head_nullspace(field, rows[:head], ncols)
         bad = _first_live_row(field, rows, head, basis)
@@ -381,9 +396,14 @@ def _head_nullspace(field: Field, rows, ncols: int):
     the determinant of the pivot rows at the pivot columns, so by Cramer's
     rule d times the vector that is 1 at f is integral, and each step
     x[pc] = -acc / pivot is an exact integer division.  The vector is then
-    divided by its content.  Over F_p each pivot row is scaled once to make
-    its pivot 1, a zero multiplier is skipped, and a row update is
-    (a - mult·b) mod p; the back-substitution from 1 at f needs no inverse.
+    divided by its content.  Over F_p an entry is reduced only where it is
+    read: the pivot search tests m[i][c] mod p, the multiplier is row[c] mod
+    p (a zero one is skipped), and the pivot row is reduced as it is scaled
+    once to make its pivot 1, so a row update is the unreduced a - mult·b.
+    An entry of a row below the pivots takes at most one such update per
+    column before its own, from below p, so it stays below p + ncols·p^2 in
+    absolute value.  The back-substitution, over the reduced pivot rows, from
+    1 at f needs no inverse.
     """
     p = field.characteristic
     m = [list(row) for row in rows]
@@ -391,7 +411,10 @@ def _head_nullspace(field: Field, rows, ncols: int):
     prev = 1
     for c in range(ncols):
         r = len(pivots)
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p:
+            pr = next((i for i in range(r, len(m)) if m[i][c] % p), None)
+        else:
+            pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
@@ -399,8 +422,8 @@ def _head_nullspace(field: Field, rows, ncols: int):
             inv = pow(m[r][c], -1, p)
             m[r][c:] = top = [b * inv % p for b in m[r][c:]]
             for row in m[r + 1:]:
-                if mult := row[c]:
-                    row[c:] = [(a - mult * b) % p for a, b in zip(row[c:], top)]
+                if mult := row[c] % p:
+                    row[c:] = [a - mult * b for a, b in zip(row[c:], top)]
         else:
             top = m[r][c:]
             pivot = top[0]

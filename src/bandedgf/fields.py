@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from math import lcm
 from operator import mod
@@ -36,12 +37,15 @@ _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 COLUMN_BITS = 256
 
 
+@cache
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin on the prime bases 2..41.
 
     Proven for all n < MR_PROVEN_BOUND (about 3.3e24, which covers 2**64);
     at or past it the answer may be wrong, so :class:`PrimeField` refuses such
-    moduli.
+    moduli.  The answer is memoised: a modulus read twice, as a ``--field``
+    override is (once from the flag and once when the spec is rebuilt from
+    its JSON document), is proven once.
     """
     if n < 2:
         return False

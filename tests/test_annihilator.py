@@ -516,6 +516,10 @@ def test_nullspace_is_the_full_elimination_basis(case):
 @example(case=(QQ, [[0, 0, 0]] * 3, 3))
 @example(case=(QQ, [[0, 6, 4, 2], [0, 9, 6, 3]], 4))
 @example(case=(PrimeField(101), [[0, 6, 4, 2], [0, 9, 6, 3], [5, 0, 0, 1]], 4))
+# Over F_5 the first pivot leaves row 1 as the unreduced (0, 1 - 2·3, 1) =
+# (0, -5, 1): a pivot search on the raw -5 would pick it at column 1, where
+# its residue is 0; the search on residues leaves column 1 free.
+@example(case=(PrimeField(5), [[1, 3, 0], [2, 1, 1]], 3))
 def test_head_nullspace_is_the_field_division_reference_up_to_scale(case):
     # The same vectors as the elimination that divides in the field at every
     # back-substitution step: each integral vector, scaled to 1 at its free
@@ -535,6 +539,39 @@ def test_head_nullspace_is_the_field_division_reference_up_to_scale(case):
             assert v[f] > 0 and math.gcd(*v) == 1
 
 
+def eliminated_matrix(field, rows, ncols):
+    """The matrix ``m`` as the elimination of ``_head_nullspace`` leaves it."""
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is _head_nullspace.__code__:
+            seen.append(frame.f_locals["m"])
+
+    sys.setprofile(profile)
+    try:
+        _head_nullspace(field, rows, ncols)
+    finally:
+        sys.setprofile(None)
+    return seen[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=low_rank_systems().filter(lambda case: case[0].characteristic))
+def test_head_nullspace_over_fp_keeps_entries_below_one_update_per_column(case):
+    # Rows below the pivot are updated as a - mult·b with mult and b reduced
+    # and no reduction after, so an entry, below p on entry, takes at most
+    # ncols updates of size below p^2 each.
+    field, rows, ncols = case
+    p = field.p
+    m = eliminated_matrix(field, rows, ncols)
+    assert all(abs(a) < p + ncols * p * p for row in m for a in row)
+
+
+def test_head_nullspace_over_fp_leaves_rows_below_the_pivot_unreduced():
+    m = eliminated_matrix(PrimeField(5), [[1, 3, 0], [2, 1, 1]], 3)
+    assert m == [[1, 3, 0], [0, -5, 1]]
+
+
 def count_head_eliminations(monkeypatch):
     heads = []
     real = annihilator._head_nullspace
@@ -548,39 +585,38 @@ def count_head_eliminations(monkeypatch):
 
 
 def test_nullspace_eliminates_again_when_a_tail_row_kills_a_head_vector(monkeypatch):
-    # The first 4 + HEAD_SLACK = 12 rows span only (1, 1, 0, 0), so the head
+    # The square head, the first 4 rows, spans only (1, 1, 0, 0), so it
     # admits (1, -1, 0, 0), (0, 0, 1, 0) and (0, 0, 0, 1).  Row 20 kills the
-    # first, and the head doubles to 24 rows; row 40 kills the second, and
-    # it doubles again, past all 45 rows.  Only (0, 0, 0, 1) is left, as in
-    # the full elimination.
+    # first, and the head grows through it to 21 rows; row 40 kills the
+    # second, and the head doubles to 42 rows, after which the last three
+    # rows pass.  Only (0, 0, 0, 1) is left, as in the full elimination.
     heads = count_head_eliminations(monkeypatch)
     rows = (
         [[1, 1, 0, 0]] * 20 + [[0, 1, 0, 0]] + [[0, 0, 0, 0]] * 19 + [[1, 0, 1, 0]]
         + [[2, 2, 0, 0]] * 4
     )
-    assert annihilator.HEAD_SLACK == 8
     for field in NULLSPACE_FIELDS:
         heads.clear()
         basis = _nullspace(field, rows, 4)
         assert basis == _head_nullspace(field, rows, 4) == [[0, 0, 0, 1]]
-        assert heads == [12, 24, 45]
+        assert heads == [4, 21, 42]
 
 
 def test_reconstruct_rejects_a_relation_that_holds_only_through_the_head(monkeypatch):
     # 1/(1-z) + z^40 satisfies (1 - z) x - 1 = 0 through z^39.  At bounds
     # (1, 1) the g^0 columns are solved outright, so the eliminated system
-    # starts at row 2 over 2 columns: its 10 head rows (rows 2..11) admit
-    # the relation, and row 40, its 39th, kills it; the head then grows
-    # through that row.
+    # starts at row 2 over 2 columns: its square head of 2 rows (rows 2..3)
+    # admits the relation, and row 40, its 39th, kills it; the head then
+    # grows through that row.
     heads = count_head_eliminations(monkeypatch)
     coeffs = [1] * 61
     coeffs[40] = 2
     g = Series(QQ, coeffs)
     assert reconstruct(g, 1, 1) is None is reference_reconstruct(g, 1, 1)
-    assert heads == [10, 39]
+    assert heads == [2, 39]
     heads.clear()
     assert reconstruct(g.truncate(39), 1, 1, guard=0) == AnnihilatorPoly(QQ, [[-1], [1, -1]])
-    assert heads == [10]
+    assert heads == [2]
 
 
 # -- the g^0 block solved outright, and the residual over powers ----------------
@@ -662,6 +698,34 @@ def test_reconstruct_on_an_integral_series_divides_in_no_field(monkeypatch):
 
 
 # -- certify: one table of powers for the reconstruction and the residual --------
+
+
+POWERS_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(2**61 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    field=st.sampled_from(POWERS_FIELDS),
+    fractional=st.booleans(),
+    dx=st.integers(1, 4),
+    order=st.one_of(st.integers(0, 3), st.integers(4, 40)),
+    seed=st.integers(0, 2**32),
+)
+def test_powers_are_repeated_series_products(field, fractional, dx, order, seed):
+    # g^2 by the squaring, and every later power, are the products
+    # g·g·...·g of Series.__mul__, with the same canonical scalars.
+    rng = random.Random(seed)
+    if fractional or field.characteristic:
+        coeffs = [random_scalar(field, rng) for _ in range(order + 1)]
+    else:
+        coeffs = [rng.randrange(-9, 10) for _ in range(order + 1)]
+    g = Series(field, coeffs)
+    want = [Series.one(field, order), g]
+    for _ in range(dx - 1):
+        want.append(want[-1] * g)
+    got = powers(g, dx)
+    assert got == want
+    assert [list(map(type, p.coeffs)) for p in got] == [list(map(type, p.coeffs)) for p in want]
 
 
 def test_certify_reads_truncations_of_one_power_table(monkeypatch):

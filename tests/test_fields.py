@@ -30,6 +30,18 @@ def test_prime_field_rejects_composite_modulus():
         PrimeField(91)
 
 
+def test_a_modulus_is_proven_once():
+    # is_prime is memoised, so a second field on the same modulus runs no
+    # second Miller-Rabin proof, and a composite is refused both times.
+    is_prime.cache_clear()
+    assert PrimeField(2**61 - 1) == PrimeField(2**61 - 1)
+    assert (is_prime.cache_info().misses, is_prime.cache_info().hits) == (1, 1)
+    for _ in range(2):
+        with pytest.raises(SpecFormatError):
+            PrimeField(2**61 + 1)  # divisible by 3
+    assert (is_prime.cache_info().misses, is_prime.cache_info().hits) == (2, 2)
+
+
 def test_strong_pseudoprimes_to_the_first_prime_bases_are_refused():
     psi12 = 399165290221 * 798330580441  # passes the bases 2..37
     psi13 = 1287836182261 * 2575672364521  # passes the bases 2..41
