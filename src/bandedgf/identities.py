@@ -9,8 +9,9 @@ such checks rather than raising, so a front-end can print every outcome; a
 clean run is the strongest internal evidence the engine is telling the truth.
 
 The symbol-power checks multiply by the step polynomial with the suite's own
-reference step, :func:`_independent_step_multiply`: a loop over the nonzero
-entries of A, B and C that shares nothing with the Laurent stream or the
+reference step, :func:`_independent_step_multiply`: a loop of its own over
+(source, target, v) triples read off the nonzero entries of A, B and C, on
+flat row-major matrices, that shares nothing with the Laurent stream or the
 walk passes, and computes only the x-degrees a check compares.
 
 Every relation here is homogeneous under (z, A, B, C, D) -> (z / L, L A, L B,
@@ -109,28 +110,29 @@ def _independent_step_multiply(field: Field, a, b, c, term, radius: int):
     matrices: the suite's reference step, written apart from the library's.
 
     Coefficient x^d sums A term_(d-1) + B term_d + C term_(d+1) over the
-    source degrees the term holds, each product formed through the nonzero
-    entries of the step matrix, entry by entry; each entry is reduced once.
+    source degrees the term holds.  Each source matrix is read as one flat
+    row-major list, each step matrix left-multiplies it through one list of
+    (source, target, v) triples over its nonzero entries (i, t, v) and every
+    column j, and each coefficient is reduced once, by one ``reduce_all``.
     """
     n, s = (len(term) - 1) // 2, len(a)
     rng = range(s)
     steps = [
-        (shift, [(i, t, v) for i in rng for t in rng if (v := mat[i][t])])
+        (shift, [(t * s + j, i * s + j, v) for i in rng for t in rng if (v := mat[i][t]) for j in rng])
         for mat, shift in ((a, 1), (b, 0), (c, -1))
     ]
-    red = field.reduce
+    sources = [[v for row in m for v in row] for m in term]
+    reduce_all = field.reduce_all
     out = []
     for d in range(-radius, radius + 1):
-        acc = [[0] * s for _ in rng]
-        for shift, nonzero in steps:
+        acc = [0] * (s * s)
+        for shift, triples in steps:
             e = d - shift
             if -n <= e <= n:
-                src = term[e + n]
-                for i, t, v in nonzero:
-                    row, src_row = acc[i], src[t]
-                    for j in rng:
-                        row[j] += v * src_row[j]
-        out.append(tuple(tuple(red(x) for x in row) for row in acc))
+                src = sources[e + n]
+                for k, target, v in triples:
+                    acc[target] += v * src[k]
+        out.append(tuple(zip(*[iter(reduce_all(acc))] * s)))
     return tuple(out)
 
 

@@ -7,9 +7,11 @@ multiplies and solves only through it.  The Laurent stream moves row slices
 through the step weights' nonzero entries in :mod:`bandedgf.laurent`, and the
 fixed-point route multiplies through its own per-entry convolutions in
 :mod:`bandedgf.engine`, so the two block routes share no product.  The walk
-oracle and the walk table multiply through the step weights' nonzero entries
-in :mod:`bandedgf.walks`, and the identity suite's reference step through
-them with its own loop.  None shares the kernel it checks.  No module of the
+oracle and the walk table multiply flat row-major blocks through (source,
+target, v) triples read off the step weights' nonzero entries in
+:mod:`bandedgf.walks`, and the identity suite's reference step through
+triples it builds and loops over itself; each reduces a new block with one
+``reduce_all``.  None shares the kernel it checks.  No module of the
 package calls the dense :func:`mul`: it is the product of the tests'
 brute-force walk enumeration, and the benchmark tracer counts its calls by
 name.

@@ -38,6 +38,15 @@ class Series:
         self.field = field
         self.coeffs = coeffs
 
+    @classmethod
+    def _trusted(cls, field: Field, coeffs: tuple) -> "Series":
+        """A series on a nonempty tuple of canonical scalars, such as a slice
+        of another series' coefficients; nothing is copied or reduced."""
+        self = object.__new__(cls)
+        self.field = field
+        self.coeffs = coeffs
+        return self
+
     # -- construction helpers -------------------------------------------------
 
     @classmethod
@@ -92,7 +101,7 @@ class Series:
         require_nonnegative(order)
         if order >= self.order:
             return self
-        return Series(self.field, self.coeffs[: order + 1])
+        return Series._trusted(self.field, self.coeffs[: order + 1])
 
     def __repr__(self):
         fmt = self.field.format

@@ -3,9 +3,10 @@
 ``MatrixSeries`` multiplies through ``matrices.sum_of_products``, the
 fixed-point route through its own per-entry convolutions, and the Laurent
 stream by row slices through the step weights' nonzero entries; the walk
-passes and the walk table use their own product through the step weights'
-nonzero entries, and the identity suite's reference step its own loop over
-those entries.  The dense ``matrices.mul`` is left to the brute-force walk
+passes and the walk table multiply flat blocks through (source, target, v)
+triples that ``walks`` reads off the step weights' nonzero entries
+(``_right_triples``, ``_left_triples``), and the identity suite's reference
+step through triples of its own, built and looped over in ``identities``.  The dense ``matrices.mul`` is left to the brute-force walk
 enumeration in ``tests/helpers.py``, the reference the oracle is pinned to.
 The oracle and the reference step check the routes, so they must never share
 their kernels.  The sources are parsed with ``ast``, never imported, so a
@@ -68,7 +69,7 @@ def test_the_oracle_never_uses_the_route_kernel():
     # entries with its own loop: nothing of the stream it checks, nor of the
     # oracle's passes.
     step = _reached(_tree("identities"), ["_independent_step_multiply"])
-    assert {"_row_stream", "_add_left_product"} <= _defined("laurent") | _defined("walks")
+    assert {"_row_stream", "_right_triples", "_left_triples"} <= _defined("laurent") | _defined("walks")
     assert "sum_of_products" not in step
     assert not step & (_defined("laurent") | _defined("walks"))
 
@@ -96,7 +97,7 @@ def test_the_walk_passes_share_nothing_with_the_routes():
     route_names = set().union(*map(_defined, routes))
     assert "sum_of_products" not in used
     assert not used & (route_names | set(routes))
-    assert {"_add_right_product", "_add_left_product"} <= used
+    assert {"_right_triples", "_left_triples", "reduce_all"} <= used
 
 
 @pytest.mark.parametrize("module", ["matseries", "laurent", "engine"])
@@ -109,7 +110,7 @@ def test_the_block_routes_never_use_the_dense_product(module):
         # convolutions: no block product, and nothing of the oracle's.
         route = _reached(tree, ["fixed_point_route"])
         walks = {n.name for n in _tree("walks").body if isinstance(n, ast.FunctionDef)}
-        assert {"_add_right_product", "_add_left_product", "_nonzeros", "_class_pass"} <= walks
+        assert {"_right_triples", "_left_triples", "_square", "_class_pass"} <= walks
         assert "cm.mul" not in route
         assert not route & walks
     elif module == "laurent":

@@ -25,6 +25,7 @@ from helpers import (
 )
 
 F101 = PrimeField(101)
+F2, F3, F61 = PrimeField(2), PrimeField(3), PrimeField(2**61 - 1)
 
 
 def scalar_weights(a, b, c, d, field=QQ):
@@ -180,21 +181,28 @@ def test_enumerate_sum_matches_the_definitions(field, mode):
 @given(
     seed=st.integers(0, 10**6),
     s=st.integers(1, 4),
-    prime=st.booleans(),
+    field=st.sampled_from([QQ, F101, F2, F3, F61]),
     special=st.one_of(st.none(), st.sampled_from(["zero_a", "zero_c", "zero_d", "b_is_d"])),
     length=st.integers(0, 9),
 )
 # The largest sizes the cost bounds admit, which the search seldom draws.
-@example(seed=1, s=4, prime=True, special="zero_a", length=7)
-@example(seed=2, s=3, prime=False, special="zero_c", length=7)
-@example(seed=3, s=2, prime=True, special="zero_d", length=9)
-@example(seed=4, s=4, prime=False, special="b_is_d", length=6)
-def test_class_sums_match_individual_enumerations(seed, s, prime, special, length):
+@example(seed=1, s=4, field=F101, special="zero_a", length=7)
+@example(seed=2, s=3, field=QQ, special="zero_c", length=7)
+@example(seed=3, s=2, field=F101, special="zero_d", length=9)
+@example(seed=4, s=4, field=QQ, special="b_is_d", length=6)
+# Lengths where the transition pass is cut short of the full pass, over the
+# smallest fields and one near a machine word.
+@example(seed=5, s=3, field=F2, special=None, length=3)
+@example(seed=6, s=2, field=F3, special=None, length=4)
+@example(seed=7, s=3, field=F61, special=None, length=5)
+@example(seed=8, s=2, field=F2, special="zero_d", length=6)
+@example(seed=9, s=2, field=F61, special="b_is_d", length=7)
+def test_class_sums_match_individual_enumerations(seed, s, field, special, length):
     # Each enumeration costs about s^3 3^length products, several times
     # dearer over Q: keep an example within the cost of s = 2 at length 9
-    # over F_101, and of s = 3 at length 7 over Q.
-    assume(s**3 * 3**length <= (8 * 3**9 if prime else 27 * 3**7))
-    w = rand_weights(random.Random(seed), s, F101 if prime else QQ, special)
+    # over F_p, and of s = 3 at length 7 over Q.
+    assume(s**3 * 3**length <= (27 * 3**7 if field is QQ else 8 * 3**9))
+    w = rand_weights(random.Random(seed), s, field, special)
     sums = class_sums(w, length)
     assert sums.m0 == enumerate_sum(w, length, 0, 0, "all")
     assert sums.m1 == enumerate_sum(w, length, 1, 0, "all")
@@ -215,6 +223,14 @@ def test_class_sums_match_individual_enumerations(seed, s, prime, special, lengt
     for k in range(-length, length + 1):
         by_length = [sums.by_finish[n].get(k, zero) for n in range(length + 1)]
         assert by_length == list(enumerate_sum(w, length, 0, k, "all").coeffs)
+    # The cut transition pass and the full pass agree at 0 and -+1 whichever
+    # is read first.
+    first = class_sums(w, length)
+    by_finish = first.by_finish
+    for k, name in ((0, "m0"), (-1, "m1"), (1, "mm1")):
+        want = [row[k] if k in row else zero for row in by_finish]
+        assert list(getattr(first, name).coeffs) == want
+        assert list(getattr(sums, name).coeffs) == want
 
 
 def test_each_caller_makes_only_the_class_passes_it_reads(monkeypatch):
@@ -240,6 +256,50 @@ def test_each_caller_makes_only_the_class_passes_it_reads(monkeypatch):
         passes.clear()
         run()
         assert len(passes) == want
+
+
+def test_each_pass_builds_blocks_only_at_heights_it_can_still_read(monkeypatch):
+    # After n of L steps a walk can reach height 0 only from |h| <= L - n,
+    # and -+1 only from |h| <= L - n + 1: the closed passes keep no block
+    # past the first bound, the transition pass none past the second, and
+    # by_finish keeps every height.
+    import bandedgf.walks as walks
+
+    built = []
+    real = walks._class_pass
+
+    def recorded(*args, **kwargs):
+        heights = []
+        built.append(heights)
+        for row in real(*args, **kwargs):
+            heights.append(sorted(row))
+            yield row
+
+    monkeypatch.setattr(walks, "_class_pass", recorded)
+    length = 7
+    sums = class_sums(rand_weights(random.Random(11), 2), length)
+
+    def heights_of(*names):
+        built.clear()
+        for name in names:
+            getattr(sums, name)
+        (heights,) = built
+        assert len(heights) == length + 1
+        return enumerate(heights)
+
+    for n, heights in heights_of("m0", "m1", "mm1"):
+        top = min(n, length - n + 1)
+        assert heights == list(range(-top, top + 1))
+    for name in ("gw", "gwstar", "hw", "hwstar", "j0"):
+        primitive, standard = name in ("hw", "hwstar", "j0"), name != "j0"
+        for n, heights in heights_of(name):
+            top = min(n, length - n)
+            if n == 0 and primitive:
+                assert heights == []
+            else:
+                assert heights == list(range(0 if standard else -top, top + 1))
+    for n, heights in heights_of("by_finish"):
+        assert heights == list(range(-n, n + 1))
 
 
 def test_class_sums_are_assignable():
@@ -272,12 +332,14 @@ def dense_u_table_rows(w, order):
 @given(
     seed=st.integers(0, 10**6),
     s=st.integers(1, 4),
-    field=st.sampled_from([QQ, PrimeField(2), F101]),
+    field=st.sampled_from([QQ, F2, F3, F101, F61]),
     special=st.one_of(st.none(), st.sampled_from(["zero_a", "zero_c", "zero_d", "b_is_d"])),
     order=st.integers(0, 15),
 )
 @example(seed=4, s=4, field=QQ, special="zero_a", order=15)
-@example(seed=5, s=3, field=PrimeField(2), special="zero_c", order=15)
+@example(seed=5, s=3, field=F2, special="zero_c", order=15)
+@example(seed=6, s=4, field=F3, special=None, order=15)
+@example(seed=7, s=3, field=F61, special="b_is_d", order=15)
 def test_u_table_matches_the_dense_recurrence(seed, s, field, special, order):
     w = rand_weights(random.Random(seed), s, field, special)
     rows = u_table(w, order).rows
